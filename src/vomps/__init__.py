@@ -7,6 +7,15 @@ and transfer-matrix machinery, and the model builders and oracles used by
 the command-line experiments.
 """
 
+import os as _os
+
+# UMPS_THREADS caps the BLAS thread pools, so it must be applied before
+# anything below imports numpy
+if _os.environ.get("UMPS_THREADS"):
+    for _var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS",
+                 "MKL_NUM_THREADS", "NUMEXPR_NUM_THREADS"):
+        _os.environ.setdefault(_var, _os.environ["UMPS_THREADS"])
+
 from .baseline import MemoryGuardError, mpo_mps_local_truncate, schmidt_truncate
 from .io import load_mpo, load_state, save_mpo, save_state
 from .tensor import (

@@ -15,6 +15,7 @@ from .tensor import LinearMap, leading_eig, svd
 from .umps import (
     MPO,
     UniformMPS,
+    _rotate_bonds,
     mixed_canonical,
 )
 
@@ -65,8 +66,8 @@ def schmidt_truncate(state: UniformMPS, new_chi):
     if all(len(s_kept[n]) == state.c[n].shape[0] for n in range(L)):
         return state, 0.0
 
-    al = [np.einsum("xa,apb,by->xpy", us[n].conj().T, state.al[n],
-                    us[(n + 1) % L]) for n in range(L)]
+    al = [_rotate_bonds(us[n].conj().T, state.al[n], us[(n + 1) % L])
+          for n in range(L)]
     truncated = mixed_canonical(al)
     return truncated, discarded
 

@@ -134,6 +134,7 @@ class EvolutionRecord:
     epsilon: float
     chi: int
     abs_lambda: float
+    converged: bool = True
 
 
 def _layer_targets(state: UniformMPS, layer: MPO, chi_max: int):
@@ -177,7 +178,8 @@ def trotter_evolve(delta: float, dt: float, t_max: float, chi_max: int,
     A second-order step applies half-step even, full odd, half-step even
     layers; first order applies full even then full odd.  Returns the
     final state and one :class:`EvolutionRecord` per step (including the
-    t=0 row).  `observer(state, record)` runs after each step.
+    t=0 row); a record's `converged` is true when every layer truncation
+    of its step converged.  `observer(state, record)` runs after each step.
     """
     if order == 2:
         layers = [trotter_layer_mpo(xxz_gate(delta, dt / 2), "even"),
@@ -198,15 +200,17 @@ def trotter_evolve(delta: float, dt: float, t_max: float, chi_max: int,
     for k in range(steps):
         eps = 0.0
         lam = 1.0
+        converged = True
         for layer in layers:
             state, report = apply_layer(state, layer, chi_max, eta=eta,
                                         seed=seed)
             eps = max(eps, report.final_epsilon)
             lam = abs(report.final_lambda)
+            converged = converged and report.converged
         rec = EvolutionRecord(time=(k + 1) * dt,
                               offset=staggered_offset(state),
                               epsilon=eps, chi=max(state.bond_dims),
-                              abs_lambda=lam)
+                              abs_lambda=lam, converged=converged)
         records.append(rec)
         if observer is not None:
             observer(state, rec)

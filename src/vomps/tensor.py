@@ -9,7 +9,7 @@ are pure: inputs are never mutated.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable
 
 import numpy as np
@@ -201,11 +201,13 @@ def leading_eig(op: LinearMap, guess: np.ndarray, tol: float = 1e-12,
     """Leading (largest |value|) eigenpair via restarted Arnoldi iteration.
 
     Builds a Krylov subspace of size `subspace` from the current vector,
+    orthogonalized by two-pass block classical Gram-Schmidt (CGS2),
     extracts the dominant Ritz pair, and restarts from it until the true
-    residual drops below `tol` or the matvec budget `max_iter` is spent.
-    Deterministic for a fixed guess.  A spectral gap below `tol` between
-    the top two Ritz magnitudes is reported through the `degenerate` flag;
-    the pair itself is still the dominant one found.
+    residual drops below `tol` or the matvec budget `max_iter` is spent;
+    the lowest-residual pair seen is returned.  Deterministic for a fixed
+    guess.  A relative gap below `tol` between the top two Ritz
+    magnitudes (``gap < tol * |value|``) is reported through the
+    `degenerate` flag; the pair itself is still the dominant one found.
     """
     n = op.dim
     if n < 1:
@@ -230,12 +232,13 @@ def leading_eig(op: LinearMap, guess: np.ndarray, tol: float = 1e-12,
         for j in range(m):
             w = np.asarray(op.matvec(q[j]), dtype=complex).reshape(n)
             nmv += 1
-            # modified Gram-Schmidt with one reorthogonalization pass
+            # block classical Gram-Schmidt, two passes (CGS2)
+            basis = q[:j + 1]
+            basis_h = basis.conj()
             for _ in range(2):
-                for i in range(j + 1):
-                    c = np.vdot(q[i], w)
-                    h[i, j] += c
-                    w -= c * q[i]
+                c = basis_h @ w
+                h[:j + 1, j] += c
+                w -= c @ basis
             beta = np.linalg.norm(w)
             h[j + 1, j] = beta
             if beta < 1e-14:
@@ -245,28 +248,20 @@ def leading_eig(op: LinearMap, guess: np.ndarray, tol: float = 1e-12,
 
         theta, y = np.linalg.eig(h[:k, :k])
         order = np.argsort(-np.abs(theta))
-        lead = order[0]
-        lam = theta[lead]
-        x = y[:, lead] @ q[:k]
+        lam = theta[order[0]]
+        x = y[:, order[0]] @ q[:k]
         x /= np.linalg.norm(x)
 
         ax = np.asarray(op.matvec(x), dtype=complex).reshape(n)
         nmv += 1
         residual = float(np.linalg.norm(ax - lam * x))
-        gap = (np.abs(theta[order[0]]) - np.abs(theta[order[1]])
-               if k >= 2 else np.inf)
+        gap = (np.abs(lam) - np.abs(theta[order[1]]) if k >= 2 else np.inf)
 
         if best is None or residual < best.residual:
             best = EigResult(value=complex(lam), vector=x, residual=residual,
                              converged=residual <= tol,
-                             degenerate=bool(gap < tol), iterations=nmv)
+                             degenerate=bool(gap < tol * np.abs(lam)))
+        # k < m: exact invariant subspace, no further progress possible
         if residual <= tol or nmv >= max_iter or k < m:
-            # k < m: exact invariant subspace, no further progress possible
-            if k < m and residual > tol and best.residual > tol:
-                best = EigResult(value=complex(lam), vector=x,
-                                 residual=residual, converged=residual <= tol,
-                                 degenerate=bool(gap < tol), iterations=nmv)
-            return EigResult(value=best.value, vector=best.vector,
-                             residual=best.residual, converged=best.converged,
-                             degenerate=best.degenerate, iterations=nmv)
+            return replace(best, iterations=nmv)
         v = x

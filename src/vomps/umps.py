@@ -278,8 +278,7 @@ def left_orthonormalize(a, tol: float = 1e-14, max_sweeps: int = 10_000,
                 # progress is gap-limited: jump the gauge to the leading
                 # left fixed point of the mixed transfer between the
                 # current isometric estimate and the input
-                op = LinearMap(dim=gauges[0].size,
-                               matvec=_gauge_matvec(al, a, "left"))
+                op = _cell_transfer(al, a, "left")
                 res = leading_eig(op, gauges[0].reshape(-1),
                                   tol=max(tol / 10, 1e-15), max_iter=600)
                 g = res.vector.reshape(gauges[0].shape)
@@ -291,24 +290,6 @@ def left_orthonormalize(a, tol: float = 1e-14, max_sweeps: int = 10_000,
                   f"(residual {residual:.2e}); input may be non-injective")
     raise CanonicalizationError(
         f"no convergence after {max_sweeps} sweeps (tol {tol:.1e})")
-
-
-def _gauge_matvec(tops, bots, side):
-    L = len(tops)
-    sites = range(L) if side == "left" else reversed(range(L))
-    sites = list(sites)
-    apply_site = _apply_left_site if side == "left" else _apply_right_site
-    # bond 0 is both the left of site 0 and (cyclically) the right of the
-    # last site, so the vector dims agree for either direction
-    shape = (tops[0].shape[0], bots[0].shape[0])
-
-    def matvec(vec):
-        v = vec.reshape(shape)
-        for n in sites:
-            v = apply_site(v, tops[n], bots[n])
-        return v.reshape(-1)
-
-    return matvec
 
 
 def _right_gauge_from_left(al, seed=None, tol: float = 1e-14,
@@ -350,8 +331,7 @@ def _right_gauge_from_left(al, seed=None, tol: float = 1e-14,
             if residual > 0.05 * last_checkpoint:
                 # rs[0]^T is the leading fixed point of the right mixed
                 # transfer between the current ar estimate and the input
-                op = LinearMap(dim=rs[0].size,
-                               matvec=_gauge_matvec(ar, al, "right"))
+                op = _cell_transfer(ar, al, "right")
                 res = leading_eig(op, rs[0].T.reshape(-1),
                                   tol=max(tol / 10, 1e-15), max_iter=600)
                 g = res.vector.reshape(rs[0].T.shape).T
@@ -388,13 +368,21 @@ def mixed_canonical(a, tol: float = 1e-14, max_sweeps: int = 10_000,
             us[(n + 1) % L] = u
             vs[(n + 1) % L] = vh.conj().T
             s_diag[n] = np.diag(s).astype(complex)
-        al = [np.einsum("xa,apb,by->xpy", us[n].conj().T, al[n],
-                        us[(n + 1) % L]) for n in range(L)]
-        ar = [np.einsum("xa,apb,by->xpy", vs[n].conj().T, ar[n],
-                        vs[(n + 1) % L]) for n in range(L)]
+        al = [_rotate_bonds(us[n].conj().T, al[n], us[(n + 1) % L])
+              for n in range(L)]
+        ar = [_rotate_bonds(vs[n].conj().T, ar[n], vs[(n + 1) % L])
+              for n in range(L)]
         c = s_diag
     c = [m / np.linalg.norm(m) for m in c]
     return UniformMPS(al=al, ar=ar, c=c)
+
+
+def _rotate_bonds(x, a, y):
+    """Site tensor with both bonds transformed, ``x @ a @ y`` over the
+    (left, phys, right) axes of `a`: two matmuls on reshaped views."""
+    chi_l, d, chi_r = a.shape
+    t = (x @ a.reshape(chi_l, d * chi_r)).reshape(-1, chi_r) @ y
+    return t.reshape(x.shape[0], d, y.shape[1])
 
 
 def _as_cell(a):
@@ -407,28 +395,39 @@ def _as_cell(a):
 # mixed transfer matrices and their fixed points
 
 
-def _apply_left_site(v, top, bot, op=None):
-    """One site of the left mixed transfer: v has axes (bra, [mpo,] ket)."""
-    topc = np.conj(top)
+def _apply_left_site(v, topc, bot, op=None):
+    """One site of the left mixed transfer: v has axes (bra, [mpo,] ket).
+
+    `topc` is the conjugated top tensor, so that callers conjugate once per
+    map rather than once per application.
+    """
+    a, p, b = topc.shape
+    c, q, d = bot.shape
     if op is None:
-        t = np.tensordot(v, topc, axes=((0,), (0,)))        # (ket, p, bra')
-        return np.tensordot(t, bot, axes=((0, 1), (0, 1)))  # (bra', ket')
-    t = np.tensordot(v, topc, axes=((0,), (0,)))            # (m, ket, p, bra')
-    t = np.tensordot(t, op, axes=((0, 2), (0, 1)))          # (ket, bra', q, m')
-    t = np.tensordot(t, bot, axes=((0, 2), (0, 1)))         # (bra', m', ket')
-    return t
+        t = (v.T @ topc.reshape(a, p * b)).reshape(c * p, b)
+        return t.T @ bot.reshape(c * p, d)
+    m, n = op.shape[0], op.shape[3]
+    t = v.reshape(a, m * c).T @ topc.reshape(a, p * b)       # (m c, p b)
+    t = t.reshape(m, c, p, b).transpose(1, 3, 0, 2).reshape(c * b, m * p)
+    t = t @ op.reshape(m * p, q * n)                           # (c b, q n)
+    t = t.reshape(c, b, q, n).transpose(1, 3, 0, 2).reshape(b * n, c * q)
+    return (t @ bot.reshape(c * q, d)).reshape(b, n, d)
 
 
-def _apply_right_site(v, top, bot, op=None):
-    """One site of the right mixed transfer: v has axes (bra, [mpo,] ket)."""
-    topc = np.conj(top)
+def _apply_right_site(v, topc, bot, op=None):
+    """One site of the right mixed transfer: v has axes (bra, [mpo,] ket),
+    `topc` is the conjugated top tensor as in :func:`_apply_left_site`."""
+    a, p, b = topc.shape
+    c, q, d = bot.shape
     if op is None:
-        t = np.tensordot(bot, v, axes=((2,), (1,)))          # (ket', q, bra)
-        return np.tensordot(topc, t, axes=((1, 2), (1, 2)))  # (bra', ket')
-    t = np.tensordot(bot, v, axes=((2,), (2,)))              # (ket', q, bra, m')
-    t = np.tensordot(t, op, axes=((1, 3), (2, 3)))           # (ket', bra, m, p)
-    t = np.tensordot(topc, t, axes=((1, 2), (3, 1)))         # (bra', ket', m)
-    return t.transpose(0, 2, 1)
+        t = (bot.reshape(c * p, d) @ v.T).reshape(c, p * b)
+        return topc.reshape(a, p * b) @ t.T
+    m, n = op.shape[0], op.shape[3]
+    t = bot.reshape(c * q, d) @ v.reshape(b * n, d).T          # (c q, b n)
+    t = t.reshape(c, q, b, n).transpose(0, 2, 1, 3).reshape(c * b, q * n)
+    t = t @ op.reshape(m * p, q * n).T                         # (c b, m p)
+    t = t.reshape(c, b, m, p).transpose(3, 1, 2, 0).reshape(p * b, m * c)
+    return (topc.reshape(a, p * b) @ t).reshape(a, m, c)
 
 
 def _cell_tensors(top: UniformMPS, bottom: UniformMPS, side: str,
@@ -468,28 +467,28 @@ def mixed_transfer_map(top: UniformMPS, bottom: UniformMPS, side: str,
     """
     if side not in ("left", "right"):
         raise ValueError("side must be 'left' or 'right'")
-    top, bottom, mpo, tops, bots, ops = _cell_tensors(top, bottom, side, mpo)
-    L = len(tops)
+    _, _, _, tops, bots, ops = _cell_tensors(top, bottom, side, mpo)
+    return _cell_transfer(tops, bots, side, ops)
+
+
+def _cell_transfer(tops, bots, side, ops=None) -> LinearMap:
+    """Mixed transfer through the given per-site tensors, as a linear map on
+    bond-0 vectors (top bond, [mpo bond,] bottom bond); bond 0 is both left
+    of site 0 and, cyclically, right of the last site.  The top tensors are
+    conjugated once here, not on every application."""
     shape = ((tops[0].shape[0], ops[0].shape[0], bots[0].shape[0])
              if ops is not None else (tops[0].shape[0], bots[0].shape[0]))
-    dim = int(np.prod(shape))
-    order = range(L) if side == "left" else reversed(range(L))
-    sites = list(order)
+    dim = math.prod(shape)
+    order = range(len(tops)) if side == "left" else reversed(range(len(tops)))
+    apply_site = _apply_left_site if side == "left" else _apply_right_site
+    layers = [(np.conj(tops[n]), bots[n], ops[n] if ops is not None else None)
+              for n in order]
 
-    if side == "left":
-        def matvec(vec):
-            v = vec.reshape(shape)
-            for n in sites:
-                v = _apply_left_site(v, tops[n], bots[n],
-                                     ops[n] if ops is not None else None)
-            return v.reshape(dim)
-    else:
-        def matvec(vec):
-            v = vec.reshape(shape)
-            for n in sites:
-                v = _apply_right_site(v, tops[n], bots[n],
-                                      ops[n] if ops is not None else None)
-            return v.reshape(dim)
+    def matvec(vec):
+        v = vec.reshape(shape)
+        for topc, bot, op in layers:
+            v = apply_site(v, topc, bot, op)
+        return v.reshape(dim)
 
     return LinearMap(dim=dim, matvec=matvec)
 
@@ -576,12 +575,11 @@ def environments(top: UniformMPS, bottom: UniformMPS, mpo: MPO | None = None,
     eigensolves.  Raises OrthogonalStatesError when the eigenvalue
     collapses to zero.
     """
-    top0, bottom0 = top, bottom
-    left_map = mixed_transfer_map(top, bottom, "left", mpo)
-    right_map = mixed_transfer_map(top, bottom, "right", mpo)
-    top, bottom, mpo, tops_l, bots_l, ops = _cell_tensors(
-        top0, bottom0, "left", mpo)
-    _, _, _, tops_r, bots_r, _ = _cell_tensors(top0, bottom0, "right", mpo)
+    top, bottom, _, tops_l, bots_l, ops = _cell_tensors(
+        top, bottom, "left", mpo)
+    tops_r, bots_r = top.ar, bottom.ar
+    left_map = _cell_transfer(tops_l, bots_l, "left", ops)
+    right_map = _cell_transfer(tops_r, bots_r, "right", ops)
     L = top.unit_cell
     d0 = ops[0].shape[0] if ops is not None else None
     shape_l = ((top.bond_dims[0], d0, bottom.bond_dims[0])
@@ -610,12 +608,14 @@ def environments(top: UniformMPS, bottom: UniformMPS, mpo: MPO | None = None,
     phase = _phase_reference(gl[0])
     gl[0] = gl[0] * (np.conj(phase) / abs(phase))
     for n in range(1, L):
-        gl[n] = _apply_left_site(gl[n - 1], tops_l[n - 1], bots_l[n - 1],
+        gl[n] = _apply_left_site(gl[n - 1], np.conj(tops_l[n - 1]),
+                                 bots_l[n - 1],
                                  ops[n - 1] if ops is not None else None) / lam
 
     gr[L - 1] = right.vector.reshape(shape_l)
     for n in reversed(range(L - 1)):
-        gr[n] = _apply_right_site(gr[n + 1], tops_r[n + 1], bots_r[n + 1],
+        gr[n] = _apply_right_site(gr[n + 1], np.conj(tops_r[n + 1]),
+                                  bots_r[n + 1],
                                   ops[n + 1] if ops is not None else None) / lam
 
     # normalization: close gl[n] against gr[n-1] through the bond matrices

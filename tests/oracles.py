@@ -27,6 +27,18 @@ def dense_site_matrix(top, bot, op=None, side="left"):
     return m if side == "left" else m.T
 
 
+def site_transfer(v, top, bot, op=None, side="left"):
+    """One site of the mixed transfer applied to a bond tensor `v` with
+    axes (top bond, [mpo bond,] bottom bond) by a single einsum; the top
+    layer is conjugated here."""
+    if op is None:
+        spec = "ac,apb,cpd->bd" if side == "left" else "bd,apb,cpd->ac"
+        return np.einsum(spec, v, np.conj(top), bot)
+    spec = ("amc,apb,mpqn,cqd->bnd" if side == "left"
+            else "bnd,apb,mpqn,cqd->amc")
+    return np.einsum(spec, v, np.conj(top), op, bot)
+
+
 def dense_cell_matrix(top_state, bot_state, mpo=None, side="left"):
     """Unit-cell mixed transfer matrix (dense), unit cells pre-extended."""
     import math

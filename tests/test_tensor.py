@@ -235,6 +235,35 @@ class TestLeadingEig:
                           guess=np.array([1.0, 1.0, 1.0]), tol=1e-10)
         assert res.degenerate
 
+    def test_degenerate_gap_is_relative_at_large_scale(self):
+        # absolute gap 1e-5 is above tol, relative gap 1e-11 is below it
+        res = leading_eig(dense_map(np.diag([1e6, 1e6 - 1e-5, 0.3])),
+                          guess=np.array([1.0, 1.0, 1.0]), tol=1e-10)
+        assert res.degenerate
+
+    def test_distinct_small_scale_spectrum_not_degenerate(self):
+        # absolute gap 5e-13 is below tol, relative gap 0.5 is not
+        res = leading_eig(dense_map(np.diag([1e-12, 0.5e-12, 0.1e-12])),
+                          guess=np.array([1.0, 1.0, 1.0]), tol=1e-10)
+        assert not res.degenerate
+        assert abs(res.value - 1e-12) < 1e-24
+
+    def test_restarts_on_clustered_non_normal_map(self):
+        rng = np.random.default_rng(7)
+        n = 200
+        lam = 0.5 + 0.05 * random_complex(rng, n)
+        lam[:4] = [1.0, 0.95, 0.94 + 0.01j, 0.93 - 0.01j]
+        s = np.eye(n) + 0.3 * random_complex(rng, n, n) / np.sqrt(n)
+        m = s @ np.diag(lam) @ np.linalg.inv(s)
+        tol = 1e-10
+        res = leading_eig(dense_map(m), guess=random_complex(rng, n),
+                          tol=tol, subspace=8)
+        assert res.iterations > 3 * (8 + 1)  # several restart cycles
+        assert res.converged and res.residual <= tol
+        evals = np.linalg.eigvals(m)
+        assert abs(res.value - evals[np.argmax(np.abs(evals))]) < 1e-8
+        assert np.linalg.norm(m @ res.vector - res.value * res.vector) <= tol
+
     def test_unconverged_flag(self):
         rng = np.random.default_rng(1)
         m = random_complex(rng, 40, 40)

@@ -1,11 +1,15 @@
 import numpy as np
 import pytest
 
-from vomps.tensor import qr_positive
+from vomps.baseline import schmidt_truncate
+from vomps.tensor import qr_positive, svd
 from vomps.umps import (
     MPO,
     OrthogonalStatesError,
     UniformMPS,
+    _apply_left_site,
+    _apply_right_site,
+    _rotate_bonds,
     environments,
     expect_local,
     fidelity_per_site,
@@ -24,6 +28,7 @@ from oracles import (
     dense_leading_eig,
     dense_local_expectation,
     random_complex,
+    site_transfer,
 )
 
 Z = np.diag([1.0, -1.0]).astype(complex)
@@ -117,6 +122,70 @@ class TestMixedCanonical:
             assert np.linalg.norm(off) < 1e-12
             d = np.diagonal(c).real
             assert np.all(np.diff(d) <= 1e-12)
+
+
+class TestSiteTransfer:
+    """Single-site kernels against the einsum oracle on rectangular shapes:
+    top bond != bottom bond, left bond != right bond, mpo bond m != m'."""
+
+    @pytest.mark.parametrize("with_mpo", [False, True])
+    def test_left_site_matches_einsum(self, with_mpo):
+        rng = np.random.default_rng(11)
+        top = random_complex(rng, 3, 2, 4)
+        if with_mpo:
+            op = random_complex(rng, 2, 2, 3, 5)
+            bot = random_complex(rng, 6, 3, 7)
+            v = random_complex(rng, 3, 2, 6)
+        else:
+            op = None
+            bot = random_complex(rng, 6, 2, 7)
+            v = random_complex(rng, 3, 6)
+        got = _apply_left_site(v, np.conj(top), bot, op)
+        want = site_transfer(v, top, bot, op, side="left")
+        assert got.shape == want.shape
+        assert np.max(np.abs(got - want)) < 1e-12
+
+    @pytest.mark.parametrize("with_mpo", [False, True])
+    def test_right_site_matches_einsum(self, with_mpo):
+        rng = np.random.default_rng(12)
+        top = random_complex(rng, 3, 2, 4)
+        if with_mpo:
+            op = random_complex(rng, 2, 2, 3, 5)
+            bot = random_complex(rng, 6, 3, 7)
+            v = random_complex(rng, 4, 5, 7)
+        else:
+            op = None
+            bot = random_complex(rng, 6, 2, 7)
+            v = random_complex(rng, 4, 7)
+        got = _apply_right_site(v, np.conj(top), bot, op)
+        want = site_transfer(v, top, bot, op, side="right")
+        assert got.shape == want.shape
+        assert np.max(np.abs(got - want)) < 1e-12
+
+
+class TestBondRotation:
+    """The two-matmul bond rotation used by mixed_canonical and
+    schmidt_truncate reproduces the three-operand einsum it replaced."""
+
+    def test_matches_einsum(self):
+        state = random_uniform_mps(16, 2, seed=13)
+        rng = np.random.default_rng(13)
+        x = random_complex(rng, 10, 16)
+        y = random_complex(rng, 16, 12)
+        got = _rotate_bonds(x, state.al[0], y)
+        want = np.einsum("xa,apb,by->xpy", x, state.al[0], y)
+        assert got.shape == (10, 2, 12)
+        assert np.max(np.abs(got - want)) < 1e-13
+
+    def test_schmidt_truncate_matches_einsum(self):
+        state = random_uniform_mps(16, 2, seed=14)
+        got, _ = schmidt_truncate(state, 8)
+        u = svd(state.c[0])[0][:, :8]
+        want = mixed_canonical([np.einsum("xa,apb,by->xpy", u.conj().T,
+                                          state.al[0], u)])
+        for name in ("al", "ar", "c"):
+            diff = np.abs(getattr(got, name)[0] - getattr(want, name)[0])
+            assert np.max(diff) < 1e-13
 
 
 class TestTransferMap:
