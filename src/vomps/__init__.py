@@ -46,6 +46,7 @@ from .umps import (
     MixedEnvironment,
     OrthogonalStatesError,
     UniformMPS,
+    WarmStart,
     environments,
     expect_local,
     fidelity_per_site,

@@ -30,6 +30,7 @@ from .models import (
     trotter_evolve,
 )
 from .truncation import (
+    TRACE_FORMAT,
     PowerStop,
     VompsConfig,
     epsilon_measure,
@@ -37,8 +38,6 @@ from .truncation import (
     vomps_truncate,
 )
 from .umps import fidelity_per_site, mixed_canonical
-
-TRACE_VERSION = "vomps-trace/1"
 
 
 def _write_summary(path, payload):
@@ -104,7 +103,7 @@ def cmd_evolve(args) -> int:
 
     csv_path = os.path.join(args.out_dir, "evolution.csv")
     with open(csv_path, "w") as fh:
-        fh.write(f"# format: {TRACE_VERSION}\n")
+        fh.write(f"# format: {TRACE_FORMAT}\n")
         fh.write(f"# seed: {args.seed}\n")
         for line in _header_lines(args, ("delta", "dt", "t_max", "order",
                                          "chi", "eta")):

@@ -28,6 +28,7 @@ from .umps import (
     MixedEnvironment,
     OrthogonalStatesError,
     UniformMPS,
+    WarmStart,
     _right_gauge_from_left,
     environments,
     fidelity_per_site,
@@ -47,9 +48,11 @@ class VompsConfig:
 
     `target_chi` is a single bond dimension or one per bond of the working
     unit cell; `eta` is the convergence threshold on the fixed-point
-    residual; `eig_tol_schedule` maps the current residual to the inner
-    eigensolver tolerance; `init` selects the starting state ("schmidt"
-    for a local-SVD seed, "random", or an explicit state).
+    residual; `eig_tol_schedule` maps the residual expected at the next
+    iteration to the inner eigensolver tolerance (relative to the
+    eigenvalue), which the loop keeps at or above ``eta / 10``; `init`
+    selects the starting state ("schmidt" for a local-SVD seed, "random",
+    or an explicit state).
     """
 
     target_chi: int | Sequence[int]
@@ -92,17 +95,29 @@ class CenterPair:
                 raise ValueError("center tensors must be unit-normalized")
 
 
+TRACE_FORMAT = "vomps-trace/2"
+
+
 @dataclass
 class IterationRecord:
+    """One outer iteration: fixed-point residual, |lambda|, wall time and
+    the matvecs of its environment solves."""
+
     iteration: int
     epsilon: float
     abs_lambda: float
     wall_ms: float
+    matvecs: int
 
 
 @dataclass
 class TruncationReport:
-    """Per-iteration trace of the truncation loop."""
+    """Per-iteration trace of the truncation loop.
+
+    `env_guess` holds the closing environment solve's bond-0 vectors
+    ``(left, right)``, which can warm-start a related truncation;
+    `final_matvecs` counts that solve's matvecs.
+    """
 
     iterations: list = field(default_factory=list)
     converged: bool = False
@@ -111,27 +126,35 @@ class TruncationReport:
     degenerate: bool = False
     singular_completion: bool = False
     seed: int | None = None
+    env_guess: tuple | None = None
+    final_matvecs: int = 0
 
-    def record(self, iteration, epsilon, abs_lambda, wall_ms):
+    def record(self, iteration, epsilon, abs_lambda, wall_ms, matvecs):
         self.iterations.append(IterationRecord(iteration, float(epsilon),
                                                float(abs_lambda),
-                                               float(wall_ms)))
+                                               float(wall_ms), int(matvecs)))
 
     @property
     def final_epsilon(self) -> float:
         return self.iterations[-1].epsilon if self.iterations else math.inf
 
+    @property
+    def matvecs(self) -> int:
+        """Matvecs of every environment solve of the truncation."""
+        return sum(r.matvecs for r in self.iterations) + self.final_matvecs
+
     def write_csv(self, path, header_extra=()):
         with open(path, "w") as fh:
-            fh.write("# format: vomps-trace/1\n")
+            fh.write(f"# format: {TRACE_FORMAT}\n")
             if self.seed is not None:
                 fh.write(f"# seed: {self.seed}\n")
             for line in header_extra:
                 fh.write(f"# {line}\n")
-            fh.write("iter,epsilon,abs_lambda,wall_ms\n")
+            fh.write("iter,epsilon,abs_lambda,wall_ms,matvecs\n")
             for row in self.iterations:
                 fh.write(f"{row.iteration},{row.epsilon:.17g},"
-                         f"{row.abs_lambda:.17g},{row.wall_ms:.3f}\n")
+                         f"{row.abs_lambda:.17g},{row.wall_ms:.3f},"
+                         f"{row.matvecs}\n")
 
 
 # ---------------------------------------------------------------------------
@@ -324,16 +347,18 @@ def _regauge(al, c_by_site) -> UniformMPS:
 
 
 def vomps_truncate(m: UniformMPS, cfg: VompsConfig,
-                   mpo: MPO | None = None):
+                   mpo: MPO | None = None, guess=None):
     """Variationally approximate `m` (or `mpo` applied to `m`) at the
     target bond dimensions.
 
     Returns ``(state, report)``.  The loop alternates environment solves,
     center updates, and gauge extraction until the fixed-point residual
     drops below ``cfg.eta``; environments are warm-started from the
-    previous iteration unless disabled.  Non-convergence returns the best
-    state found, flagged in the report; a collapsing fidelity flags
-    orthogonality instead of looping forever.
+    previous iteration unless disabled.  `guess` may carry bond-0
+    environment vectors ``(left, right)`` for the first solve, such as
+    the ``report.env_guess`` of a truncation of a nearby problem.
+    Non-convergence returns the best state found, flagged in the report;
+    a collapsing fidelity flags orthogonality instead of looping forever.
     """
     work_cell = math.lcm(m.unit_cell, mpo.unit_cell if mpo else 1)
     m_ext = m.extended(work_cell // m.unit_cell)
@@ -349,14 +374,16 @@ def vomps_truncate(m: UniformMPS, cfg: VompsConfig,
 
     a = _initial_state(m_ext, cfg, targets, phys_dims, work_cell)
     report = TruncationReport(seed=cfg.seed)
-    guess = None
-    eps = 1e-2
+    eps = eps_prev = 1e-2
     lam_first = None
     env = None
 
     for it in range(cfg.max_iter):
         t0 = time.perf_counter()
-        tol_inner = max(cfg.eig_tol_schedule(eps), 1e-15)
+        # near a fixed point the residual falls faster than linearly (about
+        # quadratically), so solve for the one the last ratio predicts
+        eps_next = eps * min(1.0, eps / eps_prev)
+        tol_inner = max(cfg.eig_tol_schedule(eps_next), cfg.eta / 10, 1e-15)
         try:
             env = environments(a, m_ext, mpo, tol=tol_inner, guess=guess)
             cp = compute_centers(env, m_ext, mpo)
@@ -366,12 +393,12 @@ def vomps_truncate(m: UniformMPS, cfg: VompsConfig,
         al, ar, completed = extract_gauges(cp)
         report.singular_completion |= completed
         report.degenerate |= env.degenerate
-        eps = error_epsilon(cp, al)
+        eps_prev, eps = eps, error_epsilon(cp, al)
         a = UniformMPS(al=al, ar=ar, c=cp.cp)
         if cfg.warm_start:
             guess = (env.gl[0].reshape(-1), env.gr[-1].reshape(-1))
         wall_ms = 1e3 * (time.perf_counter() - t0)
-        report.record(it, eps, abs(env.lam), wall_ms)
+        report.record(it, eps, abs(env.lam), wall_ms, env.matvecs)
 
         if lam_first is None:
             lam_first = max(abs(env.lam), 1e-300)
@@ -395,6 +422,9 @@ def vomps_truncate(m: UniformMPS, cfg: VompsConfig,
                              tol=max(min(cfg.eta / 100, 1e-12), 1e-15),
                              guess=guess)
     report.final_lambda = final_env.lam
+    report.final_matvecs = final_env.matvecs
+    report.env_guess = (final_env.gl[0].reshape(-1),
+                        final_env.gr[-1].reshape(-1))
     return result, report
 
 
@@ -451,6 +481,9 @@ class PowerStop:
 
 @dataclass
 class PowerRecord:
+    """One power step's diagnostics; `matvecs` counts the environment
+    solves of the step's truncation."""
+
     iteration: int
     translation_infidelity: float
     observable_change: float
@@ -460,6 +493,7 @@ class PowerRecord:
     abs_lambda: float
     epsilon: float
     wall_ms: float
+    matvecs: int
 
 
 @dataclass
@@ -473,9 +507,9 @@ class PowerReport:
     def write_csv(self, path, header_extra=()):
         cols = ("iter,translation_infidelity,observable_change,"
                 "reference_infidelity,reference_observable_diff,"
-                "reference_log_eig_diff,abs_lambda,epsilon,wall_ms")
+                "reference_log_eig_diff,abs_lambda,epsilon,wall_ms,matvecs")
         with open(path, "w") as fh:
-            fh.write("# format: vomps-power/1\n")
+            fh.write("# format: vomps-power/2\n")
             if self.seed is not None:
                 fh.write(f"# seed: {self.seed}\n")
             for line in header_extra:
@@ -491,7 +525,8 @@ class PowerReport:
                     f"{r.reference_log_eig_diff:.17g}",
                     f"{r.abs_lambda:.17g}",
                     f"{r.epsilon:.17g}",
-                    f"{r.wall_ms:.3f}"]) + "\n")
+                    f"{r.wall_ms:.3f}",
+                    str(r.matvecs)]) + "\n")
 
 
 def stacked_mpo(mpo: MPO, layers: int) -> MPO:
@@ -520,7 +555,9 @@ def power_method(mpo: MPO, init: UniformMPS, cfg: VompsConfig,
     supplied, one minus the fidelity with it, the observable difference,
     and the per-site log-eigenvalue difference of the two-row MPO channel.
     Oscillation without single-step convergence is reported through the
-    detected period.
+    detected period.  With ``cfg.warm_start`` each step's environment
+    solves and translation-fidelity solve start from the previous step's
+    solutions.
     """
     if mpo.phys_dims_out != mpo.phys_dims_in:
         raise ValueError("power method needs a square MPO")
@@ -536,6 +573,8 @@ def power_method(mpo: MPO, init: UniformMPS, cfg: VompsConfig,
     ref_obs = (expectation(reference, observable)
                if reference is not None and observable is not None else None)
 
+    env_guess = None
+    fid_guess = WarmStart() if cfg.warm_start else None
     for it in range(stop.max_iter):
         t0 = time.perf_counter()
         step_cfg = VompsConfig(target_chi=cfg.target_chi, eta=cfg.eta,
@@ -543,9 +582,13 @@ def power_method(mpo: MPO, init: UniformMPS, cfg: VompsConfig,
                                eig_tol_schedule=cfg.eig_tol_schedule,
                                init=state, seed=cfg.seed,
                                warm_start=cfg.warm_start)
-        new_state, step = vomps_truncate(state, step_cfg, mpo=mpo)
+        new_state, step = vomps_truncate(state, step_cfg, mpo=mpo,
+                                         guess=env_guess)
+        if cfg.warm_start:
+            env_guess = step.env_guess
 
-        diag1 = 1.0 - fidelity_per_site(new_state, state.translated(1))
+        diag1 = 1.0 - fidelity_per_site(new_state, state.translated(1),
+                                        guess=fid_guess)
         diag2 = math.nan
         if observable is not None:
             diag2 = abs(expectation(new_state, observable)
@@ -562,7 +605,7 @@ def power_method(mpo: MPO, init: UniformMPS, cfg: VompsConfig,
             observable_change=diag2, reference_infidelity=diag3,
             reference_observable_diff=diag4, reference_log_eig_diff=diag5,
             abs_lambda=abs(step.final_lambda), epsilon=step.final_epsilon,
-            wall_ms=wall_ms))
+            wall_ms=wall_ms, matvecs=step.matvecs))
 
         history.append(new_state)
         state = new_state

@@ -234,13 +234,65 @@ def random_uniform_mps(chi: int, d: int, unit_cell: int = 1,
 # ---------------------------------------------------------------------------
 # gauge fixing
 
+# Relative accuracy of the Arnoldi refresh in the gauge iterations: enough
+# to seed the sweeps, and within reach of rounding (the refresh residuals
+# of random states at bond dimensions 8-64 come out 4e-16 to 7e-15).
+_REFRESH_TOL = 1e-13
+# Sweep-to-sweep change, relative to the gauge, accepted when the sweeps
+# make no progress even after a refresh (the default accuracy of
+# UniformMPS.check).  Positive QR/RQ fixes the basis of directions whose
+# Schmidt values lie below ~1e-14 only up to rounding, so on bonds larger
+# than the state needs the sweeps settle into a cycle whose changes reach
+# ~4e-12 at bond dimensions 32-48 (Trotter states soon after a product
+# state).
+_STALL_TOL = 1e-10
+
+
+def _settle_gauge(sweep_once, gauges, fixed_point, tol, max_sweeps,
+                  refresh_every):
+    """Repeat `sweep_once` until the bond-0 gauge ``gauges[0]`` settles.
+
+    Converged when one sweep moves it by at most `tol` relative to its
+    norm.  A checkpoint every `refresh_every` sweeps that shows less than a
+    twentyfold gain means progress is gap-limited or at the rounding
+    floor: a change below the refresh's accuracy ``_REFRESH_TOL`` (below
+    ``_STALL_TOL`` if the previous checkpoint refreshed) is accepted, and
+    otherwise ``gauges[0]`` jumps to ``fixed_point(eig_tol)``, an Arnoldi
+    solve of its fixed-point equation to ``max(tol, _REFRESH_TOL)``,
+    phase-fixed and kept at the current norm.  Returns None when
+    converged, else the last change after `max_sweeps`.
+    """
+    last_checkpoint = np.inf
+    refreshed = False
+    for sweep in range(max_sweeps):
+        old = gauges[0]
+        sweep_once()
+        scale = np.linalg.norm(gauges[0])
+        residual = np.linalg.norm(gauges[0] - old)
+        if residual <= tol * scale:
+            return None
+        if (sweep + 1) % refresh_every == 0:
+            stalled = residual > 0.05 * last_checkpoint
+            floor = _STALL_TOL if refreshed else _REFRESH_TOL
+            if stalled and residual <= floor * scale:
+                return None
+            if stalled:
+                g = fixed_point(max(tol, _REFRESH_TOL))
+                phase = _phase_reference(g)
+                gauges[0] = g * (np.conj(phase) / abs(phase)
+                                 * scale / np.linalg.norm(g))
+            refreshed = stalled
+            last_checkpoint = residual
+    return residual
+
 
 def left_orthonormalize(a, tol: float = 1e-14, max_sweeps: int = 10_000,
                         refresh_every: int = 4):
     """Gauge a unit cell of site tensors into left canonical form.
 
     Repeats positive-QR decompositions of (gauge @ a[n]) around the cell
-    until the bond-0 gauge matrix stops moving.  Every few sweeps the
+    until the bond-0 gauge matrix stops moving, `tol` relative to its norm
+    (see :func:`_settle_gauge`).  Every few sweeps without progress the
     bond-0 gauge is refreshed by an Arnoldi solve of its fixed-point
     equation, which keeps convergence fast for states with small transfer
     gaps where the plain iteration crawls.  Returns ``(al, gauges)`` with
@@ -266,26 +318,18 @@ def left_orthonormalize(a, tol: float = 1e-14, max_sweeps: int = 10_000,
             gauges[(n + 1) % L] = r / (np.linalg.norm(r)
                                        / math.sqrt(r.shape[0]))
 
-    last_checkpoint = np.inf
-    for sweep in range(max_sweeps):
-        g0_old = gauges[0]
-        sweep_once()
-        residual = np.linalg.norm(gauges[0] - g0_old)
-        if residual <= tol:
-            return al, gauges
-        if (sweep + 1) % refresh_every == 0:
-            if residual > 0.05 * last_checkpoint:
-                # progress is gap-limited: jump the gauge to the leading
-                # left fixed point of the mixed transfer between the
-                # current isometric estimate and the input
-                op = _cell_transfer(al, a, "left")
-                res = leading_eig(op, gauges[0].reshape(-1),
-                                  tol=max(tol / 10, 1e-15), max_iter=600)
-                g = res.vector.reshape(gauges[0].shape)
-                phase = _phase_reference(g)
-                g = g * (np.conj(phase) / abs(phase))
-                gauges[0] = g / (np.linalg.norm(g) / math.sqrt(g.shape[0]))
-            last_checkpoint = residual
+    def fixed_point(eig_tol):
+        # the leading left fixed point of the mixed transfer between the
+        # current isometric estimate and the input
+        op = _cell_transfer(al, a, "left")
+        res = leading_eig(op, gauges[0].reshape(-1), tol=eig_tol,
+                          max_iter=600)
+        return res.vector.reshape(gauges[0].shape)
+
+    residual = _settle_gauge(sweep_once, gauges, fixed_point, tol,
+                             max_sweeps, refresh_every)
+    if residual is None:
+        return al, gauges
     warnings.warn("left orthonormalization did not converge "
                   f"(residual {residual:.2e}); input may be non-injective")
     raise CanonicalizationError(
@@ -298,9 +342,9 @@ def _right_gauge_from_left(al, seed=None, tol: float = 1e-14,
 
     Input must already be left canonical (unit transfer eigenvalue); the
     un-normalized RQ iteration then converges to bond gauges ``r[k]`` with
-    ``al[n] r[n+1] = r[n] ar[n]`` holding exactly at the fixed point.
-    Arnoldi refreshes of the bond-0 gauge keep small-gap inputs from
-    stalling, as in the left case.
+    ``al[n] r[n+1] = r[n] ar[n]`` holding exactly at the fixed point.  The
+    stopping rule (`tol` relative to ``|r[0]|``) and the Arnoldi refreshes
+    that keep small-gap inputs from stalling are those of the left case.
     """
     L = len(al)
     if seed is None:
@@ -309,7 +353,6 @@ def _right_gauge_from_left(al, seed=None, tol: float = 1e-14,
     else:
         rs = [np.asarray(m, dtype=complex) for m in seed]
     ar = [None] * L
-    tol = max(tol, 1e-15)
 
     def sweep_once():
         for n in reversed(range(L)):
@@ -320,26 +363,17 @@ def _right_gauge_from_left(al, seed=None, tol: float = 1e-14,
             ar[n] = q.reshape(chi_l, d, rs[(n + 1) % L].shape[1])
             rs[n] = r
 
-    last_checkpoint = np.inf
-    for sweep in range(max_sweeps):
-        r0_old = rs[0]
-        sweep_once()
-        residual = np.linalg.norm(rs[0] - r0_old)
-        if residual <= tol:
-            return ar, rs
-        if (sweep + 1) % refresh_every == 0 and ar[0] is not None:
-            if residual > 0.05 * last_checkpoint:
-                # rs[0]^T is the leading fixed point of the right mixed
-                # transfer between the current ar estimate and the input
-                op = _cell_transfer(ar, al, "right")
-                res = leading_eig(op, rs[0].T.reshape(-1),
-                                  tol=max(tol / 10, 1e-15), max_iter=600)
-                g = res.vector.reshape(rs[0].T.shape).T
-                phase = _phase_reference(g)
-                g = g * (np.conj(phase) / abs(phase))
-                scale = np.linalg.norm(rs[0])
-                rs[0] = g * (scale / np.linalg.norm(g))
-            last_checkpoint = residual
+    def fixed_point(eig_tol):
+        # rs[0]^T is the leading fixed point of the right mixed transfer
+        # between the current ar estimate and the input
+        op = _cell_transfer(ar, al, "right")
+        res = leading_eig(op, rs[0].T.reshape(-1), tol=eig_tol, max_iter=600)
+        return res.vector.reshape(rs[0].T.shape).T
+
+    residual = _settle_gauge(sweep_once, rs, fixed_point, max(tol, 1e-15),
+                             max_sweeps, refresh_every)
+    if residual is None:
+        return ar, rs
     raise CanonicalizationError(
         f"right gauge iteration stalled after {max_sweeps} sweeps "
         f"(residual {residual:.2e})")
@@ -563,6 +597,13 @@ def _default_guess(shape) -> np.ndarray:
     return g.reshape(-1)
 
 
+def _fitting_guess(guess, shape) -> np.ndarray:
+    """`guess` when it is a vector for a bond of `shape`, else the default."""
+    if guess is not None and np.size(guess) == math.prod(shape):
+        return guess
+    return _default_guess(shape)
+
+
 def environments(top: UniformMPS, bottom: UniformMPS, mpo: MPO | None = None,
                  tol: float = 1e-12, guess=None,
                  max_iter: int = 10_000) -> MixedEnvironment:
@@ -572,8 +613,9 @@ def environments(top: UniformMPS, bottom: UniformMPS, mpo: MPO | None = None,
     Only the bond-0 eigenproblems are solved; interior environments follow
     by single-site transfer application divided by the per-site eigenvalue.
     `guess` may carry ``(left_vector, right_vector)`` to warm-start the
-    eigensolves.  Raises OrthogonalStatesError when the eigenvalue
-    collapses to zero.
+    eigensolves; an entry that is None or does not fit the bond-0 shape
+    falls back to the default guess.  Raises OrthogonalStatesError when the
+    eigenvalue collapses to zero.
     """
     top, bottom, _, tops_l, bots_l, ops = _cell_tensors(
         top, bottom, "left", mpo)
@@ -585,15 +627,11 @@ def environments(top: UniformMPS, bottom: UniformMPS, mpo: MPO | None = None,
     shape_l = ((top.bond_dims[0], d0, bottom.bond_dims[0])
                if ops is not None else (top.bond_dims[0], bottom.bond_dims[0]))
 
-    gl_guess = guess[0] if guess is not None else None
-    gr_guess = guess[1] if guess is not None else None
-    if gl_guess is None:
-        gl_guess = _default_guess(shape_l)
-    if gr_guess is None:
-        gr_guess = _default_guess(shape_l)
-
-    left = leading_eig(left_map, gl_guess, tol=tol, max_iter=max_iter)
-    right = leading_eig(right_map, gr_guess, tol=tol, max_iter=max_iter)
+    gl_guess, gr_guess = guess if guess is not None else (None, None)
+    left = leading_eig(left_map, _fitting_guess(gl_guess, shape_l), tol=tol,
+                       max_iter=max_iter)
+    right = leading_eig(right_map, _fitting_guess(gr_guess, shape_l),
+                        tol=tol, max_iter=max_iter)
 
     lam_cell = left.value
     lam = complex(lam_cell) ** (1.0 / L)
@@ -639,17 +677,34 @@ def environments(top: UniformMPS, bottom: UniformMPS, mpo: MPO | None = None,
 # scalar quantities
 
 
+@dataclass
+class WarmStart:
+    """Start vector handed from one eigensolve to the next related one.
+
+    A solve that takes it starts from `vector` when that fits its map and
+    stores its own solution back, so one instance passed to a sequence of
+    nearby solves warm-starts each from the last.
+    """
+
+    vector: np.ndarray | None = None
+
+
 def fidelity_per_site(a: UniformMPS, b: UniformMPS, tol: float = 1e-13,
-                      max_iter: int = 20_000) -> float:
+                      max_iter: int = 20_000,
+                      guess: WarmStart | None = None) -> float:
     """Per-site overlap magnitude |lambda| of two normalized states.
 
     This is the modulus of the leading mixed-transfer eigenvalue; it lies
     in [0, 1] for canonical states and equals 1 exactly when the states
-    agree up to gauge.
+    agree up to gauge.  `guess` warm-starts the eigensolve and receives
+    its eigenvector (see :class:`WarmStart`).
     """
     op = mixed_transfer_map(a, b, "left")
-    res = leading_eig(op, _default_guess_for(op.dim), tol=tol,
-                      max_iter=max_iter)
+    start = (guess.vector if guess is not None and guess.vector is not None
+             and guess.vector.size == op.dim else _default_guess_for(op.dim))
+    res = leading_eig(op, start, tol=tol, max_iter=max_iter)
+    if guess is not None:
+        guess.vector = res.vector
     L = math.lcm(a.unit_cell, b.unit_cell)
     return float(abs(res.value) ** (1.0 / L))
 

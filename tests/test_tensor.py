@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from vomps.tensor import (
     ContractionError,
@@ -189,6 +190,18 @@ def dense_map(m):
     return LinearMap(dim=m.shape[0], matvec=lambda v: m @ v)
 
 
+def counting_map(m):
+    """Dense map plus a list whose length is the number of matvecs applied."""
+    m = np.asarray(m, dtype=complex)
+    calls = []
+
+    def matvec(v):
+        calls.append(1)
+        return m @ v
+
+    return LinearMap(dim=m.shape[0], matvec=matvec), calls
+
+
 class TestLeadingEig:
     def test_diag_2_1(self):
         res = leading_eig(dense_map(np.diag([2.0, 1.0])),
@@ -293,3 +306,67 @@ class TestLeadingEig:
         res = leading_eig(dense_map(np.eye(3)), guess=np.ones(3))
         assert isinstance(res, EigResult)
         assert abs(np.linalg.norm(res.vector) - 1.0) < 1e-12
+
+    def test_exact_eigenvector_guess_stops_at_size_one(self):
+        rng = np.random.default_rng(21)
+        n = 40
+        s = random_complex(rng, n, n)
+        lam = 0.5 * random_complex(rng, n) / np.sqrt(2)
+        lam[0] = 2.0
+        m = s @ np.diag(lam) @ np.linalg.inv(s)
+        op, calls = counting_map(m)
+        # off by 1e-12: accepted at size 1, not an invariant Krylov space
+        guess = s[:, 0] + 1e-12 * random_complex(rng, n)
+        res = leading_eig(op, guess=guess, tol=1e-10)
+        assert res.converged
+        assert res.iterations <= 2
+        assert len(calls) == res.iterations
+        assert abs(res.value - 2.0) < 1e-9
+        assert leading_eig(op, guess=s[:, 0], tol=1e-10).iterations <= 2
+
+    @pytest.mark.parametrize("subspace", [4, 20])
+    def test_iterations_count_every_matvec(self, subspace):
+        rng = np.random.default_rng(22)
+        m = random_complex(rng, 60, 60)
+        op, calls = counting_map(m)
+        res = leading_eig(op, guess=random_complex(rng, 60), tol=1e-11,
+                          subspace=subspace)
+        assert res.iterations == len(calls)
+        assert res.converged
+
+    def test_large_scale_map_converges_relative(self):
+        # residual 1.2e-10 is above tol in absolute terms, far below
+        # tol * |value| = 1e-4
+        op, calls = counting_map(np.diag([1e6, 1e6 - 1e-5, 0.3]))
+        res = leading_eig(op, guess=np.array([1.0, 1.0, 1.0]), tol=1e-10)
+        assert res.converged
+        assert res.residual <= 1e-10 * abs(res.value)
+        assert len(calls) < 200
+
+    def test_small_norm_map_not_accepted_from_guess(self):
+        # the guess's residual 3e-13 is below tol, not below tol * |value|
+        op, calls = counting_map(np.diag([1e-12, 0.5e-12, 0.1e-12]))
+        res = leading_eig(op, guess=np.array([1.0, 1.0, 1.0]), tol=1e-10)
+        assert res.converged
+        assert abs(res.value - 1e-12) < 1e-24
+        assert len(calls) > 2
+
+
+@settings(max_examples=25, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 40),
+       tol_exp=st.integers(-12, -6))
+def test_leading_eig_property_on_diagonalizable_maps(seed, n, tol_exp):
+    rng = np.random.default_rng(seed)
+    s = np.eye(n) + 0.3 * random_complex(rng, n, n) / np.sqrt(n)
+    lam = random_complex(rng, n) / np.sqrt(2)
+    lam[0] = 2.0 * np.exp(1j * rng.uniform(0, 2 * np.pi))  # clear top
+    m = s @ np.diag(lam) @ np.linalg.inv(s)
+    tol = 10.0 ** tol_exp
+    res = leading_eig(dense_map(m), guess=random_complex(rng, n), tol=tol)
+    recomputed = np.linalg.norm(m @ res.vector - res.value * res.vector)
+    assert abs(res.residual - recomputed) <= 1e-13 * np.linalg.norm(m)
+    assert res.converged == (res.residual <= tol * abs(res.value))
+    assert res.converged
+    evals = np.linalg.eigvals(m)
+    top = evals[np.argmax(np.abs(evals))]
+    assert abs(res.value - top) <= 10 * tol * abs(top) * np.linalg.cond(s)

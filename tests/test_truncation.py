@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from vomps.truncation import (
+    TRACE_FORMAT,
     CenterPair,
     PowerStop,
     VompsConfig,
@@ -18,6 +19,7 @@ from vomps.truncation import (
 from vomps.umps import (
     MPO,
     UniformMPS,
+    _right_gauge_from_left,
     environments,
     fidelity_per_site,
     identity_mpo,
@@ -25,7 +27,11 @@ from vomps.umps import (
     random_uniform_mps,
 )
 from vomps.models import (
+    BETA_C,
+    IsingParams,
     correlated_random_state,
+    ising_free_energy,
+    ising_mpo,
     state_with_spectrum,
     trotter_evolve,
 )
@@ -282,14 +288,33 @@ class TestVompsTruncate:
         path = tmp_path / "trace.csv"
         report.write_csv(path)
         lines = path.read_text().splitlines()
-        assert lines[0] == "# format: vomps-trace/1"
+        assert lines[0] == "# format: vomps-trace/2"
+        assert TRACE_FORMAT == "vomps-trace/2"
         assert "# seed: 3" in lines
         header_idx = next(i for i, l in enumerate(lines)
                           if not l.startswith("#"))
-        assert lines[header_idx] == "iter,epsilon,abs_lambda,wall_ms"
+        assert lines[header_idx] == "iter,epsilon,abs_lambda,wall_ms,matvecs"
         rows = [l.split(",") for l in lines[header_idx + 1:]]
         assert len(rows) == len(report.iterations)
         assert float(rows[-1][1]) == report.iterations[-1].epsilon
+        assert [int(r[4]) for r in rows] == [
+            it.matvecs for it in report.iterations]
+        assert all(it.matvecs > 0 for it in report.iterations)
+
+    def test_env_guess_warm_starts_a_repeat(self):
+        m = random_uniform_mps(6, 2, seed=81)
+        cfg = VompsConfig(target_chi=3, eta=1e-10, seed=3)
+        _, cold = vomps_truncate(m, cfg)
+        assert cold.matvecs == (sum(it.matvecs for it in cold.iterations)
+                                + cold.final_matvecs)
+        left, right = cold.env_guess
+        assert left.shape == right.shape == (3 * 6,)
+        _, warm = vomps_truncate(m, cfg, guess=cold.env_guess)
+        assert warm.converged
+        assert warm.iterations[0].matvecs < cold.iterations[0].matvecs
+        # a guess of the wrong size falls back to the default guess
+        _, odd = vomps_truncate(m, cfg, guess=(np.ones(3), None))
+        assert odd.matvecs == cold.matvecs
 
 
 class TestFitStateToBonds:
@@ -330,6 +355,27 @@ class TestGrowBond:
             grow_bond(m, identity_mpo(2), 2)
 
 
+class TestRegauge:
+    def test_oversized_bond_trotter_run_regauges(self):
+        # chi 20 exceeds the Schmidt rank the early Neel quench needs; the
+        # right gauge sweeps then settle near 1e-14, which the absolute
+        # 1e-14 test missed, and spun to CanonicalizationError
+        checks = []
+        trotter_evolve(delta=0.5, dt=0.05, t_max=0.15, chi_max=20,
+                       observer=lambda state, rec: checks.append(
+                           state.check(1e-12)))
+        assert len(checks) == 4
+
+    @pytest.mark.parametrize("scale", [1e-4, 1e4])
+    def test_right_gauge_stopping_rule_is_relative(self, scale):
+        m = random_uniform_mps(6, 2, seed=115)
+        rng = np.random.default_rng(116)
+        seed = [scale * (m.c[0] + 0.1 * random_complex(rng, 6, 6))]
+        ar, rs = _right_gauge_from_left(list(m.al), seed=seed, tol=1e-14)
+        c = rs[0] / np.linalg.norm(rs[0])
+        UniformMPS(al=m.al, ar=ar, c=[c]).check(1e-12)
+
+
 class TestPowerMethod:
     def test_identity_mpo_converges_immediately(self):
         m = random_uniform_mps(4, 2, seed=110)
@@ -339,6 +385,49 @@ class TestPowerMethod:
         assert report.converged
         assert len(report.iterations) == 1
         assert report.iterations[0].translation_infidelity <= 1e-10
+
+    @pytest.mark.parametrize("coupling", [1, -1])
+    def test_threaded_guesses_match_cold_run(self, coupling, monkeypatch,
+                                             tmp_path):
+        import vomps.truncation as truncation
+        from vomps.cli import _biased_initial_state
+
+        truncate = truncation.vomps_truncate
+        passed = []
+
+        def recording(*args, guess=None, **kwargs):
+            passed.append(guess)
+            return truncate(*args, guess=guess, **kwargs)
+
+        monkeypatch.setattr(truncation, "vomps_truncate", recording)
+        beta = 1.2 * BETA_C
+        mpo = ising_mpo(IsingParams(beta=beta, coupling=coupling))
+        init = _biased_initial_state(4, coupling, 0)
+        runs, guesses = [], []
+        for warm in (True, False):
+            cfg = VompsConfig(target_chi=4, eta=1e-9, max_iter=100, seed=0,
+                              warm_start=warm)
+            _, report = power_method(mpo, init, cfg, PowerStop(tol=1e-10))
+            runs.append(report)
+            guesses.append([g is not None for g in passed])
+            passed.clear()
+        warm, cold = runs
+        # each warm step starts from the previous step's environments
+        assert guesses[0] == [False] + [True] * (len(warm.iterations) - 1)
+        assert not any(guesses[1])
+        assert warm.period == cold.period
+        f_warm = ising_free_energy(abs(warm.final_lambda), beta)
+        f_cold = ising_free_energy(abs(cold.final_lambda), beta)
+        assert abs(f_warm - f_cold) < 1e-10
+        assert all(r.matvecs > 0 for r in warm.iterations)
+        assert (sum(r.matvecs for r in warm.iterations)
+                < sum(r.matvecs for r in cold.iterations))
+        warm.write_csv(tmp_path / "power.csv")
+        lines = (tmp_path / "power.csv").read_text().splitlines()
+        assert lines[0] == "# format: vomps-power/2"
+        assert lines[2].endswith(",wall_ms,matvecs")
+        assert [int(l.rsplit(",", 1)[1]) for l in lines[3:]] == [
+            r.matvecs for r in warm.iterations]
 
     def test_requires_square_mpo(self):
         rng = np.random.default_rng(111)

@@ -7,6 +7,7 @@ from vomps.umps import (
     MPO,
     OrthogonalStatesError,
     UniformMPS,
+    WarmStart,
     _apply_left_site,
     _apply_right_site,
     _rotate_bonds,
@@ -114,6 +115,22 @@ class TestMixedCanonical:
         assert abs(abs(state.al[0][0, 0, 0]) - 1.0) < 1e-12
         assert abs(state.al[0][0, 1, 0]) < 1e-12
         np.testing.assert_allclose(np.abs(state.c[0]), [[1.0]], atol=1e-12)
+
+    def test_gauge_refreshes_reach_their_tolerance(self, monkeypatch):
+        import vomps.umps as umps
+
+        solve = umps.leading_eig
+        refreshes = []
+
+        def recording(*args, **kwargs):
+            res = solve(*args, **kwargs)
+            refreshes.append(res.converged)
+            return res
+
+        monkeypatch.setattr(umps, "leading_eig", recording)
+        for seed in range(3):
+            random_uniform_mps(8, 2, seed=seed).check(1e-12)
+        assert refreshes and all(refreshes)
 
     def test_diagonal_descending_bond_matrices(self):
         state = random_uniform_mps(5, 2, seed=11)
@@ -316,6 +333,32 @@ class TestFidelity:
         rotated = gauge_rotated(state, rng)
         rotated.check(1e-10)
         assert abs(fidelity_per_site(state, rotated) - 1.0) < 1e-10
+
+
+    def test_warm_start_reuses_solution(self, monkeypatch):
+        import vomps.umps as umps
+
+        a = random_uniform_mps(4, 2, seed=64)
+        b = random_uniform_mps(3, 2, seed=65)
+        cold = fidelity_per_site(a, b)
+        matvecs = []
+        solve = umps.leading_eig
+
+        def counted(*args, **kwargs):
+            res = solve(*args, **kwargs)
+            matvecs.append(res.iterations)
+            return res
+
+        monkeypatch.setattr(umps, "leading_eig", counted)
+        holder = WarmStart()
+        first = fidelity_per_site(a, b, guess=holder)
+        assert holder.vector.shape == (4 * 3,)
+        second = fidelity_per_site(a, b, guess=holder)
+        assert abs(first - cold) < 1e-12 and abs(second - cold) < 1e-12
+        assert matvecs[1] <= 2 < matvecs[0]
+        # a vector of another size is ignored
+        assert abs(fidelity_per_site(a, a, guess=holder) - 1.0) < 1e-12
+        assert holder.vector.shape == (4 * 4,)
 
 
 class TestExpectLocal:
