@@ -34,21 +34,6 @@ BETA_C = math.log(1.0 + math.sqrt(2.0)) / 2.0
 
 
 @dataclass(frozen=True)
-class XXZParams:
-    """Anisotropy, Trotter step, and Trotter order of an XXZ evolution."""
-
-    delta: float
-    dt: float
-    order: int = 2
-
-    def __post_init__(self):
-        if self.dt <= 0:
-            raise ValueError("dt must be positive")
-        if self.order not in (1, 2):
-            raise ValueError("Trotter order must be 1 or 2")
-
-
-@dataclass(frozen=True)
 class IsingParams:
     """Inverse temperature and coupling sign of the square-lattice Ising
     transfer matrix; +1 is ferromagnetic, -1 antiferromagnetic."""
@@ -61,10 +46,6 @@ class IsingParams:
             raise ValueError("beta must be positive")
         if self.coupling not in (1, -1):
             raise ValueError("coupling must be +1 (ferro) or -1 (antiferro)")
-
-    @property
-    def beta_c(self) -> float:
-        return BETA_C
 
 
 # ---------------------------------------------------------------------------
@@ -303,20 +284,6 @@ def sublattice_rotate_state(state: UniformMPS) -> UniformMPS:
     return ext.with_site_operator(ops)
 
 
-def sublattice_rotate_mpo(mpo: MPO) -> MPO:
-    """Conjugate the physical legs by X on every other site."""
-    L = math.lcm(mpo.unit_cell, 2)
-    ext = mpo.extended(L // mpo.unit_cell)
-    tensors = []
-    for n in range(L):
-        if n % 2 == 0:
-            tensors.append(np.einsum("sp,lpqr,qt->lstr", PAULI_X, ext.o[n],
-                                     PAULI_X))
-        else:
-            tensors.append(ext.o[n])
-    return MPO(o=tensors)
-
-
 def ising_free_energy(lam_per_site: complex, beta: float) -> float:
     """Free energy per site from a per-site transfer eigenvalue."""
     return -math.log(abs(lam_per_site)) / beta
@@ -326,28 +293,32 @@ def ising_free_energy(lam_per_site: complex, beta: float) -> float:
 # Onsager references
 
 
-def onsager_free_energy(beta: float, rel_tol: float = 1e-12) -> float:
-    """Free energy per site of the square-lattice ferromagnet, from the
-    Onsager double integral by periodic-trapezoid quadrature with
-    grid-doubling convergence control."""
+def onsager_free_energy(beta: float) -> float:
+    """Free energy per site of the square-lattice ferromagnet.
+
+    Onsager's double integral ``(1/8pi^2) int int ln(a - s cos t1 - s cos
+    t2)``, with ``a = cosh(2 beta)^2`` and ``s = sinh(2 beta)``, reduced to
+    one angle by ``(1/2pi) int ln(x - s cos t) dt = ln((x + sqrt(x^2 -
+    s^2)) / 2)``.  Near beta_c the remaining integrand's branch points
+    close in on theta = 0, so the integral over [0, pi] runs through
+    16-point Gauss-Legendre rules on the panels [0, pi 2^-40] and
+    [pi 2^-k-1, pi 2^-k], k < 40, which hold it to rounding at and
+    around beta_c.
+    """
     if beta <= 0:
         raise ValueError("beta must be positive")
-
-    def quad(n):
-        theta = 2.0 * math.pi * np.arange(n) / n
-        t1, t2 = np.meshgrid(theta, theta, indexing="ij")
-        integrand = np.log(np.cosh(2 * beta) ** 2
-                           - math.sinh(2 * beta) * (np.cos(t1) + np.cos(t2)))
-        return float(np.mean(integrand)) / 2.0
-
-    prev = quad(64)
-    for n in (128, 256, 512, 1024, 2048, 4096):
-        cur = quad(n)
-        if abs(cur - prev) < rel_tol * max(1.0, abs(cur)):
-            prev = cur
-            break
-        prev = cur
-    return -(math.log(2.0) + prev) / beta
+    s = math.sinh(2.0 * beta)
+    nodes, weights = np.polynomial.legendre.leggauss(16)
+    edges = np.concatenate([[0.0], math.pi * 2.0 ** -np.arange(40.0, -1, -1)])
+    lo, hi = edges[:-1, None], edges[1:, None]
+    theta = (lo + hi) / 2 + (hi - lo) / 2 * nodes
+    # x = a - s cos(theta); x - s, which vanishes at theta = 0 when
+    # beta = beta_c, is formed without cancellation
+    x_minus_s = (s - 1.0) ** 2 + 2.0 * s * np.sin(theta / 2.0) ** 2
+    x = x_minus_s + s
+    inner = np.log((x + np.sqrt(x_minus_s * (x + s))) / 2.0)
+    integral = float(np.sum((hi - lo) / 2 * weights * inner))
+    return -(math.log(2.0) + integral / (2.0 * math.pi)) / beta
 
 
 def onsager_magnetization(beta: float) -> float:
@@ -388,43 +359,35 @@ def xxz_hamiltonian_sparse(n_sites: int, delta: float,
     return scipy.sparse.csr_matrix((vals, (rows, cols)), shape=(dim, dim))
 
 
-def ed_evolve(n_sites: int, delta: float, times, dt_exact: float = 0.01):
+def ed_evolve(n_sites: int, delta: float, times):
     """Staggered-offset trace of the Neel quench on a periodic chain.
 
-    Dense state-vector evolution (matrix-exponential stepping, exact to
-    solver precision; `dt_exact` only caps the internal step length).
-    Returns offsets of the (1+Z)/2 occupation at site 0 for each time.
+    Exact state-vector evolution in the Neel state's total-S^z = 0 sector
+    (the XXZ Hamiltonian conserves S^z), one `expm_multiply` per span
+    between consecutive times.  Returns offsets of the (1+Z)/2 occupation
+    at site 0 for each time.
     """
     if n_sites % 2 != 0:
         raise ValueError("need an even chain for a Neel initial state")
     h = xxz_hamiltonian_sparse(n_sites, delta)
-    neel_bits = sum(1 << i for i in range(1, n_sites, 2))
-    psi = np.zeros(h.shape[0], dtype=complex)
-    psi[neel_bits] = 1.0
     states = np.arange(h.shape[0], dtype=np.int64)
-    up0 = 1.0 - ((states >> 0) & 1)
+    down = (states[:, None] >> np.arange(n_sites)[None, :]) & 1
+    sector = states[down.sum(axis=1) == n_sites // 2]
+    h = h[sector][:, sector]
+    neel_bits = sum(1 << i for i in range(1, n_sites, 2))
+    psi = (sector == neel_bits).astype(complex)
+    up0 = 1.0 - (sector & 1)
 
     times = np.asarray(list(times), dtype=float)
-    order = np.argsort(times)
     offsets = np.empty_like(times)
     t_cur = 0.0
-    for idx in order:
-        span = times[idx] - t_cur
-        if span > 0:
-            steps = max(1, int(math.ceil(span / max(dt_exact, 1e-6))))
-            for _ in range(steps):
-                psi = scipy.sparse.linalg.expm_multiply(
-                    -1j * h * (span / steps), psi)
+    for idx in np.argsort(times):
+        if times[idx] > t_cur:
+            psi = scipy.sparse.linalg.expm_multiply(
+                -1j * (times[idx] - t_cur) * h, psi)
             t_cur = times[idx]
-        occ = float(np.real(np.vdot(psi, up0 * psi)))
-        offsets[idx] = 1.0 - occ
+        offsets[idx] = 1.0 - float(np.real(np.vdot(psi, up0 * psi)))
     return offsets
-
-
-def total_sz(psi: np.ndarray, n_sites: int) -> float:
-    states = np.arange(len(psi), dtype=np.int64)
-    z = 1.0 - 2.0 * ((states[:, None] >> np.arange(n_sites)[None, :]) & 1)
-    return float(np.real(np.vdot(psi, (z.sum(axis=1) / 2.0) * psi)))
 
 
 # ---------------------------------------------------------------------------

@@ -114,9 +114,13 @@ class IterationRecord:
 class TruncationReport:
     """Per-iteration trace of the truncation loop.
 
-    `env_guess` holds the closing environment solve's bond-0 vectors
-    ``(left, right)``, which can warm-start a related truncation;
-    `final_matvecs` counts that solve's matvecs.
+    `final_lambda` is the per-site eigenvalue of the last iteration's
+    environment solve, that is of the state before the loop's final
+    update: the fidelity is stationary at the optimum, so near it this
+    matches the returned state's to second order in that update.
+    `env_guess` holds that solve's bond-0 vectors ``(left, right)``, the
+    right one carried into the returned state's gauge, which can
+    warm-start a related truncation.
     """
 
     iterations: list = field(default_factory=list)
@@ -127,7 +131,6 @@ class TruncationReport:
     singular_completion: bool = False
     seed: int | None = None
     env_guess: tuple | None = None
-    final_matvecs: int = 0
 
     def record(self, iteration, epsilon, abs_lambda, wall_ms, matvecs):
         self.iterations.append(IterationRecord(iteration, float(epsilon),
@@ -141,7 +144,7 @@ class TruncationReport:
     @property
     def matvecs(self) -> int:
         """Matvecs of every environment solve of the truncation."""
-        return sum(r.matvecs for r in self.iterations) + self.final_matvecs
+        return sum(r.matvecs for r in self.iterations)
 
     def write_csv(self, path, header_extra=()):
         with open(path, "w") as fh:
@@ -356,9 +359,12 @@ def vomps_truncate(m: UniformMPS, cfg: VompsConfig,
     drops below ``cfg.eta``; environments are warm-started from the
     previous iteration unless disabled.  `guess` may carry bond-0
     environment vectors ``(left, right)`` for the first solve, such as
-    the ``report.env_guess`` of a truncation of a nearby problem.
-    Non-convergence returns the best state found, flagged in the report;
-    a collapsing fidelity flags orthogonality instead of looping forever.
+    the ``report.env_guess`` of a truncation of a nearby problem.  The
+    loop solves no environments after it stops: ``report.final_lambda``
+    and ``report.env_guess`` come from its last solve (see
+    :class:`TruncationReport`).  Non-convergence returns the best state
+    found, flagged in the report; a collapsing fidelity flags
+    orthogonality instead of looping forever.
     """
     work_cell = math.lcm(m.unit_cell, mpo.unit_cell if mpo else 1)
     m_ext = m.extended(work_cell // m.unit_cell)
@@ -418,13 +424,12 @@ def vomps_truncate(m: UniformMPS, cfg: VompsConfig,
         return a, report
 
     result = _regauge(list(a.al), list(a.c))
-    final_env = environments(result, m_ext, mpo,
-                             tol=max(min(cfg.eta / 100, 1e-12), 1e-15),
-                             guess=guess)
-    report.final_lambda = final_env.lam
-    report.final_matvecs = final_env.matvecs
-    report.env_guess = (final_env.gl[0].reshape(-1),
-                        final_env.gr[-1].reshape(-1))
+    report.final_lambda = env.lam
+    # _regauge keeps AL but turns each bond matrix C' into C' u: carry the
+    # bra leg of the bond-0 right environment through the same unitary
+    u0, _ = polar_left(a.c[-1].conj().T @ result.c[-1])
+    gr = np.tensordot(u0.T, env.gr[-1], axes=((1,), (0,)))
+    report.env_guess = (env.gl[0].reshape(-1), gr.reshape(-1))
     return result, report
 
 

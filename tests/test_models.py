@@ -1,0 +1,41 @@
+import math
+
+import numpy as np
+import pytest
+
+from vomps.models import BETA_C, ed_evolve, onsager_free_energy
+
+from oracles import dense_neel_quench_offsets, trapezoid_onsager_free_energy
+
+CATALAN = 0.915965594177219015054603514932384110774
+
+
+class TestOnsagerFreeEnergy:
+    @pytest.mark.parametrize("beta_rel", [0.5, 0.8, 1.2, 2.0])
+    def test_matches_trapezoid_oracle(self, beta_rel):
+        beta = beta_rel * BETA_C
+        assert abs(onsager_free_energy(beta)
+                   - trapezoid_onsager_free_energy(beta)) < 1e-12
+
+    def test_closed_form_at_beta_c(self):
+        # -beta_c f = ln(2)/2 + 2G/pi, G Catalan's constant; the double
+        # integrand's logarithm vanishes at one point there
+        exact = -(math.log(2.0) / 2.0 + 2.0 * CATALAN / math.pi) / BETA_C
+        assert abs(onsager_free_energy(BETA_C) - exact) < 1e-14
+
+    def test_rejects_nonpositive_beta(self):
+        with pytest.raises(ValueError, match="positive"):
+            onsager_free_energy(0.0)
+
+
+class TestEdEvolve:
+    def test_matches_dense_expm(self):
+        times = [0.7, 0.0, 0.25, 1.0, 0.25]
+        offsets = ed_evolve(8, 0.5, times)
+        dense = dense_neel_quench_offsets(8, 0.5, times)
+        assert offsets[1] == 0.0
+        np.testing.assert_allclose(offsets, dense, rtol=0, atol=1e-12)
+
+    def test_rejects_odd_chain(self):
+        with pytest.raises(ValueError, match="even"):
+            ed_evolve(7, 0.5, [0.1])
