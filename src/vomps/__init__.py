@@ -21,7 +21,6 @@ from .io import load_mpo, load_state, save_mpo, save_state
 from .tensor import (
     EigResult,
     LinearMap,
-    contract,
     leading_eig,
     polar_left,
     polar_right,

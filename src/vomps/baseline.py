@@ -2,7 +2,9 @@
 direct truncation of an MPO-MPS product through the full product-bond
 canonicalization.  These are the standard local approaches the
 variational optimizer is benchmarked against; their cost in the MPO case
-carries extra powers of the MPO bond dimension."""
+carries extra powers of the MPO bond dimension.  The product's transfer
+matrix runs on the package's one transfer kernel: it is the state's own
+transfer through the MPO O^dag O, fused from the two layers."""
 
 from __future__ import annotations
 
@@ -11,11 +13,17 @@ import warnings
 
 import numpy as np
 
-from .tensor import LinearMap, leading_eig, svd
+from .tensor import leading_eig, svd
+from .truncation import _normalize_targets
 from .umps import (
     MPO,
     UniformMPS,
+    _apply_left_site,
+    _apply_right_site,
+    _cell_transfer,
+    _default_guess,
     _rotate_bonds,
+    _stacked_layers,
     mixed_canonical,
 )
 
@@ -39,10 +47,7 @@ def schmidt_truncate(state: UniformMPS, new_chi):
     above the current bond dimensions reduce to the identity operation.
     """
     L = state.unit_cell
-    targets = ([new_chi] * L if isinstance(new_chi, int)
-               else [int(c) for c in new_chi])
-    if len(targets) != L:
-        raise ValueError(f"need {L} per-bond targets")
+    targets = _normalize_targets(new_chi, L)
 
     # us[k]/vs[k]: truncated bond-k isometries from the svd of c[k-1]
     us, vs = [None] * L, [None] * L
@@ -80,54 +85,11 @@ def _product_site(o: np.ndarray, a: np.ndarray) -> np.ndarray:
     return t.reshape(dm * chi_l, d, dmr * chi_r)
 
 
-def _left_apply(v, o, a):
-    """v(M,A,m,a) -> v'(M',B,m',b): one site of the product-state left
-    transfer, bra layer conjugated."""
-    oc, ac = np.conj(o), np.conj(a)
-    t = np.tensordot(v, a, axes=((3,), (0,)))        # (M, A, m, q, b)
-    t = np.tensordot(t, o, axes=((2, 3), (0, 2)))    # (M, A, b, p, m')
-    t = np.tensordot(t, oc, axes=((0, 3), (0, 1)))   # (A, b, m', Q, M')
-    t = np.tensordot(t, ac, axes=((0, 3), (0, 1)))   # (b, m', M', B)
-    return t.transpose(2, 3, 1, 0)
-
-
-def _right_apply(v, o, a):
-    """v(M,B,m,b) at the right bond -> v'(M',A,m',a) one site leftward."""
-    oc, ac = np.conj(o), np.conj(a)
-    t = np.tensordot(a, v, axes=((2,), (3,)))        # (al, q, M, B, m)
-    t = np.tensordot(t, o, axes=((1, 4), (2, 3)))    # (al, M, B, ml, p)
-    t = np.tensordot(t, oc, axes=((1, 4), (3, 1)))   # (al, B, ml, Ml, Q)
-    t = np.tensordot(t, ac, axes=((1, 4), (2, 1)))   # (al, ml, Ml, Al)
-    return t.transpose(2, 3, 1, 0)
-
-
-def product_transfer_map(mpo: MPO, state: UniformMPS, side: str) -> LinearMap:
-    """Unit-cell transfer matrix of the MPO-MPS product, matrix-free.
-
-    This is the costly object of the local-truncation approach: vectors
-    live on the squared product bond (mpo x state, bra and ket), so memory
-    scales as the square of the product bond dimension.
-    """
-    L = math.lcm(state.unit_cell, mpo.unit_cell)
-    st = state.extended(L // state.unit_cell)
-    op = mpo.extended(L // mpo.unit_cell)
-    dm, chi = op.o[0].shape[0], st.al[0].shape[0]
-    shape = (dm, chi, dm, chi)
-    dim = int(np.prod(shape))
-    sites = list(range(L)) if side == "left" else list(reversed(range(L)))
-    apply_site = _left_apply if side == "left" else _right_apply
-
-    def matvec(vec):
-        v = vec.reshape(shape)
-        for n in sites:
-            v = apply_site(v, op.o[n], st.al[n])
-        return v.reshape(dim)
-
-    return LinearMap(dim=dim, matvec=matvec)
-
-
 def _hermitian_fixed_point(vec, dm, chi):
-    g = vec.reshape(dm * chi, dm * chi)
+    """Bond-0 fixed point of the O^dag O channel, axes (state, (dagger mpo,
+    mpo), state), as a Hermitian matrix over (mpo, state) product bonds."""
+    g = vec.reshape(chi, dm, dm, chi).transpose(1, 0, 2, 3)
+    g = g.reshape(dm * chi, dm * chi)
     tr = np.trace(g)
     if abs(tr) > 1e-12 * np.linalg.norm(g):
         g = g * (np.conj(tr) / abs(tr))
@@ -144,7 +106,8 @@ def mpo_mps_local_truncate(m: UniformMPS, mpo: MPO, new_chi,
 
     Forms the product-bond site tensors, canonicalizes them through the
     fixed points of the product transfer matrix (the expensive
-    contraction), and cuts the bonds with :func:`schmidt_truncate`.  The
+    contraction; its vectors live on the bond-0 space (state, (dagger mpo,
+    mpo), state)), and cuts the bonds with :func:`schmidt_truncate`.  The
     dense work is guarded: above `mem_limit_bytes` the call refuses with
     the memory estimate, which scales as O(chi^2 d D^2).
     """
@@ -165,32 +128,34 @@ def mpo_mps_local_truncate(m: UniformMPS, mpo: MPO, new_chi,
             f"(O(chi^2 d D^2) with chi={chi}, d={d}, D={dm}); "
             f"guard is {mem_limit_bytes / 2**20:.0f} MiB")
 
-    left = leading_eig(product_transfer_map(op, st, "left"),
-                       _product_guess(dm, chi), tol=tol, max_iter=20_000)
-    right = leading_eig(product_transfer_map(op, st, "right"),
-                        _product_guess(dm, chi), tol=tol, max_iter=20_000)
+    # the product's own transfer is the state's transfer through O^dag O,
+    # both MPO layers fused into one with bonds grouped (dagger, plain)
+    dagger = MPO(o=[np.conj(t).transpose(0, 2, 1, 3) for t in op.o])
+    fused = _stacked_layers(dagger, op).o
+    dm0, chi0 = op.o[0].shape[0], st.al[0].shape[0]
+    guess = _default_guess((chi0, dm0 * dm0, chi0))
+    left, right = (leading_eig(_cell_transfer(st.al, st.al, side, fused),
+                               guess, tol=tol, max_iter=20_000)
+                   for side in ("left", "right"))
     lam_cell = abs(left.value)
     if lam_cell < 1e-300:
         raise ValueError("product state has zero norm")
     lam_site = lam_cell ** (1.0 / L)
 
-    # per-bond fixed points by propagation, product tensors normalized
+    # per-bond fixed points (bra, ket) by propagation, product tensors
+    # normalized
     b = [_product_site(op.o[n], st.al[n]) / math.sqrt(lam_site)
          for n in range(L)]
     l_fp = [None] * L
     r_fp = [None] * L
-    l_fp[0] = _hermitian_fixed_point(left.vector, dm, chi)
+    l_fp[0] = _hermitian_fixed_point(left.vector, dm0, chi0)
     for n in range(1, L):
-        prev = b[n - 1]
-        t = np.tensordot(l_fp[n - 1], prev, axes=((1,), (0,)))
-        l_fp[n] = np.tensordot(np.conj(prev), t, axes=((0, 1), (0, 1)))
-        l_fp[n] = 0.5 * (l_fp[n] + l_fp[n].conj().T)
-    r_fp[L - 1] = _hermitian_fixed_point(right.vector, dm, chi)
+        g = _apply_left_site(l_fp[n - 1], np.conj(b[n - 1]), b[n - 1])
+        l_fp[n] = 0.5 * (g + g.conj().T)
+    r_fp[L - 1] = _hermitian_fixed_point(right.vector, dm0, chi0)
     for n in reversed(range(L - 1)):
-        nxt = b[n + 1]
-        t = np.tensordot(nxt, r_fp[n + 1], axes=((2,), (0,)))
-        r_fp[n] = np.tensordot(t, np.conj(nxt), axes=((1, 2), (1, 2)))
-        r_fp[n] = 0.5 * (r_fp[n] + r_fp[n].conj().T)
+        g = _apply_right_site(r_fp[n + 1], np.conj(b[n + 1]), b[n + 1])
+        r_fp[n] = 0.5 * (g + g.conj().T)
 
     # gauge: al_b[n] = x[n] b[n] pinv(x[n+1]), rank-revealing in the
     # fixed-point spectra so exactly compressible products shrink for free.
@@ -218,10 +183,3 @@ def mpo_mps_local_truncate(m: UniformMPS, mpo: MPO, new_chi,
     truncated, _ = schmidt_truncate(canonical, new_chi)
     return truncated
 
-
-def _product_guess(dm: int, chi: int) -> np.ndarray:
-    rng = np.random.default_rng(0x5EED)
-    g = np.eye(dm * chi, dtype=complex).reshape(dm, chi, dm, chi)
-    g = g + 1e-3 * (rng.standard_normal(g.shape)
-                    + 1j * rng.standard_normal(g.shape))
-    return g.reshape(-1)

@@ -30,7 +30,6 @@ from .models import (
     trotter_evolve,
 )
 from .truncation import (
-    TRACE_FORMAT,
     PowerStop,
     VompsConfig,
     epsilon_measure,
@@ -101,23 +100,14 @@ def cmd_evolve(args) -> int:
         sites = int(args.oracle.split(":", 1)[1])
         reference = ed_evolve(sites, args.delta, [r.time for r in records])
 
-    csv_path = os.path.join(args.out_dir, "evolution.csv")
-    with open(csv_path, "w") as fh:
-        fh.write(f"# format: {TRACE_FORMAT}\n")
-        fh.write(f"# seed: {args.seed}\n")
-        for line in _header_lines(args, ("delta", "dt", "t_max", "order",
-                                         "chi", "eta")):
-            fh.write(f"# {line}\n")
-        cols = "t,staggered_offset,epsilon_last,chi_used"
-        if reference is not None:
-            cols += ",ed_reference"
-        fh.write(cols + "\n")
-        for k, rec in enumerate(records):
-            row = (f"{rec.time:.17g},{rec.offset:.17g},"
-                   f"{rec.epsilon:.17g},{rec.chi}")
-            if reference is not None:
-                row += f",{reference[k]:.17g}"
-            fh.write(row + "\n")
+    extra = ["ed_reference"] if reference is not None else []
+    vio.write_trace(
+        os.path.join(args.out_dir, "evolution.csv"), vio.EVOLUTION_FORMAT,
+        args.seed, _header_lines(args, ("delta", "dt", "t_max", "order",
+                                        "chi", "eta")),
+        ["t", "staggered_offset", "epsilon_last", "chi_used"] + extra,
+        [[rec.time, rec.offset, rec.epsilon, rec.chi]
+         + ([reference[k]] if extra else []) for k, rec in enumerate(records)])
 
     vio.save_state(state, os.path.join(args.out_dir, "final_state.json"))
     payload = {
@@ -142,16 +132,12 @@ def cmd_evolve(args) -> int:
 
 def _biased_initial_state(chi, coupling, seed):
     rng = np.random.default_rng(seed)
-    if coupling == 1:
-        a = rng.standard_normal((chi, 2, chi)) \
-            + 1j * rng.standard_normal((chi, 2, chi))
-        a[:, 0, :] *= 2.0
-        return mixed_canonical([a])
     a = rng.standard_normal((chi, 2, chi)) \
         + 1j * rng.standard_normal((chi, 2, chi))
     b = a[:, ::-1, :].copy()
-    a = a.copy()
     a[:, 0, :] *= 2.0
+    if coupling == 1:
+        return mixed_canonical([a])
     b[:, 1, :] *= 2.0
     return mixed_canonical([a, b])
 

@@ -21,6 +21,7 @@ from .umps import (
     MPO,
     UniformMPS,
     environments,
+    expect_local,
     mixed_canonical,
     random_uniform_mps,
 )
@@ -103,8 +104,6 @@ def neel_state() -> UniformMPS:
 
 def staggered_offset(state: UniformMPS, site: int = 0) -> float:
     """Offset of the (1+Z)/2 occupation at `site` from its maximal value 1."""
-    from .umps import expect_local
-
     return float(1.0 - np.real(expect_local(state, UP_PROJECTOR, site)))
 
 

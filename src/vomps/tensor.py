@@ -16,51 +16,12 @@ import numpy as np
 import scipy.linalg
 
 
-class ContractionError(ValueError):
-    """Incompatible index pairing in a tensor contraction."""
-
-
 class DecompositionError(RuntimeError):
     """A matrix factorization failed to converge."""
 
 
 class RankDeficiencyWarning(UserWarning):
     """A decomposition hit a (numerically) rank-deficient input."""
-
-
-def contract(a: np.ndarray, b: np.ndarray, pairs) -> np.ndarray:
-    """Contract two tensors over the given index pairs.
-
-    Parameters
-    ----------
-    a, b : np.ndarray
-        Tensors of arbitrary rank.
-    pairs : sequence of (int, int)
-        Index pairs ``(i, j)`` meaning axis ``i`` of `a` is summed against
-        axis ``j`` of `b`.
-
-    Returns
-    -------
-    np.ndarray
-        The remaining indices of `a` (in order) followed by the remaining
-        indices of `b` (in order).
-    """
-    a = np.asarray(a)
-    b = np.asarray(b)
-    pairs = list(pairs)
-    ax_a = [p[0] for p in pairs]
-    ax_b = [p[1] for p in pairs]
-    if len(set(ax_a)) != len(ax_a) or len(set(ax_b)) != len(ax_b):
-        raise ContractionError(f"repeated axis in pairs {pairs}")
-    for i, j in pairs:
-        if not (-a.ndim <= i < a.ndim) or not (-b.ndim <= j < b.ndim):
-            raise ContractionError(
-                f"pair ({i},{j}) out of range for shapes {a.shape} x {b.shape}")
-        if a.shape[i] != b.shape[j]:
-            raise ContractionError(
-                f"pair ({i},{j}): extent {a.shape[i]} != {b.shape[j]} "
-                f"(shapes {a.shape} x {b.shape})")
-    return np.tensordot(a, b, axes=(ax_a, ax_b))
 
 
 def qr_positive(m: np.ndarray):
@@ -83,18 +44,23 @@ def qr_positive(m: np.ndarray):
     if m.ndim != 2 or m.shape[0] < m.shape[1]:
         raise ValueError(f"qr_positive needs rows >= cols, got {m.shape}")
     q, r = np.linalg.qr(m)
-    d = np.diagonal(r).copy()
-    scale = np.linalg.norm(m)
-    small = np.abs(d) <= 1e-14 * scale
-    if np.any(small):
-        warnings.warn(
-            f"rank-deficient QR input: {int(small.sum())} diagonal(s) below "
-            f"1e-14*|m|", RankDeficiencyWarning)
-        d[small] = 1.0
-    phase = d / np.abs(d)
+    phase = _diagonal_phase(r, m, "QR")
     q = q * phase[np.newaxis, :]
     r = r * np.conj(phase)[:, np.newaxis]
     return q, r
+
+
+def _diagonal_phase(r, m, kind: str):
+    """Phases of the diagonal of the triangular factor `r` of `m`; entries
+    below 1e-14 |m| are warned about and given phase 1."""
+    d = np.diagonal(r).copy()
+    small = np.abs(d) <= 1e-14 * np.linalg.norm(m)
+    if np.any(small):
+        warnings.warn(
+            f"rank-deficient {kind} input: {int(small.sum())} diagonal(s) "
+            f"below 1e-14*|m|", RankDeficiencyWarning)
+        d[small] = 1.0
+    return d / np.abs(d)
 
 
 def rq_positive(m: np.ndarray):
@@ -107,15 +73,7 @@ def rq_positive(m: np.ndarray):
     if m.ndim != 2 or m.shape[1] < m.shape[0]:
         raise ValueError(f"rq_positive needs cols >= rows, got {m.shape}")
     r, q = scipy.linalg.rq(m, mode="economic")
-    d = np.diagonal(r).copy()
-    scale = np.linalg.norm(m)
-    small = np.abs(d) <= 1e-14 * scale
-    if np.any(small):
-        warnings.warn(
-            f"rank-deficient RQ input: {int(small.sum())} diagonal(s) below "
-            f"1e-14*|m|", RankDeficiencyWarning)
-        d[small] = 1.0
-    phase = d / np.abs(d)
+    phase = _diagonal_phase(r, m, "RQ")
     r = r * np.conj(phase)[np.newaxis, :]
     q = q * phase[:, np.newaxis]
     return r, q

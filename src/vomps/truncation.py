@@ -17,11 +17,12 @@ from __future__ import annotations
 import math
 import time
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import astuple, dataclass, field, fields
 from typing import Callable, Sequence
 
 import numpy as np
 
+from .io import POWER_FORMAT, TRACE_FORMAT, write_trace
 from .tensor import polar_left, polar_right, svd
 from .umps import (
     MPO,
@@ -30,7 +31,9 @@ from .umps import (
     UniformMPS,
     WarmStart,
     _right_gauge_from_left,
+    _stacked_layers,
     environments,
+    expect_local,
     fidelity_per_site,
     mixed_canonical,
     mpo_eigenvalue_per_site,
@@ -95,9 +98,6 @@ class CenterPair:
                 raise ValueError("center tensors must be unit-normalized")
 
 
-TRACE_FORMAT = "vomps-trace/2"
-
-
 @dataclass
 class IterationRecord:
     """One outer iteration: fixed-point residual, |lambda|, wall time and
@@ -147,17 +147,17 @@ class TruncationReport:
         return sum(r.matvecs for r in self.iterations)
 
     def write_csv(self, path, header_extra=()):
-        with open(path, "w") as fh:
-            fh.write(f"# format: {TRACE_FORMAT}\n")
-            if self.seed is not None:
-                fh.write(f"# seed: {self.seed}\n")
-            for line in header_extra:
-                fh.write(f"# {line}\n")
-            fh.write("iter,epsilon,abs_lambda,wall_ms,matvecs\n")
-            for row in self.iterations:
-                fh.write(f"{row.iteration},{row.epsilon:.17g},"
-                         f"{row.abs_lambda:.17g},{row.wall_ms:.3f},"
-                         f"{row.matvecs}\n")
+        _write_records(path, TRACE_FORMAT, self.seed, header_extra,
+                       IterationRecord, self.iterations)
+
+
+def _write_records(path, fmt, seed, header, record_type, records):
+    """A trace with one column per field of `record_type`, in field order
+    (the first one named ``iter``); ``wall_ms`` to the microsecond."""
+    names = [f.name for f in fields(record_type)]
+    rows = ([f"{v:.3f}" if name == "wall_ms" else v
+             for name, v in zip(names, astuple(r))] for r in records)
+    write_trace(path, fmt, seed, header, ["iter"] + names[1:], rows)
 
 
 # ---------------------------------------------------------------------------
@@ -227,25 +227,22 @@ def extract_gauges(cp: CenterPair):
 
     Returns ``(al, ar, completed)`` where `completed` reports whether a
     numerically singular bond matrix forced the SVD to complete the
-    unitary factor.
+    unitary factor.  The bond matrices are square, so the left and right
+    polar factors of each are the same ``U Vh`` of a single SVD.
     """
-    L = len(cp.acp)
-    al, ar = [], []
+    w_c = []
     completed = False
-    for n in range(L):
-        chi_l, d, chi_r = cp.acp[n].shape
-        w_ac_l, _ = polar_left(cp.acp[n].reshape(chi_l * d, chi_r))
-        w_c_l, _ = polar_left(cp.cp[n])
-        al.append((w_ac_l @ w_c_l.conj().T).reshape(chi_l, d, chi_r))
-
-        _, w_ac_r = polar_right(cp.acp[n].reshape(chi_l, d * chi_r))
-        c_left = cp.cp[(n - 1) % L]
-        _, w_c_r = polar_right(c_left)
-        ar.append((w_c_r.conj().T @ w_ac_r).reshape(chi_l, d, chi_r))
-
-        s = svd(cp.cp[n])[1]
-        if s[-1] < 1e-14 * s[0]:
-            completed = True
+    for c in cp.cp:
+        u, s, vh = svd(c)
+        w_c.append(u @ vh)
+        completed |= bool(s[-1] < 1e-14 * s[0])
+    al, ar = [], []
+    for n, ac in enumerate(cp.acp):
+        chi_l, d, chi_r = ac.shape
+        w_ac_l, _ = polar_left(ac.reshape(chi_l * d, chi_r))
+        al.append((w_ac_l @ w_c[n].conj().T).reshape(chi_l, d, chi_r))
+        _, w_ac_r = polar_right(ac.reshape(chi_l, d * chi_r))
+        ar.append((w_c[n - 1].conj().T @ w_ac_r).reshape(chi_l, d, chi_r))
     return al, ar, completed
 
 
@@ -436,13 +433,10 @@ def vomps_truncate(m: UniformMPS, cfg: VompsConfig,
 def epsilon_measure(candidate: UniformMPS, m: UniformMPS,
                     mpo: MPO | None = None, tol: float = 1e-13) -> float:
     """Fixed-point residual of an arbitrary candidate state against a
-    target, evaluated by a single environment/center/extraction pass."""
-    work_cell = math.lcm(candidate.unit_cell, m.unit_cell,
-                         mpo.unit_cell if mpo else 1)
-    cand = candidate.extended(work_cell // candidate.unit_cell)
-    m_ext = m.extended(work_cell // m.unit_cell)
-    env = environments(cand, m_ext, mpo, tol=tol)
-    cp = compute_centers(env, m_ext, mpo)
+    target, evaluated by a single environment/center/extraction pass (both
+    extend the unit cells to their least common multiple)."""
+    env = environments(candidate, m, mpo, tol=tol)
+    cp = compute_centers(env, m, mpo)
     al, _, _ = extract_gauges(cp)
     return error_epsilon(cp, al)
 
@@ -510,42 +504,15 @@ class PowerReport:
     seed: int | None = None
 
     def write_csv(self, path, header_extra=()):
-        cols = ("iter,translation_infidelity,observable_change,"
-                "reference_infidelity,reference_observable_diff,"
-                "reference_log_eig_diff,abs_lambda,epsilon,wall_ms,matvecs")
-        with open(path, "w") as fh:
-            fh.write("# format: vomps-power/2\n")
-            if self.seed is not None:
-                fh.write(f"# seed: {self.seed}\n")
-            for line in header_extra:
-                fh.write(f"# {line}\n")
-            fh.write(cols + "\n")
-            for r in self.iterations:
-                fh.write(",".join([
-                    str(r.iteration),
-                    f"{r.translation_infidelity:.17g}",
-                    f"{r.observable_change:.17g}",
-                    f"{r.reference_infidelity:.17g}",
-                    f"{r.reference_observable_diff:.17g}",
-                    f"{r.reference_log_eig_diff:.17g}",
-                    f"{r.abs_lambda:.17g}",
-                    f"{r.epsilon:.17g}",
-                    f"{r.wall_ms:.3f}",
-                    str(r.matvecs)]) + "\n")
+        _write_records(path, POWER_FORMAT, self.seed, header_extra,
+                       PowerRecord, self.iterations)
 
 
 def stacked_mpo(mpo: MPO, layers: int) -> MPO:
     """`layers` vertical applications of an MPO fused into one MPO."""
     out = mpo
     for _ in range(layers - 1):
-        tensors = []
-        for n in range(out.unit_cell):
-            a, b = out.o[n], mpo.o[n % mpo.unit_cell]
-            t = np.tensordot(a, b, axes=((2,), (1,)))  # (l,p,r, l2,q,r2)
-            t = t.transpose(0, 3, 1, 4, 2, 5)
-            tensors.append(t.reshape(a.shape[0] * b.shape[0], a.shape[1],
-                                     b.shape[2], a.shape[3] * b.shape[3]))
-        out = MPO(o=tensors)
+        out = _stacked_layers(out, mpo)
     return out
 
 
@@ -575,7 +542,7 @@ def power_method(mpo: MPO, init: UniformMPS, cfg: VompsConfig,
         return math.log(abs(mpo_eigenvalue_per_site(s, mpo2))) / 2.0
 
     ref_log = channel_log(reference) if reference is not None else None
-    ref_obs = (expectation(reference, observable)
+    ref_obs = (expect_local(reference, observable).real
                if reference is not None and observable is not None else None)
 
     env_guess = None
@@ -596,13 +563,14 @@ def power_method(mpo: MPO, init: UniformMPS, cfg: VompsConfig,
                                         guess=fid_guess)
         diag2 = math.nan
         if observable is not None:
-            diag2 = abs(expectation(new_state, observable)
-                        - expectation(state.translated(1), observable))
+            diag2 = abs(expect_local(new_state, observable).real
+                        - expect_local(state.translated(1), observable).real)
         diag3 = diag4 = diag5 = math.nan
         if reference is not None:
             diag3 = 1.0 - fidelity_per_site(new_state, reference)
             if observable is not None:
-                diag4 = abs(expectation(new_state, observable) - ref_obs)
+                diag4 = abs(expect_local(new_state, observable).real
+                            - ref_obs)
             diag5 = abs(channel_log(new_state) - ref_log)
         wall_ms = 1e3 * (time.perf_counter() - t0)
         report.iterations.append(PowerRecord(
@@ -630,10 +598,3 @@ def power_method(mpo: MPO, init: UniformMPS, cfg: VompsConfig,
         warnings.warn(f"power method not converged after {stop.max_iter} "
                       f"iterations (detected period {report.period})")
     return state, report
-
-
-def expectation(state: UniformMPS, op, site: int = 0) -> float:
-    """Real part of a local expectation value (observable helper)."""
-    from .umps import expect_local
-
-    return float(np.real(expect_local(state, op, site)))

@@ -28,7 +28,6 @@ import numpy as np
 from .tensor import (
     EigResult,
     LinearMap,
-    contract,
     leading_eig,
     qr_positive,
     rq_positive,
@@ -109,7 +108,7 @@ class UniformMPS:
 
     def ac(self, n: int) -> np.ndarray:
         """Center tensor al[n] @ c[n], indices (left, phys, right)."""
-        return contract(self.al[n], self.c[n], [(2, 0)])
+        return np.tensordot(self.al[n], self.c[n], axes=((2,), (0,)))
 
     def translated(self, k: int = 1) -> "UniformMPS":
         """Unit cell rolled by `k` sites (site k becomes site 0)."""
@@ -159,7 +158,8 @@ class UniformMPS:
             mr = self.ar[n].reshape(chi_l, d * chi_r)
             worst = max(worst, np.linalg.norm(
                 mr @ mr.conj().T - np.eye(chi_l)))
-            gauge = contract(self.c[(n - 1) % L], self.ar[n], [(1, 0)])
+            gauge = np.tensordot(self.c[(n - 1) % L], self.ar[n],
+                                 axes=((1,), (0,)))
             worst = max(worst, np.linalg.norm(self.ac(n) - gauge))
             worst = max(worst, abs(np.linalg.norm(self.c[n]) - 1.0))
         if worst > tol:
@@ -203,10 +203,17 @@ class MPO:
     def extended(self, reps: int) -> "MPO":
         return MPO(o=self.o * reps)
 
-    def translated(self, k: int = 1) -> "MPO":
-        L = self.unit_cell
-        k %= L
-        return MPO(o=self.o[k:] + self.o[:k])
+
+def _stacked_layers(upper: MPO, lower: MPO) -> MPO:
+    """`upper` applied after `lower` (equal unit cells), fused site by site
+    into one MPO whose bonds are grouped (upper, lower)."""
+    tensors = []
+    for a, b in zip(upper.o, lower.o):
+        t = np.tensordot(a, b, axes=((2,), (1,)))  # (l,p,r, l2,q,r2)
+        t = t.transpose(0, 3, 1, 4, 2, 5)
+        tensors.append(t.reshape(a.shape[0] * b.shape[0], a.shape[1],
+                                 b.shape[2], a.shape[3] * b.shape[3]))
+    return MPO(o=tensors)
 
 
 def identity_mpo(phys_dims, bond: int = 1) -> MPO:
@@ -310,7 +317,7 @@ def left_orthonormalize(a, tol: float = 1e-14, max_sweeps: int = 10_000,
         for n in range(L):
             chi_r = a[n].shape[2]
             d = a[n].shape[1]
-            m = contract(gauges[n], a[n], [(1, 0)]).reshape(
+            m = np.tensordot(gauges[n], a[n], axes=((1,), (0,))).reshape(
                 gauges[n].shape[0] * d, chi_r)
             q, r = qr_positive(m)
             al[n] = q.reshape(gauges[n].shape[0], d, chi_r)
@@ -357,8 +364,8 @@ def _right_gauge_from_left(al, seed=None, tol: float = 1e-14,
     def sweep_once():
         for n in reversed(range(L)):
             chi_l, d, _ = al[n].shape
-            m = contract(al[n], rs[(n + 1) % L], [(2, 0)]).reshape(
-                chi_l, d * rs[(n + 1) % L].shape[1])
+            m = np.tensordot(al[n], rs[(n + 1) % L], axes=((2,), (0,)))
+            m = m.reshape(chi_l, d * rs[(n + 1) % L].shape[1])
             r, q = rq_positive(m)
             ar[n] = q.reshape(chi_l, d, rs[(n + 1) % L].shape[1])
             rs[n] = r
@@ -700,19 +707,13 @@ def fidelity_per_site(a: UniformMPS, b: UniformMPS, tol: float = 1e-13,
     its eigenvector (see :class:`WarmStart`).
     """
     op = mixed_transfer_map(a, b, "left")
-    start = (guess.vector if guess is not None and guess.vector is not None
-             and guess.vector.size == op.dim else _default_guess_for(op.dim))
+    start = _fitting_guess(guess.vector if guess is not None else None,
+                           (a.bond_dims[0], b.bond_dims[0]))
     res = leading_eig(op, start, tol=tol, max_iter=max_iter)
     if guess is not None:
         guess.vector = res.vector
     L = math.lcm(a.unit_cell, b.unit_cell)
     return float(abs(res.value) ** (1.0 / L))
-
-
-def _default_guess_for(dim: int) -> np.ndarray:
-    rng = np.random.default_rng(0x5EED)
-    g = np.ones(dim, dtype=complex)
-    return g + 1e-3 * (rng.standard_normal(dim) + 1j * rng.standard_normal(dim))
 
 
 def expect_local(state: UniformMPS, op, site: int = 0) -> complex:
@@ -734,7 +735,8 @@ def mpo_eigenvalue_per_site(state: UniformMPS, mpo: MPO,
     """Per-site leading eigenvalue of the MPO channel with the state in
     both layers (principal branch of the unit-cell root)."""
     op = mixed_transfer_map(state, state, "left", mpo)
-    res = leading_eig(op, _default_guess_for(op.dim), tol=tol,
-                      max_iter=max_iter)
+    chi = state.bond_dims[0]
+    res = leading_eig(op, _default_guess((chi, mpo.bond_dims[0], chi)),
+                      tol=tol, max_iter=max_iter)
     L = math.lcm(state.unit_cell, mpo.unit_cell)
     return complex(res.value) ** (1.0 / L)

@@ -277,3 +277,33 @@ def dense_neel_quench_offsets(n_sites, delta, times):
         psi = scipy.linalg.expm(-1j * t * h) @ psi0
         offsets.append(1.0 - np.real(np.vdot(psi, up0 @ psi)))
     return np.array(offsets)
+
+
+def dense_product_spectrum(state, mpo):
+    """Norm per site and bond-0 Schmidt values of the product ``mpo @
+    state``, from the dense transfer matrix of the product with itself
+    (the O^dag O channel): the per-site norm is the 2L-th root of its
+    leading eigenvalue, and the squared Schmidt values are the spectrum of
+    the left fixed point times the right one, normalized to unit sum."""
+    import math
+
+    L = math.lcm(state.unit_cell, mpo.unit_cell)
+    st = state.extended(L // state.unit_cell)
+    ops = mpo.extended(L // mpo.unit_cell).o
+    b = []
+    for o, a in zip(ops, st.al):
+        t = np.einsum("mpqn,aqb->mapnb", o, a)
+        b.append(t.reshape(o.shape[0] * a.shape[0], o.shape[1],
+                           o.shape[3] * a.shape[2]))
+    left = np.eye(b[0].shape[0] ** 2, dtype=complex)
+    right = left.copy()
+    for n in range(L):
+        left = dense_site_matrix(b[n], b[n]) @ left
+        right = dense_site_matrix(b[L - 1 - n], b[L - 1 - n], side="right") \
+            @ right
+    lam, gl = dense_leading_eig(left)
+    _, gr = dense_leading_eig(right)
+    dim = b[0].shape[0]
+    s2 = np.linalg.eigvals(gl.reshape(dim, dim).T @ gr.reshape(dim, dim))
+    s2 = np.sort(np.abs(s2))[::-1]
+    return abs(lam) ** (1.0 / (2 * L)), np.sqrt(s2 / s2.sum())

@@ -57,3 +57,15 @@ def test_umps_threads_set_before_numpy_import():
     out = subprocess.run([sys.executable, "-c", probe], env=env,
                          capture_output=True, text=True, check=True)
     assert out.stdout.strip() == "1"
+
+
+def test_evolution_trace_has_its_own_format(tmp_path):
+    out = tmp_path / "out"
+    assert vomps.cli.main(["evolve", "--chi", "4", "--t-max", "0.1",
+                           "--oracle", "ed:6", "--out-dir", str(out)]) == 0
+    lines = (out / "evolution.csv").read_text().splitlines()
+    assert lines[0] == "# format: vomps-evolution/1"
+    assert "# seed: 0" in lines
+    header = next(line for line in lines if not line.startswith("#"))
+    assert header == "t,staggered_offset,epsilon_last,chi_used,ed_reference"
+    assert len(lines) - lines.index(header) - 1 == 3

@@ -94,3 +94,31 @@ def test_golden_neel_fixture(tmp_path):
     up = np.diag([1.0, 0.0])
     assert abs(expect_local(loaded, up, 0) - 1.0) < 1e-14
     assert abs(expect_local(loaded, up, 1)) < 1e-14
+
+
+def _saved(kind, tmp_path):
+    path = tmp_path / f"{kind}.json"
+    if kind == "state":
+        save_state(random_uniform_mps(3, 2, unit_cell=2, seed=7), path)
+        return path, load_state, "AL"
+    rng = np.random.default_rng(8)
+    save_mpo(MPO(o=[random_complex(rng, 3, 2, 2, 3) for _ in range(2)]),
+             path)
+    return path, load_mpo, "O"
+
+
+@pytest.mark.parametrize("kind", ["state", "mpo"])
+def test_both_formats_share_the_schema_checks(tmp_path, kind):
+    path, load, name = _saved(kind, tmp_path)
+    good = json.loads(path.read_text())
+    for edit, where in (
+            (lambda d: d.update(unit_cell=0), r"\.unit_cell: must be"),
+            (lambda d: d["bond_dims"].append(3), r"\.bond_dims: length"),
+            (lambda d: d["bond_dims"].__setitem__(-1, 5), "cyclic"),
+            (lambda d: d["tensors"][name].pop(), rf"tensors\.{name}: length"),
+            (lambda d: d["tensors"][name][1].pop(), rf"{name}\[1\]: shape")):
+        doc = json.loads(json.dumps(good))
+        edit(doc)
+        path.write_text(json.dumps(doc))
+        with pytest.raises(SchemaError, match=where):
+            load(path)

@@ -3,11 +3,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from vomps.tensor import (
-    ContractionError,
     EigResult,
     LinearMap,
     RankDeficiencyWarning,
-    contract,
     leading_eig,
     polar_left,
     polar_right,
@@ -17,67 +15,8 @@ from vomps.tensor import (
 )
 
 
-def loop_contract(a, b, pairs):
-    """Naive nested-loop contraction oracle (slow, small tensors only)."""
-    ax_a = [p[0] for p in pairs]
-    ax_b = [p[1] for p in pairs]
-    free_a = [i for i in range(a.ndim) if i not in ax_a]
-    free_b = [j for j in range(b.ndim) if j not in ax_b]
-    out_shape = [a.shape[i] for i in free_a] + [b.shape[j] for j in free_b]
-    out = np.zeros(out_shape, dtype=complex)
-    for idx_a in np.ndindex(a.shape):
-        for idx_b in np.ndindex(b.shape):
-            if all(idx_a[i] == idx_b[j] for i, j in pairs):
-                pos = tuple(idx_a[i] for i in free_a) + tuple(idx_b[j] for j in free_b)
-                out[pos] += a[idx_a] * b[idx_b]
-    return out
-
-
 def random_complex(rng, *shape):
     return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
-
-
-class TestContract:
-    def test_identity_times_vector(self):
-        v = np.array([1.0, 2.0, -3.0], dtype=complex)
-        out = contract(np.eye(3, dtype=complex), v, [(1, 0)])
-        np.testing.assert_allclose(out, v)
-
-    def test_matrix_product_2x2(self):
-        a = np.array([[1, 2], [3, 4]], dtype=complex)
-        b = np.array([[5, 6], [7, 8]], dtype=complex)
-        out = contract(a, b, [(1, 0)])
-        expected = np.array([[1 * 5 + 2 * 7, 1 * 6 + 2 * 8],
-                             [3 * 5 + 4 * 7, 3 * 6 + 4 * 8]], dtype=complex)
-        np.testing.assert_allclose(out, expected)
-
-    def test_two_pair_contraction_matches_loop_oracle(self):
-        rng = np.random.default_rng(7)
-        a = random_complex(rng, 2, 3, 4)
-        b = random_complex(rng, 4, 3)
-        out = contract(a, b, [(2, 0), (1, 1)])
-        oracle = loop_contract(a, b, [(2, 0), (1, 1)])
-        assert np.max(np.abs(out - oracle)) < 1e-13
-
-    def test_shape_mismatch_names_pair(self):
-        a = np.zeros((2, 3), dtype=complex)
-        b = np.zeros((4, 2), dtype=complex)
-        with pytest.raises(ContractionError, match=r"\(1,0\)"):
-            contract(a, b, [(1, 0)])
-
-    def test_out_of_range_axis(self):
-        with pytest.raises(ContractionError):
-            contract(np.zeros((2, 2)), np.zeros((2, 2)), [(5, 0)])
-
-    @pytest.mark.parametrize("seed", range(4))
-    def test_associativity_consistency(self, seed):
-        rng = np.random.default_rng(seed)
-        a = random_complex(rng, 3, 4)
-        b = random_complex(rng, 4, 5)
-        c = random_complex(rng, 5, 2)
-        ab_c = contract(contract(a, b, [(1, 0)]), c, [(1, 0)])
-        a_bc = contract(a, contract(b, c, [(1, 0)]), [(1, 0)])
-        assert np.linalg.norm(ab_c - a_bc) < 1e-12 * np.linalg.norm(ab_c)
 
 
 class TestQRPositive:

@@ -148,6 +148,29 @@ class TestExtractGauges:
         assert np.linalg.norm(ml.conj().T @ ml - np.eye(2)) < 1e-12
         assert np.linalg.norm(mr @ mr.conj().T - np.eye(2)) < 1e-12
 
+    def test_one_polar_factor_per_bond_matrix(self):
+        # a square C has one unitary polar factor: the left gauge of site
+        # n takes the left factor of C[n], the right gauge the right factor
+        # of C[n-1], both as separate polar decompositions would give them
+        from vomps.tensor import polar_left, polar_right
+
+        rng = np.random.default_rng(54)
+        acp = [random_complex(rng, 3, 2, 2), random_complex(rng, 2, 2, 3)]
+        cps = [random_complex(rng, 2, 2), random_complex(rng, 3, 3)]
+        cps[1][:, 0] = 0.0      # singular: the SVD completes the factor
+        pair = CenterPair(acp=[t / np.linalg.norm(t) for t in acp],
+                          cp=[m / np.linalg.norm(m) for m in cps])
+        al, ar, completed = extract_gauges(pair)
+        assert completed
+        for n in range(2):
+            chi_l, d, chi_r = pair.acp[n].shape
+            w_l, _ = polar_left(pair.acp[n].reshape(chi_l * d, chi_r))
+            want_l = w_l @ polar_left(pair.cp[n])[0].conj().T
+            _, w_r = polar_right(pair.acp[n].reshape(chi_l, d * chi_r))
+            want_r = polar_right(pair.cp[n - 1])[1].conj().T @ w_r
+            assert np.max(np.abs(al[n].reshape(want_l.shape) - want_l)) < 1e-14
+            assert np.max(np.abs(ar[n].reshape(want_r.shape) - want_r)) < 1e-14
+
     def test_close_to_brute_force_optimum(self):
         # Away from a fixed point the polar recipe is not the minimizer of
         # |AC - W C| over isometries W; its residual is | |AC| - |C| |,
