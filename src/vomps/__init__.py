@@ -36,7 +36,6 @@ from .truncation import (
     epsilon_measure,
     error_epsilon,
     extract_gauges,
-    grow_bond,
     power_method,
     vomps_truncate,
 )

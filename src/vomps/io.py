@@ -26,7 +26,7 @@ from .umps import MPO, UniformMPS
 STATE_FORMAT = "umps-json/1"
 MPO_FORMAT = "mpo-json/1"
 TRACE_FORMAT = "vomps-trace/2"
-POWER_FORMAT = "vomps-power/2"
+POWER_FORMAT = "vomps-power/3"
 EVOLUTION_FORMAT = "vomps-evolution/1"
 
 

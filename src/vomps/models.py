@@ -249,38 +249,32 @@ def ising_magnetization_mpo(p: IsingParams) -> MPO:
     return MPO(o=[o.astype(complex)])
 
 
-def ising_magnetization(state: UniformMPS, p: IsingParams, site: int = 0,
-                        tol: float = 1e-12) -> float:
+def ising_magnetization(state: UniformMPS, p: IsingParams) -> float:
     """Local magnetization of the 2D model at the boundary-MPS fixed point.
 
-    Measured as the ratio of the transfer channel with and without the
-    spin impurity inserted at one site, which is exact up to the bond
-    truncation of the state.
+    Measured at site 0 as the ratio of the transfer channel with and
+    without the spin impurity inserted, which is exact up to the bond
+    truncation of the state.  The bra layer is the state's image under
+    the transfer MPO, the state translated by one site.  For the
+    ferromagnet's one-site cell that is the state itself; the
+    antiferromagnet shifts its two-site cell, and with the state itself
+    as the bra its impurity ratio cancels to rounding.
     """
     mpo = ising_mpo(p)
-    env = environments(state, state, mpo, tol=tol)
-    L = len(env.gl)
-    site %= L
+    image = state.translated(1)
+    env = environments(image, state, mpo, tol=1e-12)
     o_imp = ising_magnetization_mpo(p).o[0]
     o_reg = mpo.o[0]
-    ac = state.extended(L // state.unit_cell).ac(site)
+    ac_bra, ac_ket = image.ac(0), state.ac(0)
 
     def channel(op):
-        t = np.tensordot(env.gl[site], ac, axes=((2,), (0,)))
+        t = np.tensordot(env.gl[0], ac_ket, axes=((2,), (0,)))
         t = np.tensordot(t, op, axes=((1, 2), (0, 2)))
-        t = np.tensordot(t, np.conj(ac), axes=((0, 2), (0, 1)))
+        t = np.tensordot(t, np.conj(ac_bra), axes=((0, 2), (0, 1)))
         return complex(np.tensordot(
-            t, env.gr[site], axes=((0, 1, 2), (2, 1, 0))))
+            t, env.gr[0], axes=((0, 1, 2), (2, 1, 0))))
 
     return float(np.real(channel(o_imp) / channel(o_reg)))
-
-
-def sublattice_rotate_state(state: UniformMPS) -> UniformMPS:
-    """Flip the spin basis on every other site (two-site unit cell)."""
-    L = math.lcm(state.unit_cell, 2)
-    ext = state.extended(L // state.unit_cell)
-    ops = [PAULI_X if n % 2 == 0 else None for n in range(L)]
-    return ext.with_site_operator(ops)
 
 
 def ising_free_energy(lam_per_site: complex, beta: float) -> float:

@@ -98,32 +98,28 @@ def svd(m: np.ndarray):
 
 
 def polar_left(m: np.ndarray):
-    """Left polar decomposition m = W P.
+    """Isometric factor W of the left polar decomposition m = W P.
 
-    W is an isometry (W^dag W = 1, needs rows >= cols) and P is Hermitian
-    positive semidefinite.  Computed from the SVD: W = U Vh, P = Vh^dag S Vh.
+    W^dag W = 1 (needs rows >= cols), and P = W^dag m is Hermitian
+    positive semidefinite.  Computed from the SVD: W = U Vh.
     """
     m = np.asarray(m, dtype=complex)
     if m.shape[0] < m.shape[1]:
         raise ValueError(f"polar_left needs rows >= cols, got {m.shape}")
-    u, s, vh = svd(m)
-    w = u @ vh
-    p = vh.conj().T @ (s[:, np.newaxis] * vh)
-    return w, p
+    u, _, vh = svd(m)
+    return u @ vh
 
 
 def polar_right(m: np.ndarray):
-    """Right polar decomposition m = P W.
+    """Co-isometric factor W of the right polar decomposition m = P W.
 
-    W satisfies W W^dag = 1 (needs cols >= rows), P is Hermitian PSD.
+    W W^dag = 1 (needs cols >= rows), and P = m W^dag is Hermitian PSD.
     """
     m = np.asarray(m, dtype=complex)
     if m.shape[1] < m.shape[0]:
         raise ValueError(f"polar_right needs cols >= rows, got {m.shape}")
-    u, s, vh = svd(m)
-    w = u @ vh
-    p = u @ (s[:, np.newaxis] * u.conj().T)
-    return p, w
+    u, _, vh = svd(m)
+    return u @ vh
 
 
 @dataclass(frozen=True)

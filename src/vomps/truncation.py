@@ -17,8 +17,9 @@ from __future__ import annotations
 import math
 import time
 import warnings
-from dataclasses import astuple, dataclass, field, fields
-from typing import Callable, Sequence
+from collections import deque
+from dataclasses import astuple, dataclass, field, fields, replace
+from typing import Sequence
 
 import numpy as np
 
@@ -33,16 +34,10 @@ from .umps import (
     _right_gauge_from_left,
     _stacked_layers,
     environments,
-    expect_local,
     fidelity_per_site,
     mixed_canonical,
     mpo_eigenvalue_per_site,
 )
-
-
-def _default_tol_schedule(eps: float) -> float:
-    # keep the inner eigensolves roughly two digits ahead of the outer error
-    return max(1e-14, min(1e-5, eps / 100.0))
 
 
 @dataclass(frozen=True)
@@ -51,17 +46,13 @@ class VompsConfig:
 
     `target_chi` is a single bond dimension or one per bond of the working
     unit cell; `eta` is the convergence threshold on the fixed-point
-    residual; `eig_tol_schedule` maps the residual expected at the next
-    iteration to the inner eigensolver tolerance (relative to the
-    eigenvalue), which the loop keeps at or above ``eta / 10``; `init`
-    selects the starting state ("schmidt" for a local-SVD seed, "random",
-    or an explicit state).
+    residual; `init` selects the starting state ("schmidt" for a
+    local-SVD seed, "random", or an explicit state).
     """
 
     target_chi: int | Sequence[int]
     eta: float = 1e-10
     max_iter: int = 500
-    eig_tol_schedule: Callable[[float], float] = _default_tol_schedule
     init: str | UniformMPS = "schmidt"
     seed: int = 0
     warm_start: bool = True
@@ -239,9 +230,9 @@ def extract_gauges(cp: CenterPair):
     al, ar = [], []
     for n, ac in enumerate(cp.acp):
         chi_l, d, chi_r = ac.shape
-        w_ac_l, _ = polar_left(ac.reshape(chi_l * d, chi_r))
+        w_ac_l = polar_left(ac.reshape(chi_l * d, chi_r))
         al.append((w_ac_l @ w_c[n].conj().T).reshape(chi_l, d, chi_r))
-        _, w_ac_r = polar_right(ac.reshape(chi_l, d * chi_r))
+        w_ac_r = polar_right(ac.reshape(chi_l, d * chi_r))
         ar.append((w_c[n - 1].conj().T @ w_ac_r).reshape(chi_l, d, chi_r))
     return al, ar, completed
 
@@ -386,7 +377,9 @@ def vomps_truncate(m: UniformMPS, cfg: VompsConfig,
         # near a fixed point the residual falls faster than linearly (about
         # quadratically), so solve for the one the last ratio predicts
         eps_next = eps * min(1.0, eps / eps_prev)
-        tol_inner = max(cfg.eig_tol_schedule(eps_next), cfg.eta / 10, 1e-15)
+        # and keep the inner eigensolves (relative to the eigenvalue) about
+        # two digits ahead of it, but no tighter than eta / 10
+        tol_inner = max(min(1e-5, eps_next / 100.0), cfg.eta / 10, 1e-14)
         try:
             env = environments(a, m_ext, mpo, tol=tol_inner, guess=guess)
             cp = compute_centers(env, m_ext, mpo)
@@ -424,71 +417,47 @@ def vomps_truncate(m: UniformMPS, cfg: VompsConfig,
     report.final_lambda = env.lam
     # _regauge keeps AL but turns each bond matrix C' into C' u: carry the
     # bra leg of the bond-0 right environment through the same unitary
-    u0, _ = polar_left(a.c[-1].conj().T @ result.c[-1])
+    u0 = polar_left(a.c[-1].conj().T @ result.c[-1])
     gr = np.tensordot(u0.T, env.gr[-1], axes=((1,), (0,)))
     report.env_guess = (env.gl[0].reshape(-1), gr.reshape(-1))
     return result, report
 
 
 def epsilon_measure(candidate: UniformMPS, m: UniformMPS,
-                    mpo: MPO | None = None, tol: float = 1e-13) -> float:
+                    mpo: MPO | None = None) -> float:
     """Fixed-point residual of an arbitrary candidate state against a
     target, evaluated by a single environment/center/extraction pass (both
     extend the unit cells to their least common multiple)."""
-    env = environments(candidate, m, mpo, tol=tol)
+    env = environments(candidate, m, mpo, tol=1e-13)
     cp = compute_centers(env, m, mpo)
     al, _, _ = extract_gauges(cp)
     return error_epsilon(cp, al)
-
-
-def grow_bond(state: UniformMPS, mpo: MPO, new_chi,
-              eta: float = 1e-10, max_iter: int = 500,
-              seed: int = 0) -> UniformMPS:
-    """Enlarge a state's bond dimension by one MPO application.
-
-    Seeds the optimization with the old tensors padded by small random
-    entries, then variationally truncates ``mpo * state`` to `new_chi`.
-    The result is at least as good an approximation of the applied state
-    as the padded seed itself.
-    """
-    L = math.lcm(state.unit_cell, mpo.unit_cell)
-    targets = _normalize_targets(new_chi, L)
-    old = state.extended(L // state.unit_cell).bond_dims[:L]
-    if any(t < o for t, o in zip(targets, old)):
-        raise ValueError(f"new_chi {targets} below current bonds {old}")
-    seed_state = fit_state_to_bonds(state.extended(L // state.unit_cell),
-                                    targets, seed=seed)
-    cfg = VompsConfig(target_chi=targets, eta=eta, max_iter=max_iter,
-                      init=seed_state, seed=seed)
-    grown, report = vomps_truncate(state, cfg, mpo=mpo)
-    return grown
 
 
 # ---------------------------------------------------------------------------
 # power method
 
 
+# the longest oscillation period the power method looks for
+_PERIOD_MAX = 4
+
+
 @dataclass(frozen=True)
 class PowerStop:
     """Stopping rule for the MPO power method: converged when the
-    translation-fidelity diagnostic falls below `tol`."""
+    translation infidelity falls below `tol`."""
 
     tol: float = 1e-10
     max_iter: int = 200
-    period_max: int = 4
 
 
 @dataclass
 class PowerRecord:
-    """One power step's diagnostics; `matvecs` counts the environment
-    solves of the step's truncation."""
+    """One power step: its translation infidelity, and the |lambda|,
+    residual and environment-solve matvecs of its truncation."""
 
     iteration: int
     translation_infidelity: float
-    observable_change: float
-    reference_infidelity: float
-    reference_observable_diff: float
-    reference_log_eig_diff: float
     abs_lambda: float
     epsilon: float
     wall_ms: float
@@ -517,83 +486,56 @@ def stacked_mpo(mpo: MPO, layers: int) -> MPO:
 
 
 def power_method(mpo: MPO, init: UniformMPS, cfg: VompsConfig,
-                 stop: PowerStop = PowerStop(),
-                 observable=None, reference: UniformMPS | None = None):
+                 stop: PowerStop = PowerStop()):
     """Repeated MPO application with variational truncation.
 
-    Tracks, per iteration: one minus the per-site fidelity between the new
-    state and the previous one translated by one site; the change of a
-    local observable (translation-matched); and, when a reference state is
-    supplied, one minus the fidelity with it, the observable difference,
-    and the per-site log-eigenvalue difference of the two-row MPO channel.
-    Oscillation without single-step convergence is reported through the
-    detected period.  With ``cfg.warm_start`` each step's environment
-    solves and translation-fidelity solve start from the previous step's
-    solutions.
+    Each step truncates `mpo` applied to the state, started from the state
+    itself, and measures the translation infidelity: one minus the
+    per-site fidelity between the new state and the previous one
+    translated by one site (the antiferromagnetic transfer MPO maps its
+    fixed point to that translation).  The loop stops when it falls below
+    ``stop.tol``.  Afterwards ``report.period`` is the smallest p up to
+    ``_PERIOD_MAX`` for which the last iterate matches the one p steps
+    earlier (0 if none), and ``report.final_lambda`` the per-site
+    eigenvalue of the MPO: the square root of that of two stacked layers
+    with the state in both, which map an antiferromagnetic fixed point
+    back onto itself.  With ``cfg.warm_start`` each step's
+    environment solves and translation-fidelity solve start from the
+    previous step's solutions.
     """
     if mpo.phys_dims_out != mpo.phys_dims_in:
         raise ValueError("power method needs a square MPO")
     state = init
     report = PowerReport(seed=cfg.seed)
-    history = [state]
-    mpo2 = stacked_mpo(mpo, 2)
-
-    def channel_log(s):
-        return math.log(abs(mpo_eigenvalue_per_site(s, mpo2))) / 2.0
-
-    ref_log = channel_log(reference) if reference is not None else None
-    ref_obs = (expect_local(reference, observable).real
-               if reference is not None and observable is not None else None)
-
+    recent = deque([state], maxlen=_PERIOD_MAX + 1)
     env_guess = None
     fid_guess = WarmStart() if cfg.warm_start else None
     for it in range(stop.max_iter):
         t0 = time.perf_counter()
-        step_cfg = VompsConfig(target_chi=cfg.target_chi, eta=cfg.eta,
-                               max_iter=cfg.max_iter,
-                               eig_tol_schedule=cfg.eig_tol_schedule,
-                               init=state, seed=cfg.seed,
-                               warm_start=cfg.warm_start)
-        new_state, step = vomps_truncate(state, step_cfg, mpo=mpo,
-                                         guess=env_guess)
+        new_state, step = vomps_truncate(state, replace(cfg, init=state),
+                                         mpo=mpo, guess=env_guess)
         if cfg.warm_start:
             env_guess = step.env_guess
-
-        diag1 = 1.0 - fidelity_per_site(new_state, state.translated(1),
-                                        guess=fid_guess)
-        diag2 = math.nan
-        if observable is not None:
-            diag2 = abs(expect_local(new_state, observable).real
-                        - expect_local(state.translated(1), observable).real)
-        diag3 = diag4 = diag5 = math.nan
-        if reference is not None:
-            diag3 = 1.0 - fidelity_per_site(new_state, reference)
-            if observable is not None:
-                diag4 = abs(expect_local(new_state, observable).real
-                            - ref_obs)
-            diag5 = abs(channel_log(new_state) - ref_log)
+        infidelity = 1.0 - fidelity_per_site(new_state, state.translated(1),
+                                             guess=fid_guess)
         wall_ms = 1e3 * (time.perf_counter() - t0)
         report.iterations.append(PowerRecord(
-            iteration=it, translation_infidelity=max(diag1, 0.0),
-            observable_change=diag2, reference_infidelity=diag3,
-            reference_observable_diff=diag4, reference_log_eig_diff=diag5,
-            abs_lambda=abs(step.final_lambda), epsilon=step.final_epsilon,
-            wall_ms=wall_ms, matvecs=step.matvecs))
-
-        history.append(new_state)
+            it, max(infidelity, 0.0), abs(step.final_lambda),
+            step.final_epsilon, wall_ms, step.matvecs))
+        recent.append(new_state)
         state = new_state
-        if diag1 < stop.tol:
+        if infidelity < stop.tol:
             report.converged = True
             break
 
-    # detect the (smallest) oscillation period among recent iterates
     report.period = 0
-    for p in range(1, min(stop.period_max, len(history) - 1) + 1):
-        if 1.0 - fidelity_per_site(history[-1], history[-1 - p]) < \
+    for p in range(1, len(recent)):
+        if 1.0 - fidelity_per_site(recent[-1], recent[-1 - p]) < \
                 10 * max(stop.tol, 1e-12):
             report.period = p
             break
-    report.final_lambda = complex(mpo_eigenvalue_per_site(state, mpo2)) ** 0.5
+    report.final_lambda = complex(
+        mpo_eigenvalue_per_site(state, stacked_mpo(mpo, 2))) ** 0.5
     if not report.converged:
         warnings.warn(f"power method not converged after {stop.max_iter} "
                       f"iterations (detected period {report.period})")

@@ -21,12 +21,11 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .tensor import (
-    EigResult,
     LinearMap,
     leading_eig,
     qr_positive,
@@ -123,24 +122,6 @@ class UniformMPS:
         return UniformMPS(al=self.al * reps, ar=self.ar * reps,
                           c=self.c * reps)
 
-    def with_site_operator(self, ops) -> "UniformMPS":
-        """Apply a unitary single-site operator per site (None to skip).
-
-        Unitarity keeps all canonical-form invariants intact; this is used
-        for sublattice rotations and basis changes.
-        """
-        ops = list(ops)
-        if len(ops) != self.unit_cell:
-            raise ValueError("need one operator entry per site")
-        al, ar = list(self.al), list(self.ar)
-        for n, op in enumerate(ops):
-            if op is None:
-                continue
-            op = np.asarray(op, dtype=complex)
-            al[n] = np.einsum("pq,aqb->apb", op, al[n])
-            ar[n] = np.einsum("pq,aqb->apb", op, ar[n])
-        return UniformMPS(al=al, ar=ar, c=self.c)
-
     def schmidt_values(self, bond: int) -> np.ndarray:
         """Singular values of the bond matrix on bond `bond` (descending)."""
         L = self.unit_cell
@@ -229,13 +210,12 @@ def identity_mpo(phys_dims, bond: int = 1) -> MPO:
 
 
 def random_uniform_mps(chi: int, d: int, unit_cell: int = 1,
-                       seed: int | np.random.Generator = 0,
-                       tol: float = 1e-14) -> UniformMPS:
+                       seed: int | np.random.Generator = 0) -> UniformMPS:
     """Random injective uniform MPS in mixed canonical form."""
     rng = np.random.default_rng(seed)
     a = [rng.standard_normal((chi, d, chi))
          + 1j * rng.standard_normal((chi, d, chi)) for _ in range(unit_cell)]
-    return mixed_canonical(a, tol=tol)
+    return mixed_canonical(a)
 
 
 # ---------------------------------------------------------------------------
@@ -253,32 +233,34 @@ _REFRESH_TOL = 1e-13
 # ~4e-12 at bond dimensions 32-48 (Trotter states soon after a product
 # state).
 _STALL_TOL = 1e-10
+# Sweep budget of a gauge iteration, and the sweeps between its checkpoints.
+_MAX_SWEEPS = 10_000
+_REFRESH_EVERY = 4
 
 
-def _settle_gauge(sweep_once, gauges, fixed_point, tol, max_sweeps,
-                  refresh_every):
+def _settle_gauge(sweep_once, gauges, fixed_point, tol):
     """Repeat `sweep_once` until the bond-0 gauge ``gauges[0]`` settles.
 
     Converged when one sweep moves it by at most `tol` relative to its
-    norm.  A checkpoint every `refresh_every` sweeps that shows less than a
+    norm.  A checkpoint every `_REFRESH_EVERY` sweeps that shows less than a
     twentyfold gain means progress is gap-limited or at the rounding
     floor: a change below the refresh's accuracy ``_REFRESH_TOL`` (below
     ``_STALL_TOL`` if the previous checkpoint refreshed) is accepted, and
     otherwise ``gauges[0]`` jumps to ``fixed_point(eig_tol)``, an Arnoldi
     solve of its fixed-point equation to ``max(tol, _REFRESH_TOL)``,
     phase-fixed and kept at the current norm.  Returns None when
-    converged, else the last change after `max_sweeps`.
+    converged, else the last change after `_MAX_SWEEPS`.
     """
     last_checkpoint = np.inf
     refreshed = False
-    for sweep in range(max_sweeps):
+    for sweep in range(_MAX_SWEEPS):
         old = gauges[0]
         sweep_once()
         scale = np.linalg.norm(gauges[0])
         residual = np.linalg.norm(gauges[0] - old)
         if residual <= tol * scale:
             return None
-        if (sweep + 1) % refresh_every == 0:
+        if (sweep + 1) % _REFRESH_EVERY == 0:
             stalled = residual > 0.05 * last_checkpoint
             floor = _STALL_TOL if refreshed else _REFRESH_TOL
             if stalled and residual <= floor * scale:
@@ -293,8 +275,7 @@ def _settle_gauge(sweep_once, gauges, fixed_point, tol, max_sweeps,
     return residual
 
 
-def left_orthonormalize(a, tol: float = 1e-14, max_sweeps: int = 10_000,
-                        refresh_every: int = 4):
+def left_orthonormalize(a, tol: float = 1e-14):
     """Gauge a unit cell of site tensors into left canonical form.
 
     Repeats positive-QR decompositions of (gauge @ a[n]) around the cell
@@ -304,8 +285,8 @@ def left_orthonormalize(a, tol: float = 1e-14, max_sweeps: int = 10_000,
     equation, which keeps convergence fast for states with small transfer
     gaps where the plain iteration crawls.  Returns ``(al, gauges)`` with
     ``gauges[k]`` the (unit-RMS normalized) transform on bond ``k``
-    relating the input to ``al``.  Warns and raises after `max_sweeps`
-    for (near-)non-injective inputs on which the iteration stalls.
+    relating the input to ``al``.  Warns and raises after ``_MAX_SWEEPS``
+    sweeps for (near-)non-injective inputs on which the iteration stalls.
     """
     a = [np.asarray(t, dtype=complex) for t in _as_cell(a)]
     L = len(a)
@@ -333,18 +314,16 @@ def left_orthonormalize(a, tol: float = 1e-14, max_sweeps: int = 10_000,
                           max_iter=600)
         return res.vector.reshape(gauges[0].shape)
 
-    residual = _settle_gauge(sweep_once, gauges, fixed_point, tol,
-                             max_sweeps, refresh_every)
+    residual = _settle_gauge(sweep_once, gauges, fixed_point, tol)
     if residual is None:
         return al, gauges
     warnings.warn("left orthonormalization did not converge "
                   f"(residual {residual:.2e}); input may be non-injective")
     raise CanonicalizationError(
-        f"no convergence after {max_sweeps} sweeps (tol {tol:.1e})")
+        f"no convergence after {_MAX_SWEEPS} sweeps (tol {tol:.1e})")
 
 
-def _right_gauge_from_left(al, seed=None, tol: float = 1e-14,
-                           max_sweeps: int = 10_000, refresh_every: int = 4):
+def _right_gauge_from_left(al, seed=None, tol: float = 1e-14):
     """Right-canonical tensors and bond gauges for a left-isometric cell.
 
     Input must already be left canonical (unit transfer eigenvalue); the
@@ -377,43 +356,36 @@ def _right_gauge_from_left(al, seed=None, tol: float = 1e-14,
         res = leading_eig(op, rs[0].T.reshape(-1), tol=eig_tol, max_iter=600)
         return res.vector.reshape(rs[0].T.shape).T
 
-    residual = _settle_gauge(sweep_once, rs, fixed_point, max(tol, 1e-15),
-                             max_sweeps, refresh_every)
+    residual = _settle_gauge(sweep_once, rs, fixed_point, max(tol, 1e-15))
     if residual is None:
         return ar, rs
     raise CanonicalizationError(
-        f"right gauge iteration stalled after {max_sweeps} sweeps "
+        f"right gauge iteration stalled after {_MAX_SWEEPS} sweeps "
         f"(residual {residual:.2e})")
 
 
-def mixed_canonical(a, tol: float = 1e-14, max_sweeps: int = 10_000,
-                    diagonalize: bool = True, right_seed=None) -> UniformMPS:
+def mixed_canonical(a, tol: float = 1e-14, right_seed=None) -> UniformMPS:
     """Bring a unit cell of site tensors into mixed canonical form.
 
     Left-orthonormalizes, derives the right gauge from the resulting
     isometric family (optionally warm-started through `right_seed`, one
-    matrix per bond), and (by default) rotates every bond so the bond
-    matrices are diagonal with descending Schmidt values.
+    matrix per bond), and rotates every bond so the bond matrices are
+    diagonal with descending Schmidt values.
     """
-    al, _ = left_orthonormalize(a, tol=tol, max_sweeps=max_sweeps)
-    ar, rs = _right_gauge_from_left(al, seed=right_seed, tol=tol,
-                                    max_sweeps=max_sweeps)
+    al, _ = left_orthonormalize(a, tol=tol)
+    ar, rs = _right_gauge_from_left(al, seed=right_seed, tol=tol)
     L = len(al)
-    # c[n] lives on bond n+1
-    c = [rs[(n + 1) % L] for n in range(L)]
-    if diagonalize:
-        us, vs = [None] * L, [None] * L
-        s_diag = [None] * L
-        for n in range(L):
-            u, s, vh = svd(c[n])
-            us[(n + 1) % L] = u
-            vs[(n + 1) % L] = vh.conj().T
-            s_diag[n] = np.diag(s).astype(complex)
-        al = [_rotate_bonds(us[n].conj().T, al[n], us[(n + 1) % L])
-              for n in range(L)]
-        ar = [_rotate_bonds(vs[n].conj().T, ar[n], vs[(n + 1) % L])
-              for n in range(L)]
-        c = s_diag
+    us, vs, c = [None] * L, [None] * L, [None] * L
+    for n in range(L):
+        # the bond matrix right of site n, on bond n+1
+        u, s, vh = svd(rs[(n + 1) % L])
+        us[(n + 1) % L] = u
+        vs[(n + 1) % L] = vh.conj().T
+        c[n] = np.diag(s).astype(complex)
+    al = [_rotate_bonds(us[n].conj().T, al[n], us[(n + 1) % L])
+          for n in range(L)]
+    ar = [_rotate_bonds(vs[n].conj().T, ar[n], vs[(n + 1) % L])
+          for n in range(L)]
     c = [m / np.linalg.norm(m) for m in c]
     return UniformMPS(al=al, ar=ar, c=c)
 
@@ -612,8 +584,7 @@ def _fitting_guess(guess, shape) -> np.ndarray:
 
 
 def environments(top: UniformMPS, bottom: UniformMPS, mpo: MPO | None = None,
-                 tol: float = 1e-12, guess=None,
-                 max_iter: int = 10_000) -> MixedEnvironment:
+                 tol: float = 1e-12, guess=None) -> MixedEnvironment:
     """Fixed-point environments of the mixed (optionally MPO-dressed)
     transfer matrix, with the package's normalization conventions applied.
 
@@ -636,9 +607,9 @@ def environments(top: UniformMPS, bottom: UniformMPS, mpo: MPO | None = None,
 
     gl_guess, gr_guess = guess if guess is not None else (None, None)
     left = leading_eig(left_map, _fitting_guess(gl_guess, shape_l), tol=tol,
-                       max_iter=max_iter)
+                       max_iter=10_000)
     right = leading_eig(right_map, _fitting_guess(gr_guess, shape_l),
-                        tol=tol, max_iter=max_iter)
+                        tol=tol, max_iter=10_000)
 
     lam_cell = left.value
     lam = complex(lam_cell) ** (1.0 / L)
@@ -696,8 +667,7 @@ class WarmStart:
     vector: np.ndarray | None = None
 
 
-def fidelity_per_site(a: UniformMPS, b: UniformMPS, tol: float = 1e-13,
-                      max_iter: int = 20_000,
+def fidelity_per_site(a: UniformMPS, b: UniformMPS,
                       guess: WarmStart | None = None) -> float:
     """Per-site overlap magnitude |lambda| of two normalized states.
 
@@ -709,7 +679,7 @@ def fidelity_per_site(a: UniformMPS, b: UniformMPS, tol: float = 1e-13,
     op = mixed_transfer_map(a, b, "left")
     start = _fitting_guess(guess.vector if guess is not None else None,
                            (a.bond_dims[0], b.bond_dims[0]))
-    res = leading_eig(op, start, tol=tol, max_iter=max_iter)
+    res = leading_eig(op, start, tol=1e-13, max_iter=20_000)
     if guess is not None:
         guess.vector = res.vector
     L = math.lcm(a.unit_cell, b.unit_cell)
@@ -729,14 +699,12 @@ def expect_local(state: UniformMPS, op, site: int = 0) -> complex:
     return complex(np.tensordot(np.conj(ac), t, axes=((0, 1, 2), (0, 1, 2))))
 
 
-def mpo_eigenvalue_per_site(state: UniformMPS, mpo: MPO,
-                            tol: float = 1e-12,
-                            max_iter: int = 20_000) -> complex:
+def mpo_eigenvalue_per_site(state: UniformMPS, mpo: MPO) -> complex:
     """Per-site leading eigenvalue of the MPO channel with the state in
     both layers (principal branch of the unit-cell root)."""
     op = mixed_transfer_map(state, state, "left", mpo)
     chi = state.bond_dims[0]
     res = leading_eig(op, _default_guess((chi, mpo.bond_dims[0], chi)),
-                      tol=tol, max_iter=max_iter)
+                      tol=1e-12, max_iter=20_000)
     L = math.lcm(state.unit_cell, mpo.unit_cell)
     return complex(res.value) ** (1.0 / L)

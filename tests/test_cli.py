@@ -6,7 +6,8 @@ import sys
 import pytest
 
 import vomps.cli
-from vomps.models import EvolutionRecord, neel_state
+from vomps.io import save_state
+from vomps.models import EvolutionRecord, correlated_random_state, neel_state
 
 SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
                    "src")
@@ -69,3 +70,71 @@ def test_evolution_trace_has_its_own_format(tmp_path):
     header = next(line for line in lines if not line.startswith("#"))
     assert header == "t,staggered_offset,epsilon_last,chi_used,ed_reference"
     assert len(lines) - lines.index(header) - 1 == 3
+
+
+TRUNCATE_KEYS = {"abs_lambda", "baseline_discarded_weight",
+                 "baseline_epsilon", "converged", "final_epsilon",
+                 "fidelity_baseline", "fidelity_vomps", "iterations"}
+
+
+@pytest.fixture
+def state_file(tmp_path):
+    path = tmp_path / "state.json"
+    save_state(correlated_random_state(6, seed=3), str(path))
+    return path
+
+
+@pytest.mark.parametrize("max_iter, code, converged", [
+    ("500", 0, True), ("1", 2, False)])
+def test_truncate_exit_code_and_summary(tmp_path, state_file, max_iter, code,
+                                        converged):
+    out = tmp_path / "out"
+    assert vomps.cli.main(["truncate", "--in", str(state_file), "--chi", "3",
+                           "--max-iter", max_iter,
+                           "--out-dir", str(out)]) == code
+    summary = json.loads((out / "summary.json").read_text())
+    assert set(summary) == TRUNCATE_KEYS
+    assert summary["converged"] is converged
+    assert 1 <= summary["iterations"] <= int(max_iter)
+    assert (out / "trace.csv").read_text().startswith(
+        "# format: vomps-trace/2\n")
+
+
+@pytest.mark.parametrize("content", [None, '{"format": "umps-json/0"}'])
+def test_truncate_rejects_unreadable_input(tmp_path, capsys, content):
+    path = tmp_path / "in.json"
+    if content is not None:
+        path.write_text(content)
+    out = tmp_path / "out"
+    assert vomps.cli.main(["truncate", "--in", str(path), "--chi", "2",
+                           "--out-dir", str(out)]) == 1
+    assert capsys.readouterr().err.startswith("error: ")
+    assert not out.exists()
+
+
+def test_fidelity_prints_the_value(state_file, capsys):
+    assert vomps.cli.main(["fidelity", str(state_file), str(state_file)]) == 0
+    assert abs(float(capsys.readouterr().out) - 1.0) < 1e-12
+
+
+def test_fidelity_rejects_a_bad_file(tmp_path, state_file, capsys):
+    bad = tmp_path / "bad.json"
+    bad.write_text("not json")
+    assert vomps.cli.main(["fidelity", str(state_file), str(bad)]) == 1
+    assert capsys.readouterr().err.startswith("error: ")
+
+
+def test_antiferromagnetic_fixedpoint_checks_itself(tmp_path):
+    out = tmp_path / "out"
+    assert vomps.cli.main(["fixedpoint", "--coupling", "afm", "--chi", "4",
+                           "--beta-rel", "1.2", "--out-dir", str(out)]) == 0
+    summary = json.loads((out / "summary.json").read_text())
+    assert summary["converged"] is True
+    assert summary["magnetization_error"] < 1e-5
+    assert summary["free_energy_error"] < 1e-8
+    lines = (out / "power.csv").read_text().splitlines()
+    assert lines[0] == "# format: vomps-power/3"
+    header = next(line for line in lines if not line.startswith("#"))
+    assert header == ("iter,translation_infidelity,abs_lambda,epsilon,"
+                      "wall_ms,matvecs")
+    assert len(lines) - lines.index(header) - 1 == summary["iterations"]

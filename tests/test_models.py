@@ -3,7 +3,17 @@ import math
 import numpy as np
 import pytest
 
-from vomps.models import BETA_C, ed_evolve, onsager_free_energy
+from vomps.cli import _biased_initial_state
+from vomps.models import (
+    BETA_C,
+    IsingParams,
+    ed_evolve,
+    ising_magnetization,
+    ising_mpo,
+    onsager_free_energy,
+    onsager_magnetization,
+)
+from vomps.truncation import PowerStop, VompsConfig, power_method
 
 from oracles import dense_neel_quench_offsets, trapezoid_onsager_free_energy
 
@@ -39,3 +49,23 @@ class TestEdEvolve:
     def test_rejects_odd_chain(self):
         with pytest.raises(ValueError, match="even"):
             ed_evolve(7, 0.5, [0.1])
+
+
+class TestIsingMagnetization:
+    def test_afm_matches_fm_and_onsager(self):
+        # away from beta_c the chi-4 fixed points hold m to ~2e-6; the afm
+        # one is the fm one with every other spin flipped, so the two
+        # magnetizations agree to the power method's accuracy
+        beta = 1.2 * BETA_C
+        cfg = VompsConfig(target_chi=4, eta=1e-9, max_iter=100)
+        m = {}
+        for coupling in (1, -1):
+            params = IsingParams(beta=beta, coupling=coupling)
+            state, report = power_method(
+                ising_mpo(params), _biased_initial_state(4, coupling, 0), cfg,
+                PowerStop())
+            assert report.converged
+            m[coupling] = abs(ising_magnetization(state, params))
+        assert abs(m[1] - m[-1]) < 1e-8
+        for value in m.values():
+            assert abs(value - onsager_magnetization(beta)) < 1e-5

@@ -89,26 +89,30 @@ class TestSVD:
 
 
 class TestPolar:
+    # the polar functions return the unitary factor only; P is formed here
+    # as W^dag m (left) or m W^dag (right)
     def test_unitary_input(self):
         rng = np.random.default_rng(5)
         q, _ = qr_positive(random_complex(rng, 4, 4))
-        w, p = polar_left(q)
+        w = polar_left(q)
         np.testing.assert_allclose(w, q, atol=1e-12)
-        np.testing.assert_allclose(p, np.eye(4), atol=1e-12)
+        np.testing.assert_allclose(w.conj().T @ q, np.eye(4), atol=1e-12)
 
     def test_scaled_identity(self):
-        w, p = polar_left(2.0 * np.eye(3))
+        m = 2.0 * np.eye(3)
+        w = polar_left(m)
         np.testing.assert_allclose(w, np.eye(3), atol=1e-13)
-        np.testing.assert_allclose(p, 2.0 * np.eye(3), atol=1e-13)
-        p2, w2 = polar_right(2.0 * np.eye(3))
+        np.testing.assert_allclose(w.conj().T @ m, m, atol=1e-13)
+        w2 = polar_right(m)
         np.testing.assert_allclose(w2, np.eye(3), atol=1e-13)
-        np.testing.assert_allclose(p2, 2.0 * np.eye(3), atol=1e-13)
+        np.testing.assert_allclose(m @ w2.conj().T, m, atol=1e-13)
 
     @pytest.mark.parametrize("seed", range(3))
     def test_random_tall(self, seed):
         rng = np.random.default_rng(seed)
         m = random_complex(rng, 8, 4)
-        w, p = polar_left(m)
+        w = polar_left(m)
+        p = w.conj().T @ m
         assert np.linalg.norm(w @ p - m) < 1e-12 * np.linalg.norm(m)
         assert np.linalg.norm(w.conj().T @ w - np.eye(4)) < 1e-12
         assert np.linalg.norm(p - p.conj().T) < 1e-12
@@ -118,9 +122,11 @@ class TestPolar:
     def test_random_wide(self, seed):
         rng = np.random.default_rng(seed + 10)
         m = random_complex(rng, 4, 8)
-        p, w = polar_right(m)
+        w = polar_right(m)
+        p = m @ w.conj().T
         assert np.linalg.norm(p @ w - m) < 1e-12 * np.linalg.norm(m)
         assert np.linalg.norm(w @ w.conj().T - np.eye(4)) < 1e-12
+        assert np.linalg.norm(p - p.conj().T) < 1e-12
         assert np.min(np.linalg.eigvalsh(p)) > -1e-13
 
 

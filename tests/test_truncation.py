@@ -12,7 +12,6 @@ from vomps.truncation import (
     error_epsilon,
     extract_gauges,
     fit_state_to_bonds,
-    grow_bond,
     power_method,
     stacked_mpo,
     vomps_truncate,
@@ -133,7 +132,7 @@ class TestExtractGauges:
         eye = np.eye(3, dtype=complex) / np.sqrt(3)
         al, _, _ = extract_gauges(CenterPair(acp=[acp], cp=[eye]))
         from vomps.tensor import polar_left
-        w, _ = polar_left(acp.reshape(6, 3))
+        w = polar_left(acp.reshape(6, 3))
         assert np.max(np.abs(al[0].reshape(6, 3) - w)) < 1e-12
 
     def test_gauges_are_isometric(self):
@@ -164,10 +163,10 @@ class TestExtractGauges:
         assert completed
         for n in range(2):
             chi_l, d, chi_r = pair.acp[n].shape
-            w_l, _ = polar_left(pair.acp[n].reshape(chi_l * d, chi_r))
-            want_l = w_l @ polar_left(pair.cp[n])[0].conj().T
-            _, w_r = polar_right(pair.acp[n].reshape(chi_l, d * chi_r))
-            want_r = polar_right(pair.cp[n - 1])[1].conj().T @ w_r
+            w_l = polar_left(pair.acp[n].reshape(chi_l * d, chi_r))
+            want_l = w_l @ polar_left(pair.cp[n]).conj().T
+            w_r = polar_right(pair.acp[n].reshape(chi_l, d * chi_r))
+            want_r = polar_right(pair.cp[n - 1]).conj().T @ w_r
             assert np.max(np.abs(al[n].reshape(want_l.shape) - want_l)) < 1e-14
             assert np.max(np.abs(ar[n].reshape(want_r.shape) - want_r)) < 1e-14
 
@@ -429,9 +428,13 @@ class TestFitStateToBonds:
 
 
 class TestGrowBond:
+    """Truncations to a target above the input's bond: the default Schmidt
+    start pads the input's tensors up to it."""
+
     def test_identity_mpo_same_chi(self):
         m = random_uniform_mps(4, 2, seed=100)
-        grown = grow_bond(m, identity_mpo(2), 4)
+        grown, _ = vomps_truncate(m, VompsConfig(target_chi=4),
+                                  identity_mpo(2))
         assert abs(fidelity_per_site(grown, m) - 1.0) < 1e-10
 
     def test_grown_beats_padded_seed(self):
@@ -439,15 +442,11 @@ class TestGrowBond:
         mpo = MPO(o=[0.6 * random_complex(rng, 2, 2, 2, 2)])
         m = random_uniform_mps(3, 2, seed=102)
         seed_state = fit_state_to_bonds(m, [6], seed=0)
-        grown = grow_bond(m, mpo, 6, seed=0)
+        grown, _ = vomps_truncate(m, VompsConfig(target_chi=6, seed=0), mpo)
+        assert grown.bond_dims == [6, 6]
         env_seed = environments(seed_state, m, mpo, tol=1e-12)
         env_grown = environments(grown, m, mpo, tol=1e-12)
         assert abs(env_grown.lam) >= abs(env_seed.lam) - 1e-12
-
-    def test_rejects_shrinking(self):
-        m = random_uniform_mps(4, 2, seed=103)
-        with pytest.raises(ValueError, match="below"):
-            grow_bond(m, identity_mpo(2), 2)
 
 
 class TestRegauge:
@@ -519,8 +518,9 @@ class TestPowerMethod:
                 < sum(r.matvecs for r in cold.iterations))
         warm.write_csv(tmp_path / "power.csv")
         lines = (tmp_path / "power.csv").read_text().splitlines()
-        assert lines[0] == "# format: vomps-power/2"
-        assert lines[2].endswith(",wall_ms,matvecs")
+        assert lines[0] == "# format: vomps-power/3"
+        assert lines[2] == ("iter,translation_infidelity,abs_lambda,epsilon,"
+                            "wall_ms,matvecs")
         assert [int(l.rsplit(",", 1)[1]) for l in lines[3:]] == [
             r.matvecs for r in warm.iterations]
 

@@ -415,9 +415,3 @@ class TestStateBasics:
         up = np.zeros((1, 2, 2), dtype=complex)
         with pytest.raises(ValueError, match="bond"):
             UniformMPS(al=[up], ar=[up], c=[np.eye(2)])
-
-    def test_site_operator_preserves_canonical_form(self):
-        state = random_uniform_mps(3, 2, unit_cell=2, seed=82)
-        x = np.array([[0, 1], [1, 0]], dtype=complex)
-        rotated = state.with_site_operator([x, None])
-        rotated.check(1e-10)
