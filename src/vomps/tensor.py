@@ -155,6 +155,7 @@ class EigResult:
 # subspace is full; at size 1 the estimate is the start vector's own
 # residual, so a guess that is already an eigenvector costs two matvecs
 _CHECKPOINTS = (1, 4, 8, 12, 16)
+_UNIT = np.ones((1, 1), dtype=complex)
 
 
 def leading_eig(op: LinearMap, guess: np.ndarray, tol: float = 1e-12,
@@ -190,30 +191,38 @@ def leading_eig(op: LinearMap, guess: np.ndarray, tol: float = 1e-12,
     m = min(subspace, n)
     nmv = 0
     best = None
+    # the basis and its conjugate, each row written as the vector is added
+    q = np.empty((m + 1, n), dtype=complex)
+    q_h = np.empty((m + 1, n), dtype=complex)
 
     while True:
-        q = np.empty((m + 1, n), dtype=complex)
         h = np.zeros((m + 1, m), dtype=complex)
         q[0] = v
+        q_h[0] = v.conj()
         for j in range(m):
             w = np.asarray(op.matvec(q[j]), dtype=complex).reshape(n)
             nmv += 1
             w_norm = np.linalg.norm(w)
             # block classical Gram-Schmidt, two passes (CGS2)
-            basis = q[:j + 1]
-            basis_h = basis.conj()
             for _ in range(2):
-                c = basis_h @ w
+                c = q_h[:j + 1] @ w
                 h[:j + 1, j] += c
-                w -= c @ basis
+                w -= c @ q[:j + 1]
             beta = np.linalg.norm(w)
             h[j + 1, j] = beta
             k = j + 1
             invariant = beta <= 1e-14 * w_norm
             if not invariant:
                 q[k] = w / beta
+                q_h[k] = q[k].conj()
             if invariant or k == m or k in _CHECKPOINTS:
-                theta, y = np.linalg.eig(h[:k, :k])
+                # zgeev returns a 1x1 matrix's entry and the vector [1]
+                # exactly, unless the entry is so small or large that
+                # LAPACK rescales it
+                if k == 1 and 1e-100 < abs(h[0, 0]) < 1e100:
+                    theta, y = h[0, :1], _UNIT
+                else:
+                    theta, y = np.linalg.eig(h[:k, :k])
                 order = np.argsort(-np.abs(theta))
                 lam = theta[order[0]]
                 estimate = abs(beta * y[k - 1, order[0]])

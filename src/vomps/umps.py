@@ -119,6 +119,8 @@ class UniformMPS:
 
     def extended(self, reps: int) -> "UniformMPS":
         """Unit cell repeated `reps` times (the same physical state)."""
+        if reps == 1:
+            return self
         return UniformMPS(al=self.al * reps, ar=self.ar * reps,
                           c=self.c * reps)
 
@@ -182,7 +184,7 @@ class MPO:
         return [t.shape[2] for t in self.o]
 
     def extended(self, reps: int) -> "MPO":
-        return MPO(o=self.o * reps)
+        return self if reps == 1 else MPO(o=self.o * reps)
 
 
 def _stacked_layers(upper: MPO, lower: MPO) -> MPO:
