@@ -57,12 +57,13 @@ def _header_lines(args, keys):
 def cmd_truncate(args) -> int:
     try:
         state = vio.load_state(args.infile)
-    except (OSError, vio.SchemaError) as exc:
+        cfg = VompsConfig(target_chi=args.chi, eta=args.eta,
+                          max_iter=args.max_iter, init=args.init,
+                          seed=args.seed)
+    except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     os.makedirs(args.out_dir, exist_ok=True)
-    cfg = VompsConfig(target_chi=args.chi, eta=args.eta,
-                      max_iter=args.max_iter, init=args.init, seed=args.seed)
     result, report = vomps_truncate(state, cfg)
     baseline, discarded = schmidt_truncate(state, args.chi)
 
@@ -188,12 +189,12 @@ def cmd_fixedpoint(args) -> int:
 
 def cmd_fidelity(args) -> int:
     try:
-        a = vio.load_state(args.state_a)
-        b = vio.load_state(args.state_b)
-    except (OSError, vio.SchemaError) as exc:
+        fidelity = fidelity_per_site(vio.load_state(args.state_a),
+                                     vio.load_state(args.state_b))
+    except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    print(f"{fidelity_per_site(a, b):.15f}")
+    print(f"{fidelity:.15f}")
     return 0
 
 

@@ -12,8 +12,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse
-import scipy.sparse.linalg
 
 from .tensor import svd
 from .truncation import VompsConfig, vomps_truncate
@@ -327,8 +325,9 @@ def onsager_magnetization(beta: float) -> float:
 
 
 def xxz_hamiltonian_sparse(n_sites: int, delta: float,
-                           periodic: bool = True) -> scipy.sparse.csr_matrix:
-    """Sparse XXZ Hamiltonian on an n-site chain, bit 0 = spin up."""
+                           periodic: bool = True):
+    """Sparse (scipy CSR) XXZ Hamiltonian on an n-site chain, bit 0 = up."""
+    import scipy.sparse
     if n_sites > 20:
         raise ValueError("dense oracle limited to small chains")
     dim = 1 << n_sites
@@ -358,8 +357,9 @@ def ed_evolve(n_sites: int, delta: float, times):
     Exact state-vector evolution in the Neel state's total-S^z = 0 sector
     (the XXZ Hamiltonian conserves S^z), one `expm_multiply` per span
     between consecutive times.  Returns offsets of the (1+Z)/2 occupation
-    at site 0 for each time.
+    at site 0 for each time.  Loads scipy on use.
     """
+    import scipy.sparse.linalg
     if n_sites % 2 != 0:
         raise ValueError("need an even chain for a Neel initial state")
     h = xxz_hamiltonian_sparse(n_sites, delta)

@@ -3,7 +3,8 @@
 Tensors are plain ``numpy.ndarray`` objects of dtype complex128 stored
 row-major over the declared index order; every function in this package
 states the index order of its arguments explicitly.  All operations here
-are pure: inputs are never mutated.
+are pure: inputs are never mutated.  They need numpy alone; scipy is
+imported only by the SVD's fallback after a LAPACK failure.
 """
 
 from __future__ import annotations
@@ -13,7 +14,6 @@ from dataclasses import dataclass, replace
 from typing import Callable
 
 import numpy as np
-import scipy.linalg
 
 
 class DecompositionError(RuntimeError):
@@ -43,11 +43,14 @@ def qr_positive(m: np.ndarray):
     m = np.asarray(m, dtype=complex)
     if m.ndim != 2 or m.shape[0] < m.shape[1]:
         raise ValueError(f"qr_positive needs rows >= cols, got {m.shape}")
+    return _phased_qr(m, "QR")
+
+
+def _phased_qr(m, kind: str):
+    """numpy's QR of `m` with the phases of R's diagonal moved into Q."""
     q, r = np.linalg.qr(m)
-    phase = _diagonal_phase(r, m, "QR")
-    q = q * phase[np.newaxis, :]
-    r = r * np.conj(phase)[:, np.newaxis]
-    return q, r
+    phase = _diagonal_phase(r, m, kind)
+    return q * phase[np.newaxis, :], r * np.conj(phase)[:, np.newaxis]
 
 
 def _diagonal_phase(r, m, kind: str):
@@ -67,16 +70,18 @@ def rq_positive(m: np.ndarray):
     """Thin RQ decomposition, R upper triangular with positive real diagonal.
 
     `m` must have at least as many columns as rows; returns (R, Q) with
-    m = R Q and Q Q^dag = 1.
+    m = R Q and Q Q^dag = 1.  It is the positive QR mirrored, in numpy
+    only: with m[::-1]^dag = Q' R', R is R'^dag reversed along both axes
+    and Q is Q'^dag with its rows reversed.
     """
     m = np.asarray(m, dtype=complex)
     if m.ndim != 2 or m.shape[1] < m.shape[0]:
         raise ValueError(f"rq_positive needs cols >= rows, got {m.shape}")
-    r, q = scipy.linalg.rq(m, mode="economic")
-    phase = _diagonal_phase(r, m, "RQ")
-    r = r * np.conj(phase)[np.newaxis, :]
-    q = q * phase[:, np.newaxis]
-    return r, q
+    if not np.all(np.isfinite(m)):
+        raise ValueError("rq_positive: non-finite entries in the input")
+    q, r = _phased_qr(m[::-1].conj().T, "RQ")
+    return (np.ascontiguousarray(r.conj().T[::-1, ::-1]),
+            np.ascontiguousarray(q.conj().T[::-1]))
 
 
 def svd(m: np.ndarray):
@@ -91,6 +96,7 @@ def svd(m: np.ndarray):
         return np.linalg.svd(m, full_matrices=False)
     except np.linalg.LinAlgError:
         try:
+            import scipy.linalg
             return scipy.linalg.svd(m, full_matrices=False,
                                     lapack_driver="gesvd")
         except Exception as exc:  # pragma: no cover - LAPACK-dependent
@@ -155,7 +161,6 @@ class EigResult:
 # subspace is full; at size 1 the estimate is the start vector's own
 # residual, so a guess that is already an eigenvector costs two matvecs
 _CHECKPOINTS = (1, 4, 8, 12, 16)
-_UNIT = np.ones((1, 1), dtype=complex)
 
 
 def leading_eig(op: LinearMap, guess: np.ndarray, tol: float = 1e-12,
@@ -216,11 +221,10 @@ def leading_eig(op: LinearMap, guess: np.ndarray, tol: float = 1e-12,
                 q[k] = w / beta
                 q_h[k] = q[k].conj()
             if invariant or k == m or k in _CHECKPOINTS:
-                # zgeev returns a 1x1 matrix's entry and the vector [1]
-                # exactly, unless the entry is so small or large that
-                # LAPACK rescales it
+                # zgeev gives a 1x1 matrix's entry and the vector [1]
+                # exactly, unless LAPACK rescales a tiny or huge entry
                 if k == 1 and 1e-100 < abs(h[0, 0]) < 1e100:
-                    theta, y = h[0, :1], _UNIT
+                    theta, y = h[0, :1], np.ones((1, 1), dtype=complex)
                 else:
                     theta, y = np.linalg.eig(h[:k, :k])
                 order = np.argsort(-np.abs(theta))

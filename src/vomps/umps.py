@@ -119,10 +119,8 @@ class UniformMPS:
 
     def extended(self, reps: int) -> "UniformMPS":
         """Unit cell repeated `reps` times (the same physical state)."""
-        if reps == 1:
-            return self
-        return UniformMPS(al=self.al * reps, ar=self.ar * reps,
-                          c=self.c * reps)
+        return self if reps == 1 else UniformMPS(
+            al=self.al * reps, ar=self.ar * reps, c=self.c * reps)
 
     def schmidt_values(self, bond: int) -> np.ndarray:
         """Singular values of the bond matrix on bond `bond` (descending)."""

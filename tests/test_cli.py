@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import textwrap
 
 import pytest
 
@@ -58,6 +59,33 @@ def test_umps_threads_set_before_numpy_import():
     out = subprocess.run([sys.executable, "-c", probe], env=env,
                          capture_output=True, text=True, check=True)
     assert out.stdout.strip() == "1"
+
+
+def test_cli_runs_without_scipy_until_the_exact_oracle(tmp_path):
+    # a fresh interpreter: the power method, truncation and fidelity import
+    # no scipy module; only the exact-diagonalization oracle loads it
+    probe = textwrap.dedent("""
+        import sys
+        from vomps.cli import main
+        out = sys.argv[1]
+        state = out + "/fp/state.json"
+        assert main(["fixedpoint", "--chi", "4", "--beta-rel", "1.2",
+                     "--out-dir", out + "/fp"]) == 0
+        assert main(["truncate", "--in", state, "--chi", "2",
+                     "--out-dir", out + "/tr"]) == 0
+        assert main(["fidelity", state, out + "/tr/vomps_state.json"]) == 0
+        print("scipy modules:", sorted(
+            m for m in sys.modules if m == "scipy" or m.startswith("scipy.")))
+        assert main(["evolve", "--chi", "4", "--t-max", "0.1",
+                     "--oracle", "ed:6", "--out-dir", out + "/ev"]) == 0
+        """)
+    env = dict(os.environ, UMPS_THREADS="1")
+    env["PYTHONPATH"] = os.pathsep.join(
+        [SRC] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
+    result = subprocess.run([sys.executable, "-c", probe, str(tmp_path)],
+                            env=env, capture_output=True, text=True)
+    assert result.returncode == 0, result.stderr
+    assert "scipy modules: []" in result.stdout.splitlines()
 
 
 def test_evolution_trace_has_its_own_format(tmp_path):
@@ -122,6 +150,22 @@ def test_fidelity_rejects_a_bad_file(tmp_path, state_file, capsys):
     bad.write_text("not json")
     assert vomps.cli.main(["fidelity", str(state_file), str(bad)]) == 1
     assert capsys.readouterr().err.startswith("error: ")
+
+
+def test_fidelity_rejects_states_of_different_physical_dimension(
+        tmp_path, state_file, capsys):
+    other = tmp_path / "d3.json"
+    save_state(correlated_random_state(4, d=3, seed=1), str(other))
+    assert vomps.cli.main(["fidelity", str(state_file), str(other)]) == 1
+    assert capsys.readouterr().err.startswith("error: ")
+
+
+def test_truncate_rejects_a_zero_bond(tmp_path, state_file, capsys):
+    out = tmp_path / "out"
+    assert vomps.cli.main(["truncate", "--in", str(state_file), "--chi", "0",
+                           "--out-dir", str(out)]) == 1
+    assert capsys.readouterr().err.startswith("error: ")
+    assert not out.exists()
 
 
 def test_antiferromagnetic_fixedpoint_checks_itself(tmp_path):

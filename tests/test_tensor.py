@@ -56,6 +56,41 @@ class TestQRPositive:
         assert np.all(np.diagonal(r).real > 0)
 
 
+def scipy_rq_positive(m):
+    """scipy's economic RQ with the phases of R's diagonal moved into Q."""
+    import scipy.linalg
+
+    r, q = scipy.linalg.rq(m, mode="economic")
+    phase = np.diagonal(r) / np.abs(np.diagonal(r))
+    return r * np.conj(phase)[np.newaxis, :], q * phase[:, np.newaxis]
+
+
+class TestRQPositive:
+    @pytest.mark.parametrize("shape", [(4, 8), (8, 16), (6, 6)])
+    def test_matches_scipy(self, shape):
+        rng = np.random.default_rng(shape[1])
+        m = random_complex(rng, *shape)
+        r, q = rq_positive(m)
+        r_ref, q_ref = scipy_rq_positive(m)
+        assert np.all(np.tril(r, -1) == 0)
+        assert np.linalg.norm(r - r_ref) <= 1e-13 * np.linalg.norm(r_ref)
+        assert np.linalg.norm(q - q_ref) <= 1e-13 * np.linalg.norm(q_ref)
+
+    def test_rank_deficiency_warns(self):
+        m = np.zeros((2, 3), dtype=complex)
+        m[1, 2] = 1.0
+        with pytest.warns(RankDeficiencyWarning, match="RQ"):
+            r, q = rq_positive(m)
+        np.testing.assert_allclose(r @ q, m, atol=1e-15)
+        np.testing.assert_allclose(q @ q.conj().T, np.eye(2), atol=1e-14)
+
+    def test_non_finite_input_raises(self):
+        m = np.ones((2, 3), dtype=complex)
+        m[0, 1] = np.nan
+        with pytest.raises(ValueError):
+            rq_positive(m)
+
+
 class TestSVD:
     def test_diagonal(self):
         u, s, vh = svd(np.diag([3.0, 1.0]))
