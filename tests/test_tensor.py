@@ -304,6 +304,17 @@ class TestLeadingEig:
         assert abs(res.value - 2.0) < 1e-9
         assert leading_eig(op, guess=s[:, 0], tol=1e-10).iterations <= 2
 
+    @pytest.mark.parametrize("scale", [1e-150, 1.0, 1e150])
+    def test_eigenvector_guess_at_any_scale(self, scale):
+        # the size-1 checkpoint reads the Rayleigh quotient directly only
+        # between 1e-100 and 1e100; outside, LAPACK's rescaling runs
+        op, calls = counting_map(np.diag([scale, 0.5 * scale, 0.1 * scale]))
+        res = leading_eig(op, guess=np.array([1.0, 0.0, 0.0]), tol=1e-10)
+        assert res.converged
+        assert res.iterations == len(calls) == 2
+        assert abs(res.value - scale) <= 1e-14 * scale
+        np.testing.assert_allclose(np.abs(res.vector), [1.0, 0.0, 0.0])
+
     @pytest.mark.parametrize("subspace", [4, 20])
     def test_iterations_count_every_matvec(self, subspace):
         rng = np.random.default_rng(22)
