@@ -124,9 +124,9 @@ def mpo_mps_local_truncate(m: UniformMPS, mpo: MPO, new_chi,
     estimate = 16 * (chi * dm) ** 2 * (d + 34)  # fixed points + Krylov basis
     if estimate > mem_limit_bytes:
         raise MemoryGuardError(
-            f"product truncation needs ~{estimate / 2**20:.0f} MiB "
+            f"product truncation needs ~{estimate / 2**20:.3g} MiB "
             f"(O(chi^2 d D^2) with chi={chi}, d={d}, D={dm}); "
-            f"guard is {mem_limit_bytes / 2**20:.0f} MiB")
+            f"guard is {mem_limit_bytes / 2**20:.3g} MiB")
 
     # the product's own transfer is the state's transfer through O^dag O,
     # both MPO layers fused into one with bonds grouped (dagger, plain)

@@ -5,7 +5,9 @@ transfer-matrix power method, and fidelity comparison.
 ``evolution.csv``, ``power.csv``; formats in :mod:`vomps.io`), their
 states as UMPS-JSON and a ``summary.json``.  `fixedpoint` runs one power
 loop for either coupling and reports its free energy and magnetization
-against Onsager's (``free_energy_error``, ``magnetization_error``).
+against Onsager's (``free_energy_error``, ``magnetization_error``) and the
+count of its steps whose truncation ended unconverged
+(``unconverged_truncations``, which leaves the exit code alone).
 `fidelity` prints the per-site fidelity of two stored states.
 
 Exit codes: 0 success, 1 usage or I/O failure, 2 non-convergence (outputs
@@ -174,6 +176,7 @@ def cmd_fixedpoint(args) -> int:
         "converged": report.converged,
         "iterations": len(report.iterations),
         "period": report.period,
+        "unconverged_truncations": report.unconverged_truncations,
         "free_energy": f,
         "free_energy_onsager": f_ref,
         "free_energy_error": abs(f - f_ref),
@@ -235,7 +238,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--coupling", choices=("fm", "afm"), default="fm")
     p.add_argument("--chi", type=int, default=16)
     p.add_argument("--tol", type=float, default=1e-10)
-    p.add_argument("--eta", type=float, default=1e-9)
+    p.add_argument("--eta", type=float, default=1e-9,
+                   help="truncation threshold of the first power step and "
+                        "floor of the later steps' thresholds")
     p.add_argument("--max-iter", type=int, default=100)
     p.add_argument("--power-iter", type=int, default=200)
     p.add_argument("--seed", type=int, default=0)

@@ -2,8 +2,8 @@
 
 XXZ spin-chain Trotter machinery, the Neel product state, the 2D
 classical Ising row-to-row transfer MPO (ferro and antiferro) with its
-Onsager references, synthetic states with prescribed Schmidt spectra, and
-a dense exact-evolution oracle for small periodic chains.
+Onsager references, correlated random states, and a dense exact-evolution
+oracle for small periodic chains.
 """
 
 from __future__ import annotations
@@ -385,42 +385,6 @@ def ed_evolve(n_sites: int, delta: float, times):
 
 # ---------------------------------------------------------------------------
 # synthetic states
-
-
-def state_with_spectrum(spectrum, seed: int = 0) -> UniformMPS:
-    """A chi-state uniform MPS (d = 2) whose Schmidt spectrum is exactly
-    the given values (normalized, descending).
-
-    Construction: one diagonal and one weighted-cyclic-shift physical
-    block; column orthonormality is automatic and the squared spectrum is
-    an exact transfer fixed point by a telescoping weight choice.
-    """
-    s = np.sort(np.asarray(spectrum, dtype=float))[::-1]
-    if np.any(s <= 0):
-        raise ValueError("spectrum entries must be positive")
-    s = s / np.linalg.norm(s)
-    chi = len(s)
-    if chi == 1:
-        rng = np.random.default_rng(seed)
-        a = rng.standard_normal((1, 2, 1)) + 1j * rng.standard_normal((1, 2, 1))
-        return mixed_canonical([a])
-    d2 = s ** 2
-    t = 0.5 * d2.min()
-    beta = t / np.roll(d2, -1)          # weight of the shift block
-    alpha = 1.0 - np.roll(beta, 1)      # of the diagonal block
-    rng = np.random.default_rng(seed)
-    phase = np.exp(2j * math.pi * rng.random(2 * chi))
-    idx = np.arange(chi)
-    al = np.zeros((chi, 2, chi), dtype=complex)
-    al[idx, 0, idx] = np.sqrt(alpha) * phase[:chi]
-    al[idx, 1, (idx + 1) % chi] = np.sqrt(beta) * phase[chi:]
-    # the squared spectrum is an exact transfer fixed point, so the right
-    # gauge is available in closed form: ar = c^-1 al c with c = diag(s)
-    ar = np.zeros_like(al)
-    ar[idx, 0, idx] = al[idx, 0, idx]
-    ar[idx, 1, (idx + 1) % chi] = al[idx, 1, (idx + 1) % chi] * \
-        np.roll(s, -1) / s
-    return UniformMPS(al=[al], ar=[ar], c=[np.diag(s).astype(complex)])
 
 
 def correlated_random_state(chi: int, d: int = 2, decay: float = 0.35,

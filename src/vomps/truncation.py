@@ -46,8 +46,9 @@ class VompsConfig:
 
     `target_chi` is a single bond dimension or one per bond of the working
     unit cell; `eta` is the convergence threshold on the fixed-point
-    residual; `init` selects the starting state ("schmidt" for a
-    local-SVD seed, "random", or an explicit state).
+    residual (in :func:`power_method`, the first step's threshold and the
+    floor of the later steps'); `init` selects the starting state
+    ("schmidt" for a local-SVD seed, "random", or an explicit state).
     """
 
     target_chi: int | Sequence[int]
@@ -440,6 +441,9 @@ def epsilon_measure(candidate: UniformMPS, m: UniformMPS,
 
 # the longest oscillation period the power method looks for
 _PERIOD_MAX = 4
+# a power step after the first truncates to this fraction of the distance
+# the previous step moved the state, sqrt(translation infidelity)
+_STEP_FRACTION = 1e-2
 
 
 @dataclass(frozen=True)
@@ -466,8 +470,12 @@ class PowerRecord:
 
 @dataclass
 class PowerReport:
+    """The power steps, and how many of their truncations ended
+    unconverged."""
+
     iterations: list = field(default_factory=list)
     converged: bool = False
+    unconverged_truncations: int = 0
     period: int = 1
     final_lambda: complex = 0.0
     seed: int | None = None
@@ -489,44 +497,60 @@ def power_method(mpo: MPO, init: UniformMPS, cfg: VompsConfig,
                  stop: PowerStop = PowerStop()):
     """Repeated MPO application with variational truncation.
 
-    Each step truncates `mpo` applied to the state, started from the state
-    itself, and measures the translation infidelity: one minus the
-    per-site fidelity between the new state and the previous one
-    translated by one site (the antiferromagnetic transfer MPO maps its
-    fixed point to that translation).  The loop stops when it falls below
-    ``stop.tol``.  Afterwards ``report.period`` is the smallest p up to
-    ``_PERIOD_MAX`` for which the last iterate matches the one p steps
-    earlier (0 if none), and ``report.final_lambda`` the per-site
-    eigenvalue of the MPO: the square root of that of two stacked layers
-    with the state in both, which map an antiferromagnetic fixed point
-    back onto itself.  With ``cfg.warm_start`` each step's
-    environment solves and translation-fidelity solve start from the
-    previous step's solutions.
+    Each step truncates `mpo` applied to the state and measures the
+    translation infidelity: one minus the per-site fidelity between the
+    new state and the previous one translated by one site (the
+    antiferromagnetic transfer MPO maps its fixed point to that
+    translation).  The loop stops when it falls below ``stop.tol``.
+
+    The first step is truncated to ``cfg.eta``, started from `init`: there
+    is no previous step to size it against, and an `init` that is already
+    the fixed point then stops after one step.  Step k >= 1 is truncated to
+    ``max(cfg.eta, _STEP_FRACTION * sqrt(infidelity of step k-1))``, a
+    residual matched to how far the steps still move the state, and starts
+    from the previous state translated by one site, which is where the MPO
+    is expected to take it.  At a fixed point of the power map one
+    truncation update returns the fixed point itself, so the loop
+    converges to the same state as one that truncates every step to
+    ``cfg.eta``.  ``report.unconverged_truncations`` counts the steps
+    whose truncation missed its threshold.
+
+    Afterwards ``report.period`` is the smallest p up to ``_PERIOD_MAX``
+    for which the last iterate matches the one p steps earlier (0 if
+    none), and ``report.final_lambda`` the per-site eigenvalue of the MPO:
+    the square root of that of two stacked layers with the state in both,
+    which map an antiferromagnetic fixed point back onto itself.  With
+    ``cfg.warm_start`` each step's environment solves and
+    translation-fidelity solve start from the previous step's solutions.
     """
     if mpo.phys_dims_out != mpo.phys_dims_in:
         raise ValueError("power method needs a square MPO")
     state = init
+    step_cfg = replace(cfg, init=state)
     report = PowerReport(seed=cfg.seed)
     recent = deque([state], maxlen=_PERIOD_MAX + 1)
     env_guess = None
     fid_guess = WarmStart() if cfg.warm_start else None
     for it in range(stop.max_iter):
         t0 = time.perf_counter()
-        new_state, step = vomps_truncate(state, replace(cfg, init=state),
-                                         mpo=mpo, guess=env_guess)
+        new_state, step = vomps_truncate(state, step_cfg, mpo=mpo,
+                                         guess=env_guess)
         if cfg.warm_start:
             env_guess = step.env_guess
-        infidelity = 1.0 - fidelity_per_site(new_state, state.translated(1),
-                                             guess=fid_guess)
+        infidelity = max(1.0 - fidelity_per_site(
+            new_state, state.translated(1), guess=fid_guess), 0.0)
         wall_ms = 1e3 * (time.perf_counter() - t0)
         report.iterations.append(PowerRecord(
-            it, max(infidelity, 0.0), abs(step.final_lambda),
+            it, infidelity, abs(step.final_lambda),
             step.final_epsilon, wall_ms, step.matvecs))
+        report.unconverged_truncations += not step.converged
         recent.append(new_state)
         state = new_state
         if infidelity < stop.tol:
             report.converged = True
             break
+        step_cfg = replace(cfg, init=state.translated(1), eta=max(
+            cfg.eta, _STEP_FRACTION * math.sqrt(infidelity)))
 
     report.period = 0
     for p in range(1, len(recent)):

@@ -1,11 +1,23 @@
-"""Independent dense oracles for the test suite.
+"""Independent dense oracles and reference builders for the test suite.
 
-Everything here materializes full matrices with numpy only — no code
+The dense oracles materialize full matrices with numpy only — no code
 paths are shared with the matrix-free implementations under test beyond
-the documented index conventions.
+the documented index conventions.  The builders at the end construct test
+states and run reference algorithms on the package's own types.
 """
 
+import math
+from dataclasses import replace
+
 import numpy as np
+
+from vomps.truncation import stacked_mpo, vomps_truncate
+from vomps.umps import (
+    UniformMPS,
+    fidelity_per_site,
+    mixed_canonical,
+    mpo_eigenvalue_per_site,
+)
 
 
 def random_complex(rng, *shape):
@@ -285,8 +297,6 @@ def dense_product_spectrum(state, mpo):
     (the O^dag O channel): the per-site norm is the 2L-th root of its
     leading eigenvalue, and the squared Schmidt values are the spectrum of
     the left fixed point times the right one, normalized to unit sum."""
-    import math
-
     L = math.lcm(state.unit_cell, mpo.unit_cell)
     st = state.extended(L // state.unit_cell)
     ops = mpo.extended(L // mpo.unit_cell).o
@@ -307,3 +317,58 @@ def dense_product_spectrum(state, mpo):
     s2 = np.linalg.eigvals(gl.reshape(dim, dim).T @ gr.reshape(dim, dim))
     s2 = np.sort(np.abs(s2))[::-1]
     return abs(lam) ** (1.0 / (2 * L)), np.sqrt(s2 / s2.sum())
+
+
+def state_with_spectrum(spectrum, seed: int = 0) -> UniformMPS:
+    """A chi-state uniform MPS (d = 2) whose Schmidt spectrum is exactly
+    the given values (normalized, descending).
+
+    Construction: one diagonal and one weighted-cyclic-shift physical
+    block; column orthonormality is automatic and the squared spectrum is
+    an exact transfer fixed point by a telescoping weight choice.
+    """
+    s = np.sort(np.asarray(spectrum, dtype=float))[::-1]
+    if np.any(s <= 0):
+        raise ValueError("spectrum entries must be positive")
+    s = s / np.linalg.norm(s)
+    chi = len(s)
+    if chi == 1:
+        rng = np.random.default_rng(seed)
+        a = rng.standard_normal((1, 2, 1)) + 1j * rng.standard_normal((1, 2, 1))
+        return mixed_canonical([a])
+    d2 = s ** 2
+    t = 0.5 * d2.min()
+    beta = t / np.roll(d2, -1)          # weight of the shift block
+    alpha = 1.0 - np.roll(beta, 1)      # of the diagonal block
+    rng = np.random.default_rng(seed)
+    phase = np.exp(2j * math.pi * rng.random(2 * chi))
+    idx = np.arange(chi)
+    al = np.zeros((chi, 2, chi), dtype=complex)
+    al[idx, 0, idx] = np.sqrt(alpha) * phase[:chi]
+    al[idx, 1, (idx + 1) % chi] = np.sqrt(beta) * phase[chi:]
+    # the squared spectrum is an exact transfer fixed point, so the right
+    # gauge is available in closed form: ar = c^-1 al c with c = diag(s)
+    ar = np.zeros_like(al)
+    ar[idx, 0, idx] = al[idx, 0, idx]
+    ar[idx, 1, (idx + 1) % chi] = al[idx, 1, (idx + 1) % chi] * \
+        np.roll(s, -1) / s
+    return UniformMPS(al=[al], ar=[ar], c=[np.diag(s).astype(complex)])
+
+
+def reference_power_loop(mpo, init, cfg, stop):
+    """The power method with every step truncated to ``cfg.eta`` and
+    started from the untranslated state, with cold environment solves, and
+    stopped on the translation infidelity as
+    :func:`vomps.truncation.power_method` stops.  Returns the state, the
+    per-site eigenvalue of the MPO and whether it stopped within
+    ``stop.max_iter`` steps."""
+    state, converged = init, False
+    for _ in range(stop.max_iter):
+        new, _ = vomps_truncate(state, replace(cfg, init=state), mpo=mpo)
+        converged = 1.0 - fidelity_per_site(new, state.translated(1)) \
+            < stop.tol
+        state = new
+        if converged:
+            break
+    lam = complex(mpo_eigenvalue_per_site(state, stacked_mpo(mpo, 2)))
+    return state, lam ** 0.5, converged

@@ -3,7 +3,7 @@ import functools
 import numpy as np
 import pytest
 
-from vomps.baseline import mpo_mps_local_truncate
+from vomps.baseline import MemoryGuardError, mpo_mps_local_truncate
 from vomps.models import (
     BETA_C,
     IsingParams,
@@ -70,3 +70,15 @@ def test_vomps_overlap_at_least_local():
     lam_local = abs(environments(local, m, ISING, tol=1e-13).lam)
     lam_vomps = abs(environments(result, m, ISING, tol=1e-13).lam)
     assert lam_vomps >= lam_local - 1e-12 * lam_local
+
+
+def test_memory_guard_refuses_with_estimate_and_guard():
+    # chi 8, d 2, D 2: the fixed points and Krylov basis of the product
+    # transfer take 16 (chi D)^2 (d + 34) bytes, about 0.141 MiB
+    m = correlated_random_state(8, seed=1)
+    with pytest.raises(MemoryGuardError) as info:
+        mpo_mps_local_truncate(m, ISING, 4, mem_limit_bytes=1024)
+    message = str(info.value)
+    assert f"~{16 * 16**2 * 36 / 2**20:.3g} MiB" in message
+    assert "chi=8, d=2, D=2" in message
+    assert f"guard is {1024 / 2**20:.3g} MiB" in message

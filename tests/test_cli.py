@@ -182,3 +182,11 @@ def test_antiferromagnetic_fixedpoint_checks_itself(tmp_path):
     assert header == ("iter,translation_infidelity,abs_lambda,epsilon,"
                       "wall_ms,matvecs")
     assert len(lines) - lines.index(header) - 1 == summary["iterations"]
+
+
+def test_fixedpoint_counts_unconverged_truncations(tmp_path):
+    out = tmp_path / "out"
+    assert vomps.cli.main(["fixedpoint", "--chi", "4", "--beta-rel", "1.2",
+                           "--out-dir", str(out)]) == 0
+    summary = json.loads((out / "summary.json").read_text())
+    assert summary["unconverged_truncations"] == 0

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -33,8 +35,8 @@ from vomps.models import (
     IsingParams,
     correlated_random_state,
     ising_free_energy,
+    ising_magnetization,
     ising_mpo,
-    state_with_spectrum,
     trotter_evolve,
     trotter_layer_mpo,
     xxz_gate,
@@ -46,6 +48,8 @@ from oracles import (
     dense_fidelity,
     matrix_modulus,
     random_complex,
+    reference_power_loop,
+    state_with_spectrum,
 )
 
 
@@ -523,6 +527,63 @@ class TestPowerMethod:
                             "wall_ms,matvecs")
         assert [int(l.rsplit(",", 1)[1]) for l in lines[3:]] == [
             r.matvecs for r in warm.iterations]
+
+    @pytest.mark.parametrize("coupling", [1, -1])
+    def test_steps_truncate_to_the_last_step_from_its_translation(
+            self, coupling, monkeypatch):
+        import vomps.truncation as truncation
+        from vomps.cli import _biased_initial_state
+
+        truncate = truncation.vomps_truncate
+        calls = []
+
+        def recording(m, cfg, **kwargs):
+            result = truncate(m, cfg, **kwargs)
+            calls.append((cfg, result[0]))
+            return result
+
+        monkeypatch.setattr(truncation, "vomps_truncate", recording)
+        mpo = ising_mpo(IsingParams(beta=1.2 * BETA_C, coupling=coupling))
+        init = _biased_initial_state(4, coupling, 0)
+        cfg = VompsConfig(target_chi=4, eta=1e-9, max_iter=100, seed=0)
+        _, report = power_method(mpo, init, cfg, PowerStop(tol=1e-10))
+        assert report.converged and len(calls) == len(report.iterations) > 2
+        assert calls[0][0] == replace(cfg, init=init)
+        assert calls[0][0].init is init
+        for k in range(1, len(calls)):
+            step_cfg, previous = calls[k][0], calls[k - 1][1]
+            infidelity = report.iterations[k - 1].translation_infidelity
+            assert step_cfg.eta == max(cfg.eta, 1e-2 * np.sqrt(infidelity))
+            assert replace(step_cfg, init=None, eta=cfg.eta) == \
+                replace(cfg, init=None)
+            start, expected = step_cfg.init, previous.translated(1)
+            for name in ("al", "ar", "c"):
+                assert all(np.array_equal(x, y) for x, y in zip(
+                    getattr(start, name), getattr(expected, name)))
+        # the early steps move the state by more than 1e-7, so their
+        # thresholds lie above the floor
+        assert calls[1][0].eta > cfg.eta
+
+    @pytest.mark.parametrize("coupling", [1, -1])
+    def test_same_fixed_point_as_full_accuracy_steps(self, coupling):
+        from vomps.cli import _biased_initial_state
+
+        beta = 1.2 * BETA_C
+        params = IsingParams(beta=beta, coupling=coupling)
+        mpo = ising_mpo(params)
+        init = _biased_initial_state(8, coupling, 0)
+        cfg = VompsConfig(target_chi=8, eta=1e-9, max_iter=100, seed=0)
+        stop = PowerStop(tol=1e-13)
+        state, report = power_method(mpo, init, cfg, stop)
+        ref, ref_lambda, ref_converged = reference_power_loop(
+            mpo, init, cfg, stop)
+        assert report.converged and ref_converged
+        assert report.unconverged_truncations == 0
+        m, m_ref = (abs(ising_magnetization(s, params)) for s in (state, ref))
+        assert abs(m - m_ref) <= 1e-9
+        f = ising_free_energy(abs(report.final_lambda), beta)
+        f_ref = ising_free_energy(abs(ref_lambda), beta)
+        assert abs(f - f_ref) <= 1e-12
 
     def test_requires_square_mpo(self):
         rng = np.random.default_rng(111)
