@@ -14,7 +14,6 @@ import warnings
 import numpy as np
 
 from .tensor import leading_eig, svd
-from .truncation import _normalize_targets
 from .umps import (
     MPO,
     UniformMPS,
@@ -22,6 +21,7 @@ from .umps import (
     _apply_right_site,
     _cell_transfer,
     _default_guess,
+    _normalize_targets,
     _rotate_bonds,
     _stacked_layers,
     mixed_canonical,
@@ -49,13 +49,13 @@ def schmidt_truncate(state: UniformMPS, new_chi):
     L = state.unit_cell
     targets = _normalize_targets(new_chi, L)
 
-    # us[k]/vs[k]: truncated bond-k isometries from the svd of c[k-1]
-    us, vs = [None] * L, [None] * L
+    # us[k]: truncated bond-k isometry from the svd of c[k-1]
+    us = [None] * L
     s_kept = [None] * L
     discarded = 0.0
     for n in range(L):
         bond = (n + 1) % L
-        u, s, vh = svd(state.c[n])
+        u, s, _ = svd(state.c[n])
         k = min(targets[bond], len(s))
         if k < len(s):
             if s[k - 1] - s[k] < 1e-12 * s[0]:
@@ -65,7 +65,6 @@ def schmidt_truncate(state: UniformMPS, new_chi):
                     "descending order", DegenerateCutWarning)
             discarded += float(np.sum(s[k:] ** 2))
         us[bond] = u[:, :k]
-        vs[bond] = vh[:k, :].conj().T
         s_kept[n] = s[:k]
 
     if all(len(s_kept[n]) == state.c[n].shape[0] for n in range(L)):
@@ -100,7 +99,6 @@ def _hermitian_fixed_point(vec, dm, chi):
 
 
 def mpo_mps_local_truncate(m: UniformMPS, mpo: MPO, new_chi,
-                           tol: float = 1e-13,
                            mem_limit_bytes: int = 4 * 2**30) -> UniformMPS:
     """Truncate an MPO-MPS product by local Schmidt values.
 
@@ -109,7 +107,8 @@ def mpo_mps_local_truncate(m: UniformMPS, mpo: MPO, new_chi,
     contraction; its vectors live on the bond-0 space (state, (dagger mpo,
     mpo), state)), and cuts the bonds with :func:`schmidt_truncate`.  The
     dense work is guarded: above `mem_limit_bytes` the call refuses with
-    the memory estimate, which scales as O(chi^2 d D^2).
+    the memory estimate, which scales as O(chi^2 d D^2).  The fixed points
+    and the canonical form are solved to 1e-13.
     """
     L = math.lcm(m.unit_cell, mpo.unit_cell)
     st = m.extended(L // m.unit_cell)
@@ -135,7 +134,7 @@ def mpo_mps_local_truncate(m: UniformMPS, mpo: MPO, new_chi,
     dm0, chi0 = op.o[0].shape[0], st.al[0].shape[0]
     guess = _default_guess((chi0, dm0 * dm0, chi0))
     left, right = (leading_eig(_cell_transfer(st.al, st.al, side, fused),
-                               guess, tol=tol, max_iter=20_000)
+                               guess, tol=1e-13, max_iter=20_000)
                    for side in ("left", "right"))
     lam_cell = abs(left.value)
     if lam_cell < 1e-300:
@@ -178,8 +177,7 @@ def mpo_mps_local_truncate(m: UniformMPS, mpo: MPO, new_chi,
         al_b.append(np.tensordot(t, xinvs[(n + 1) % L], axes=((2,), (0,))))
 
     right_seed = [x @ y for x, y in zip(xs, ys)]
-    canonical = mixed_canonical(al_b, tol=max(tol, 1e-14),
-                                right_seed=right_seed)
+    canonical = mixed_canonical(al_b, tol=1e-13, right_seed=right_seed)
     truncated, _ = schmidt_truncate(canonical, new_chi)
     return truncated
 

@@ -28,6 +28,7 @@ from .baseline import schmidt_truncate
 from .models import (
     BETA_C,
     IsingParams,
+    check_ed_chain,
     ed_evolve,
     ising_free_energy,
     ising_magnetization,
@@ -56,6 +57,11 @@ def _header_lines(args, keys):
     return [f"{k}: {getattr(args, k)}" for k in keys]
 
 
+def _input_error(exc) -> int:
+    print(f"error: {exc}", file=sys.stderr)
+    return 1
+
+
 def cmd_truncate(args) -> int:
     try:
         state = vio.load_state(args.infile)
@@ -63,8 +69,7 @@ def cmd_truncate(args) -> int:
                           max_iter=args.max_iter, init=args.init,
                           seed=args.seed)
     except (OSError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+        return _input_error(exc)
     os.makedirs(args.out_dir, exist_ok=True)
     result, report = vomps_truncate(state, cfg)
     baseline, discarded = schmidt_truncate(state, args.chi)
@@ -94,18 +99,28 @@ def cmd_truncate(args) -> int:
     return 0 if report.converged else 2
 
 
+def _ed_sites(oracle: str) -> int:
+    """Chain length of an ``ed:L`` oracle; ValueError for anything else."""
+    kind, _, sites = oracle.partition(":")
+    if kind != "ed" or not sites.isdigit():
+        raise ValueError(f"unknown oracle {oracle!r}, expected 'ed:L'")
+    check_ed_chain(int(sites))
+    return int(sites)
+
+
 def cmd_evolve(args) -> int:
+    try:
+        sites = _ed_sites(args.oracle) if args.oracle else None
+        # trotter_evolve rejects bad arguments before it truncates
+        state, records = trotter_evolve(delta=args.delta, dt=args.dt,
+                                        t_max=args.t_max, chi_max=args.chi,
+                                        order=args.order, eta=args.eta,
+                                        seed=args.seed)
+    except ValueError as exc:
+        return _input_error(exc)
     os.makedirs(args.out_dir, exist_ok=True)
-    state, records = trotter_evolve(delta=args.delta, dt=args.dt,
-                                    t_max=args.t_max, chi_max=args.chi,
-                                    order=args.order, eta=args.eta,
-                                    seed=args.seed)
     reference = None
-    if args.oracle:
-        if not args.oracle.startswith("ed:"):
-            print(f"error: unknown oracle {args.oracle!r}", file=sys.stderr)
-            return 1
-        sites = int(args.oracle.split(":", 1)[1])
+    if sites is not None:
         reference = ed_evolve(sites, args.delta, [r.time for r in records])
 
     extra = ["ed_reference"] if reference is not None else []
@@ -151,13 +166,16 @@ def _biased_initial_state(chi, coupling, seed):
 
 
 def cmd_fixedpoint(args) -> int:
-    os.makedirs(args.out_dir, exist_ok=True)
     beta = args.beta_rel * BETA_C
     coupling = 1 if args.coupling == "fm" else -1
-    params = IsingParams(beta=beta, coupling=coupling)
+    try:
+        params = IsingParams(beta=beta, coupling=coupling)
+        cfg = VompsConfig(target_chi=args.chi, eta=args.eta,
+                          max_iter=args.max_iter, seed=args.seed)
+    except ValueError as exc:
+        return _input_error(exc)
+    os.makedirs(args.out_dir, exist_ok=True)
     mpo = ising_mpo(params)
-    cfg = VompsConfig(target_chi=args.chi, eta=args.eta,
-                      max_iter=args.max_iter, seed=args.seed)
     stop = PowerStop(tol=args.tol, max_iter=args.power_iter)
     init = _biased_initial_state(args.chi, coupling, args.seed)
     state, report = power_method(mpo, init, cfg, stop)
@@ -195,8 +213,7 @@ def cmd_fidelity(args) -> int:
         fidelity = fidelity_per_site(vio.load_state(args.state_a),
                                      vio.load_state(args.state_b))
     except (OSError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+        return _input_error(exc)
     print(f"{fidelity:.15f}")
     return 0
 

@@ -2,8 +2,8 @@
 
 XXZ spin-chain Trotter machinery, the Neel product state, the 2D
 classical Ising row-to-row transfer MPO (ferro and antiferro) with its
-Onsager references, correlated random states, and a dense exact-evolution
-oracle for small periodic chains.
+Onsager references, and a dense exact-evolution oracle for small periodic
+chains.
 """
 
 from __future__ import annotations
@@ -15,14 +15,7 @@ import numpy as np
 
 from .tensor import svd
 from .truncation import VompsConfig, vomps_truncate
-from .umps import (
-    MPO,
-    UniformMPS,
-    environments,
-    expect_local,
-    mixed_canonical,
-    random_uniform_mps,
-)
+from .umps import MPO, UniformMPS, environments, expect_local
 
 PAULI_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 PAULI_Y = np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=complex)
@@ -100,9 +93,9 @@ def neel_state() -> UniformMPS:
     return UniformMPS(al=[up, dn], ar=[up, dn], c=[one, one])
 
 
-def staggered_offset(state: UniformMPS, site: int = 0) -> float:
-    """Offset of the (1+Z)/2 occupation at `site` from its maximal value 1."""
-    return float(1.0 - np.real(expect_local(state, UP_PROJECTOR, site)))
+def staggered_offset(state: UniformMPS) -> float:
+    """Offset of the (1+Z)/2 occupation at site 0 from its maximal value 1."""
+    return float(1.0 - np.real(expect_local(state, UP_PROJECTOR, 0)))
 
 
 @dataclass
@@ -111,7 +104,6 @@ class EvolutionRecord:
     offset: float
     epsilon: float
     chi: int
-    abs_lambda: float
     converged: bool = True
 
 
@@ -136,20 +128,19 @@ def _layer_targets(state: UniformMPS, layer: MPO, chi_max: int):
 
 
 def apply_layer(state: UniformMPS, layer: MPO, chi_max: int,
-                eta: float = 1e-10, max_iter: int = 200, seed: int = 0):
-    """Variationally truncate `layer @ state` to at most `chi_max`,
-    initialized with the untouched state."""
+                eta: float = 1e-10, seed: int = 0):
+    """Variationally truncate `layer @ state` to at most `chi_max` in at
+    most 200 iterations, initialized with the untouched state."""
     targets = _layer_targets(state, layer, chi_max)
     L = len(targets)
     init = state.extended(L // state.unit_cell)
-    cfg = VompsConfig(target_chi=targets, eta=eta, max_iter=max_iter,
+    cfg = VompsConfig(target_chi=targets, eta=eta, max_iter=200,
                       init=init, seed=seed)
     return vomps_truncate(state, cfg, mpo=layer)
 
 
 def trotter_evolve(delta: float, dt: float, t_max: float, chi_max: int,
-                   order: int = 2, eta: float = 1e-10, seed: int = 0,
-                   observer=None):
+                   order: int = 2, eta: float = 1e-10, seed: int = 0):
     """Evolve the Neel state under the XXZ Hamiltonian with Trotter-layer
     MPOs, truncating variationally after each layer.
 
@@ -157,8 +148,10 @@ def trotter_evolve(delta: float, dt: float, t_max: float, chi_max: int,
     layers; first order applies full even then full odd.  Returns the
     final state and one :class:`EvolutionRecord` per step (including the
     t=0 row); a record's `converged` is true when every layer truncation
-    of its step converged.  `observer(state, record)` runs after each step.
+    of its step converged.
     """
+    if dt <= 0:
+        raise ValueError("dt must be positive")
     if order == 2:
         layers = [trotter_layer_mpo(xxz_gate(delta, dt / 2), "even"),
                   trotter_layer_mpo(xxz_gate(delta, dt), "odd"),
@@ -171,27 +164,19 @@ def trotter_evolve(delta: float, dt: float, t_max: float, chi_max: int,
 
     state = neel_state()
     records = [EvolutionRecord(time=0.0, offset=staggered_offset(state),
-                               epsilon=0.0, chi=1, abs_lambda=1.0)]
-    if observer is not None:
-        observer(state, records[-1])
+                               epsilon=0.0, chi=1)]
     steps = int(round(t_max / dt))
     for k in range(steps):
         eps = 0.0
-        lam = 1.0
         converged = True
         for layer in layers:
             state, report = apply_layer(state, layer, chi_max, eta=eta,
                                         seed=seed)
             eps = max(eps, report.final_epsilon)
-            lam = abs(report.final_lambda)
             converged = converged and report.converged
-        rec = EvolutionRecord(time=(k + 1) * dt,
-                              offset=staggered_offset(state),
-                              epsilon=eps, chi=max(state.bond_dims),
-                              abs_lambda=lam, converged=converged)
-        records.append(rec)
-        if observer is not None:
-            observer(state, rec)
+        records.append(EvolutionRecord(
+            time=(k + 1) * dt, offset=staggered_offset(state), epsilon=eps,
+            chi=max(state.bond_dims), converged=converged))
     return state, records
 
 
@@ -217,6 +202,18 @@ def _ising_weight_factors(p: IsingParams):
     return r, f, sign
 
 
+def _ising_site_mpo(p: IsingParams, spin_weight: np.ndarray) -> MPO:
+    """One-site transfer MPO that sums over the site spin t with weight
+    ``spin_weight[t]`` and half-weights on every leg."""
+    r, f, sign = _ising_weight_factors(p)
+    if p.coupling == 1:
+        incoming, right = r, f
+    else:
+        incoming, right = PAULI_X.real @ r, f @ sign
+    o = np.einsum("pt,t,tq,tl,tr->lpqr", r, spin_weight, incoming, f, right)
+    return MPO(o=[o.astype(complex)])
+
+
 def ising_mpo(p: IsingParams) -> MPO:
     """Row-to-row transfer MPO of the square-lattice Ising model (D = 2).
 
@@ -227,24 +224,12 @@ def ising_mpo(p: IsingParams) -> MPO:
     is handled by absorbing a sign matrix into one horizontal leg and a
     spin flip into the incoming vertical leg, keeping all tensors real.
     """
-    r, f, sign = _ising_weight_factors(p)
-    if p.coupling == 1:
-        o = np.einsum("pt,tq,tl,tr->lpqr", r, r, f, f)
-    else:
-        o = np.einsum("pt,tq,tl,tr->lpqr", r, PAULI_X.real @ r, f, f @ sign)
-    return MPO(o=[o.astype(complex)])
+    return _ising_site_mpo(p, np.ones(2))
 
 
 def ising_magnetization_mpo(p: IsingParams) -> MPO:
     """Transfer MPO with the site spin inserted (impurity tensor)."""
-    r, f, sign = _ising_weight_factors(p)
-    z = np.array([1.0, -1.0])
-    if p.coupling == 1:
-        o = np.einsum("pt,t,tq,tl,tr->lpqr", r, z, r, f, f)
-    else:
-        o = np.einsum("pt,t,tq,tl,tr->lpqr", r, z, PAULI_X.real @ r, f,
-                      f @ sign)
-    return MPO(o=[o.astype(complex)])
+    return _ising_site_mpo(p, np.array([1.0, -1.0]))
 
 
 def ising_magnetization(state: UniformMPS, p: IsingParams) -> float:
@@ -323,16 +308,26 @@ def onsager_magnetization(beta: float) -> float:
 # ---------------------------------------------------------------------------
 # exact diagonalization oracle
 
+# the longest chain the exact oracle builds its Hamiltonian for
+_ED_MAX_SITES = 20
 
-def xxz_hamiltonian_sparse(n_sites: int, delta: float,
-                           periodic: bool = True):
-    """Sparse (scipy CSR) XXZ Hamiltonian on an n-site chain, bit 0 = up."""
+
+def check_ed_chain(n_sites: int) -> None:
+    """Raise ValueError unless :func:`ed_evolve` can run the Neel quench
+    on a chain of `n_sites`."""
+    if n_sites < 2 or n_sites % 2 != 0 or n_sites > _ED_MAX_SITES:
+        raise ValueError("exact evolution of the Neel state needs an even "
+                         f"chain of 2 to {_ED_MAX_SITES} sites, got {n_sites}")
+
+
+def xxz_hamiltonian_sparse(n_sites: int, delta: float):
+    """Sparse (scipy CSR) XXZ Hamiltonian on an n-site periodic chain,
+    bit 0 = up."""
     import scipy.sparse
-    if n_sites > 20:
+    if n_sites > _ED_MAX_SITES:
         raise ValueError("dense oracle limited to small chains")
     dim = 1 << n_sites
-    bonds = [(i, (i + 1) % n_sites) for i in
-             range(n_sites if periodic else n_sites - 1)]
+    bonds = [(i, (i + 1) % n_sites) for i in range(n_sites)]
     states = np.arange(dim, dtype=np.int64)
     z = 1.0 - 2.0 * ((states[:, None] >> np.arange(n_sites)[None, :]) & 1)
     rows, cols, vals = [], [], []
@@ -359,9 +354,8 @@ def ed_evolve(n_sites: int, delta: float, times):
     between consecutive times.  Returns offsets of the (1+Z)/2 occupation
     at site 0 for each time.  Loads scipy on use.
     """
+    check_ed_chain(n_sites)
     import scipy.sparse.linalg
-    if n_sites % 2 != 0:
-        raise ValueError("need an even chain for a Neel initial state")
     h = xxz_hamiltonian_sparse(n_sites, delta)
     states = np.arange(h.shape[0], dtype=np.int64)
     down = (states[:, None] >> np.arange(n_sites)[None, :]) & 1
@@ -381,29 +375,3 @@ def ed_evolve(n_sites: int, delta: float, times):
             t_cur = times[idx]
         offsets[idx] = 1.0 - float(np.real(np.vdot(psi, up0 * psi)))
     return offsets
-
-
-# ---------------------------------------------------------------------------
-# synthetic states
-
-
-def correlated_random_state(chi: int, d: int = 2, decay: float = 0.35,
-                            seed: int = 0) -> UniformMPS:
-    """Random injective state with a slowly decaying entanglement spectrum.
-
-    Tilts the left-canonical tensor of a generic random state by
-    exp(-decay * k) bond weights and re-canonicalizes.  The resulting
-    spectrum follows the tilt only approximately, which is all the
-    truncation benchmarks need; the transfer gap stays generic, unlike an
-    exactly engineered spectrum.
-    """
-    target = np.exp(-decay * np.arange(chi))
-    target /= np.linalg.norm(target)
-    state = random_uniform_mps(chi, d, seed=seed)
-    for _ in range(6):
-        current = state.schmidt_values(0)
-        # half-step in log space: the spectrum responds superlinearly to
-        # bond tilts, so a full correction overshoots
-        correction = np.clip(target / current, 1e-4, 1e4) ** 0.5
-        state = mixed_canonical([state.al[0] @ np.diag(correction)])
-    return state

@@ -23,6 +23,7 @@ from typing import Sequence
 
 import numpy as np
 
+from .baseline import schmidt_truncate
 from .io import POWER_FORMAT, TRACE_FORMAT, write_trace
 from .tensor import polar_left, polar_right, svd
 from .umps import (
@@ -31,6 +32,7 @@ from .umps import (
     OrthogonalStatesError,
     UniformMPS,
     WarmStart,
+    _normalize_targets,
     _right_gauge_from_left,
     _stacked_layers,
     environments,
@@ -56,7 +58,6 @@ class VompsConfig:
     max_iter: int = 500
     init: str | UniformMPS = "schmidt"
     seed: int = 0
-    warm_start: bool = True
 
     def __post_init__(self):
         if self.eta <= 0:
@@ -252,25 +253,14 @@ def error_epsilon(cp: CenterPair, al) -> float:
 # initialization helpers
 
 
-def _normalize_targets(target_chi, L: int):
-    if isinstance(target_chi, int):
-        return [target_chi] * L
-    targets = [int(c) for c in target_chi]
-    if len(targets) != L:
-        raise ValueError(f"need {L} per-bond targets, got {len(targets)}")
-    return targets
-
-
-def fit_state_to_bonds(state: UniformMPS, targets, seed: int = 0,
-                       noise: float = 1e-3) -> UniformMPS:
+def fit_state_to_bonds(state: UniformMPS, targets,
+                       seed: int = 0) -> UniformMPS:
     """Deform a state to prescribed per-bond dimensions.
 
     Bonds above target are cut by discarding the smallest Schmidt values;
     bonds below target are padded with small random entries (relative
-    scale `noise`) and re-canonicalized.
+    scale 1e-3) and re-canonicalized.
     """
-    from .baseline import schmidt_truncate
-
     L = state.unit_cell
     targets = _normalize_targets(targets, L)
     cut = [min(t, c) for t, c in zip(targets, state.bond_dims[:L])]
@@ -283,7 +273,7 @@ def fit_state_to_bonds(state: UniformMPS, targets, seed: int = 0,
     for n in range(L):
         a = state.al[n]
         chi_l, d, chi_r = targets[n], a.shape[1], targets[(n + 1) % L]
-        scale = noise * np.mean(np.abs(a))
+        scale = 1e-3 * np.mean(np.abs(a))
         t = scale * (rng.standard_normal((chi_l, d, chi_r))
                      + 1j * rng.standard_normal((chi_l, d, chi_r)))
         t[:a.shape[0], :, :a.shape[2]] += a
@@ -345,8 +335,8 @@ def vomps_truncate(m: UniformMPS, cfg: VompsConfig,
 
     Returns ``(state, report)``.  The loop alternates environment solves,
     center updates, and gauge extraction until the fixed-point residual
-    drops below ``cfg.eta``; environments are warm-started from the
-    previous iteration unless disabled.  `guess` may carry bond-0
+    drops below ``cfg.eta``; each environment solve starts from the
+    previous iteration's solution.  `guess` may carry bond-0
     environment vectors ``(left, right)`` for the first solve, such as
     the ``report.env_guess`` of a truncation of a nearby problem.  The
     loop solves no environments after it stops: ``report.final_lambda``
@@ -392,8 +382,7 @@ def vomps_truncate(m: UniformMPS, cfg: VompsConfig,
         report.degenerate |= env.degenerate
         eps_prev, eps = eps, error_epsilon(cp, al)
         a = UniformMPS(al=al, ar=ar, c=cp.cp)
-        if cfg.warm_start:
-            guess = (env.gl[0].reshape(-1), env.gr[-1].reshape(-1))
+        guess = (env.gl[0].reshape(-1), env.gr[-1].reshape(-1))
         wall_ms = 1e3 * (time.perf_counter() - t0)
         report.record(it, eps, abs(env.lam), wall_ms, env.matvecs)
 
@@ -519,9 +508,9 @@ def power_method(mpo: MPO, init: UniformMPS, cfg: VompsConfig,
     for which the last iterate matches the one p steps earlier (0 if
     none), and ``report.final_lambda`` the per-site eigenvalue of the MPO:
     the square root of that of two stacked layers with the state in both,
-    which map an antiferromagnetic fixed point back onto itself.  With
-    ``cfg.warm_start`` each step's environment solves and
-    translation-fidelity solve start from the previous step's solutions.
+    which map an antiferromagnetic fixed point back onto itself.  Each
+    step's environment solves and translation-fidelity solve start from
+    the previous step's solutions.
     """
     if mpo.phys_dims_out != mpo.phys_dims_in:
         raise ValueError("power method needs a square MPO")
@@ -530,13 +519,12 @@ def power_method(mpo: MPO, init: UniformMPS, cfg: VompsConfig,
     report = PowerReport(seed=cfg.seed)
     recent = deque([state], maxlen=_PERIOD_MAX + 1)
     env_guess = None
-    fid_guess = WarmStart() if cfg.warm_start else None
+    fid_guess = WarmStart()
     for it in range(stop.max_iter):
         t0 = time.perf_counter()
         new_state, step = vomps_truncate(state, step_cfg, mpo=mpo,
                                          guess=env_guess)
-        if cfg.warm_start:
-            env_guess = step.env_guess
+        env_guess = step.env_guess
         infidelity = max(1.0 - fidelity_per_site(
             new_state, state.translated(1), guess=fid_guess), 0.0)
         wall_ms = 1e3 * (time.perf_counter() - t0)

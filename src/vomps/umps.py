@@ -197,16 +197,21 @@ def _stacked_layers(upper: MPO, lower: MPO) -> MPO:
     return MPO(o=tensors)
 
 
-def identity_mpo(phys_dims, bond: int = 1) -> MPO:
-    """Identity operator as an MPO (trivial bond by default)."""
+def identity_mpo(phys_dims) -> MPO:
+    """Identity operator as an MPO with trivial bonds."""
     if isinstance(phys_dims, int):
         phys_dims = [phys_dims]
-    tensors = []
-    for d in phys_dims:
-        t = np.zeros((bond, d, d, bond), dtype=complex)
-        t[0, :, :, 0] = np.eye(d)
-        tensors.append(t)
-    return MPO(o=tensors)
+    return MPO(o=[np.eye(d).reshape(1, d, d, 1) for d in phys_dims])
+
+
+def _normalize_targets(target_chi, L: int):
+    """Per-bond dimensions of an L-site cell from one dimension or L."""
+    if isinstance(target_chi, int):
+        return [target_chi] * L
+    targets = [int(c) for c in target_chi]
+    if len(targets) != L:
+        raise ValueError(f"need {L} per-bond targets, got {len(targets)}")
+    return targets
 
 
 def random_uniform_mps(chi: int, d: int, unit_cell: int = 1,
@@ -520,21 +525,16 @@ class MixedEnvironment:
     gl: tuple
     gr: tuple
     lam: complex
-    lam_cell: complex
     degenerate: bool
     converged: bool
-    residual: float
-    matvecs: int = 0
+    matvecs: int
 
-    def __init__(self, gl, gr, lam, lam_cell, degenerate, converged,
-                 residual, matvecs=0):
+    def __init__(self, gl, gr, lam, degenerate, converged, matvecs):
         object.__setattr__(self, "gl", tuple(_freeze(g) for g in gl))
         object.__setattr__(self, "gr", tuple(_freeze(g) for g in gr))
         object.__setattr__(self, "lam", complex(lam))
-        object.__setattr__(self, "lam_cell", complex(lam_cell))
         object.__setattr__(self, "degenerate", bool(degenerate))
         object.__setattr__(self, "converged", bool(converged))
-        object.__setattr__(self, "residual", float(residual))
         object.__setattr__(self, "matvecs", int(matvecs))
 
 
@@ -644,10 +644,9 @@ def environments(top: UniformMPS, bottom: UniformMPS, mpo: MPO | None = None,
         gr[(n - 1) % L] = gr[(n - 1) % L] / s
 
     return MixedEnvironment(
-        gl=gl, gr=gr, lam=lam, lam_cell=lam_cell,
+        gl=gl, gr=gr, lam=lam,
         degenerate=left.degenerate or right.degenerate,
         converged=left.converged and right.converged,
-        residual=max(left.residual, right.residual),
         matvecs=left.iterations + right.iterations)
 
 

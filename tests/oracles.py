@@ -17,6 +17,7 @@ from vomps.umps import (
     fidelity_per_site,
     mixed_canonical,
     mpo_eigenvalue_per_site,
+    random_uniform_mps,
 )
 
 
@@ -353,6 +354,28 @@ def state_with_spectrum(spectrum, seed: int = 0) -> UniformMPS:
     ar[idx, 1, (idx + 1) % chi] = al[idx, 1, (idx + 1) % chi] * \
         np.roll(s, -1) / s
     return UniformMPS(al=[al], ar=[ar], c=[np.diag(s).astype(complex)])
+
+
+def correlated_random_state(chi: int, d: int = 2, decay: float = 0.35,
+                            seed: int = 0) -> UniformMPS:
+    """Random injective state with a slowly decaying entanglement spectrum.
+
+    Tilts the left-canonical tensor of a generic random state by
+    exp(-decay * k) bond weights and re-canonicalizes.  The resulting
+    spectrum follows the tilt only approximately, which is all the
+    truncation benchmarks need; the transfer gap stays generic, unlike an
+    exactly engineered spectrum.
+    """
+    target = np.exp(-decay * np.arange(chi))
+    target /= np.linalg.norm(target)
+    state = random_uniform_mps(chi, d, seed=seed)
+    for _ in range(6):
+        current = state.schmidt_values(0)
+        # half-step in log space: the spectrum responds superlinearly to
+        # bond tilts, so a full correction overshoots
+        correction = np.clip(target / current, 1e-4, 1e4) ** 0.5
+        state = mixed_canonical([state.al[0] @ np.diag(correction)])
+    return state
 
 
 def reference_power_loop(mpo, init, cfg, stop):

@@ -7,7 +7,6 @@ from vomps.baseline import MemoryGuardError, mpo_mps_local_truncate
 from vomps.models import (
     BETA_C,
     IsingParams,
-    correlated_random_state,
     ising_mpo,
     trotter_layer_mpo,
     xxz_gate,
@@ -15,7 +14,11 @@ from vomps.models import (
 from vomps.truncation import VompsConfig, vomps_truncate
 from vomps.umps import MPO, environments
 
-from oracles import dense_product_spectrum, random_complex
+from oracles import (
+    correlated_random_state,
+    dense_product_spectrum,
+    random_complex,
+)
 
 ISING = ising_mpo(IsingParams(beta=1.01 * BETA_C))
 _rng = np.random.default_rng(3)

@@ -8,7 +8,9 @@ import pytest
 
 import vomps.cli
 from vomps.io import save_state
-from vomps.models import EvolutionRecord, correlated_random_state, neel_state
+from vomps.models import EvolutionRecord, neel_state
+
+from oracles import correlated_random_state
 
 SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
                    "src")
@@ -16,11 +18,9 @@ SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
 
 def _fake_evolution(converged):
     def trotter_evolve(**kwargs):
-        records = [EvolutionRecord(time=0.0, offset=0.0, epsilon=0.0, chi=1,
-                                   abs_lambda=1.0),
+        records = [EvolutionRecord(time=0.0, offset=0.0, epsilon=0.0, chi=1),
                    EvolutionRecord(time=0.05, offset=0.0, epsilon=1e-14,
-                                   chi=1, abs_lambda=1.0,
-                                   converged=converged)]
+                                   chi=1, converged=converged)]
         return neel_state(), records
     return trotter_evolve
 
@@ -166,6 +166,38 @@ def test_truncate_rejects_a_zero_bond(tmp_path, state_file, capsys):
                            "--out-dir", str(out)]) == 1
     assert capsys.readouterr().err.startswith("error: ")
     assert not out.exists()
+
+
+SHORT_EVOLVE = ["evolve", "--chi", "4", "--t-max", "0.1"]
+
+
+@pytest.mark.parametrize("argv", [
+    SHORT_EVOLVE + ["--oracle", "ed:abc"],
+    SHORT_EVOLVE + ["--oracle", "ed:7"],
+    SHORT_EVOLVE + ["--oracle", "foo"],
+    ["evolve", "--chi", "0"],
+    ["evolve", "--dt", "0"],
+    ["fixedpoint", "--chi", "0"],
+    ["fixedpoint", "--beta-rel", "0"],
+], ids=["evolve-oracle-ed:abc", "evolve-oracle-ed:7", "evolve-oracle-foo",
+        "evolve-chi-0", "evolve-dt-0", "fixedpoint-chi-0",
+        "fixedpoint-beta-rel-0"])
+def test_malformed_arguments_are_reported(monkeypatch, tmp_path, capsys,
+                                          argv):
+    evolve = vomps.cli.trotter_evolve
+    evolved = []
+
+    def recording(**kwargs):
+        evolved.append(kwargs)
+        return evolve(**kwargs)
+
+    monkeypatch.setattr(vomps.cli, "trotter_evolve", recording)
+    out = tmp_path / "out"
+    assert vomps.cli.main(argv + ["--out-dir", str(out)]) == 1
+    assert capsys.readouterr().err.startswith("error: ")
+    assert not out.exists()
+    # an oracle the CLI cannot use is rejected before anything evolves
+    assert not ("--oracle" in argv and evolved)
 
 
 def test_antiferromagnetic_fixedpoint_checks_itself(tmp_path):

@@ -33,7 +33,6 @@ from vomps.umps import (
 from vomps.models import (
     BETA_C,
     IsingParams,
-    correlated_random_state,
     ising_free_energy,
     ising_magnetization,
     ising_mpo,
@@ -44,6 +43,7 @@ from vomps.models import (
 
 from oracles import (
     brute_force_best_isometry,
+    correlated_random_state,
     dense_centers,
     dense_fidelity,
     matrix_modulus,
@@ -454,15 +454,23 @@ class TestGrowBond:
 
 
 class TestRegauge:
-    def test_oversized_bond_trotter_run_regauges(self):
+    def test_oversized_bond_trotter_run_regauges(self, monkeypatch):
         # chi 20 exceeds the Schmidt rank the early Neel quench needs; the
         # right gauge sweeps then settle near 1e-14, which the absolute
         # 1e-14 test missed, and spun to CanonicalizationError
+        import vomps.models as models
+
+        apply_layer = models.apply_layer
         checks = []
-        trotter_evolve(delta=0.5, dt=0.05, t_max=0.15, chi_max=20,
-                       observer=lambda state, rec: checks.append(
-                           state.check(1e-12)))
-        assert len(checks) == 4
+
+        def checking(*args, **kwargs):
+            state, report = apply_layer(*args, **kwargs)
+            checks.append(state.check(1e-12))
+            return state, report
+
+        monkeypatch.setattr(models, "apply_layer", checking)
+        trotter_evolve(delta=0.5, dt=0.05, t_max=0.15, chi_max=20)
+        assert len(checks) == 9
 
     @pytest.mark.parametrize("scale", [1e-4, 1e4])
     def test_right_gauge_stopping_rule_is_relative(self, scale):
@@ -491,20 +499,34 @@ class TestPowerMethod:
         from vomps.cli import _biased_initial_state
 
         truncate = truncation.vomps_truncate
+        environments = truncation.environments
+        fidelity = truncation.fidelity_per_site
         passed = []
 
         def recording(*args, guess=None, **kwargs):
             passed.append(guess)
             return truncate(*args, guess=guess, **kwargs)
 
+        def without_guess(function):
+            # the reference run: every solve from its default start
+            def cold(*args, guess=None, **kwargs):
+                return function(*args, **kwargs)
+            return cold
+
         monkeypatch.setattr(truncation, "vomps_truncate", recording)
         beta = 1.2 * BETA_C
         mpo = ising_mpo(IsingParams(beta=beta, coupling=coupling))
         init = _biased_initial_state(4, coupling, 0)
+        cfg = VompsConfig(target_chi=4, eta=1e-9, max_iter=100, seed=0)
         runs, guesses = [], []
         for warm in (True, False):
-            cfg = VompsConfig(target_chi=4, eta=1e-9, max_iter=100, seed=0,
-                              warm_start=warm)
+            if not warm:
+                monkeypatch.setattr(truncation, "vomps_truncate",
+                                    without_guess(recording))
+                monkeypatch.setattr(truncation, "environments",
+                                    without_guess(environments))
+                monkeypatch.setattr(truncation, "fidelity_per_site",
+                                    without_guess(fidelity))
             _, report = power_method(mpo, init, cfg, PowerStop(tol=1e-10))
             runs.append(report)
             guesses.append([g is not None for g in passed])
