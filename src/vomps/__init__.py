@@ -17,13 +17,12 @@ if _os.environ.get("UMPS_THREADS"):
         _os.environ.setdefault(_var, _os.environ["UMPS_THREADS"])
 
 from .baseline import MemoryGuardError, mpo_mps_local_truncate, schmidt_truncate
-from .io import load_mpo, load_state, save_mpo, save_state
+from .io import load_state, save_state
 from .tensor import (
     EigResult,
     LinearMap,
     leading_eig,
-    polar_left,
-    polar_right,
+    polar,
     qr_positive,
     svd,
 )
@@ -48,7 +47,6 @@ from .umps import (
     environments,
     expect_local,
     fidelity_per_site,
-    identity_mpo,
     left_orthonormalize,
     mixed_canonical,
     mixed_transfer_map,

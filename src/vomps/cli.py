@@ -20,6 +20,7 @@ import json
 import os
 import sys
 import warnings
+from dataclasses import replace
 
 import numpy as np
 
@@ -44,7 +45,7 @@ from .truncation import (
     power_method,
     vomps_truncate,
 )
-from .umps import fidelity_per_site, mixed_canonical
+from .umps import fidelity_per_site, mixed_canonical, random_uniform_mps
 
 
 def _write_summary(path, payload):
@@ -66,8 +67,10 @@ def cmd_truncate(args) -> int:
     try:
         state = vio.load_state(args.infile)
         cfg = VompsConfig(target_chi=args.chi, eta=args.eta,
-                          max_iter=args.max_iter, init=args.init,
-                          seed=args.seed)
+                          max_iter=args.max_iter, seed=args.seed)
+        if args.init == "random":
+            cfg = replace(cfg, init=random_uniform_mps(
+                args.chi, state.phys_dims, state.unit_cell, seed=args.seed))
     except (OSError, ValueError) as exc:
         return _input_error(exc)
     os.makedirs(args.out_dir, exist_ok=True)
@@ -172,11 +175,11 @@ def cmd_fixedpoint(args) -> int:
         params = IsingParams(beta=beta, coupling=coupling)
         cfg = VompsConfig(target_chi=args.chi, eta=args.eta,
                           max_iter=args.max_iter, seed=args.seed)
+        stop = PowerStop(tol=args.tol, max_iter=args.power_iter)
     except ValueError as exc:
         return _input_error(exc)
     os.makedirs(args.out_dir, exist_ok=True)
     mpo = ising_mpo(params)
-    stop = PowerStop(tol=args.tol, max_iter=args.power_iter)
     init = _biased_initial_state(args.chi, coupling, args.seed)
     state, report = power_method(mpo, init, cfg, stop)
     report.write_csv(os.path.join(args.out_dir, "power.csv"),

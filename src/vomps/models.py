@@ -131,11 +131,8 @@ def apply_layer(state: UniformMPS, layer: MPO, chi_max: int,
                 eta: float = 1e-10, seed: int = 0):
     """Variationally truncate `layer @ state` to at most `chi_max` in at
     most 200 iterations, initialized with the untouched state."""
-    targets = _layer_targets(state, layer, chi_max)
-    L = len(targets)
-    init = state.extended(L // state.unit_cell)
-    cfg = VompsConfig(target_chi=targets, eta=eta, max_iter=200,
-                      init=init, seed=seed)
+    cfg = VompsConfig(target_chi=_layer_targets(state, layer, chi_max),
+                      eta=eta, max_iter=200, seed=seed)
     return vomps_truncate(state, cfg, mpo=layer)
 
 
@@ -152,6 +149,8 @@ def trotter_evolve(delta: float, dt: float, t_max: float, chi_max: int,
     """
     if dt <= 0:
         raise ValueError("dt must be positive")
+    if t_max < 0:
+        raise ValueError("t_max must be non-negative")
     if order == 2:
         layers = [trotter_layer_mpo(xxz_gate(delta, dt / 2), "even"),
                   trotter_layer_mpo(xxz_gate(delta, dt), "odd"),

@@ -103,27 +103,14 @@ def svd(m: np.ndarray):
             raise DecompositionError(f"SVD failed for shape {m.shape}") from exc
 
 
-def polar_left(m: np.ndarray):
-    """Isometric factor W of the left polar decomposition m = W P.
+def polar(m: np.ndarray):
+    """Unitary factor W of the polar decomposition of `m`: W = U Vh from
+    its SVD.
 
-    W^dag W = 1 (needs rows >= cols), and P = W^dag m is Hermitian
-    positive semidefinite.  Computed from the SVD: W = U Vh.
+    W is isometric (W^dag W = 1, m = W P with P = W^dag m Hermitian
+    positive semidefinite) when `m` has at least as many rows as columns,
+    and co-isometric (W W^dag = 1, m = P W) otherwise.
     """
-    m = np.asarray(m, dtype=complex)
-    if m.shape[0] < m.shape[1]:
-        raise ValueError(f"polar_left needs rows >= cols, got {m.shape}")
-    u, _, vh = svd(m)
-    return u @ vh
-
-
-def polar_right(m: np.ndarray):
-    """Co-isometric factor W of the right polar decomposition m = P W.
-
-    W W^dag = 1 (needs cols >= rows), and P = m W^dag is Hermitian PSD.
-    """
-    m = np.asarray(m, dtype=complex)
-    if m.shape[1] < m.shape[0]:
-        raise ValueError(f"polar_right needs cols >= rows, got {m.shape}")
     u, _, vh = svd(m)
     return u @ vh
 
@@ -137,11 +124,6 @@ class LinearMap:
 
     def __call__(self, v: np.ndarray) -> np.ndarray:
         return self.matvec(v)
-
-    def materialize(self) -> np.ndarray:
-        """Dense matrix of the map; only sensible for small dims."""
-        eye = np.eye(self.dim, dtype=complex)
-        return np.column_stack([self.matvec(eye[:, k]) for k in range(self.dim)])
 
 
 @dataclass(frozen=True)

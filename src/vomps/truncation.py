@@ -25,7 +25,7 @@ import numpy as np
 
 from .baseline import schmidt_truncate
 from .io import POWER_FORMAT, TRACE_FORMAT, write_trace
-from .tensor import polar_left, polar_right, svd
+from .tensor import polar, svd
 from .umps import (
     MPO,
     MixedEnvironment,
@@ -49,17 +49,21 @@ class VompsConfig:
     `target_chi` is a single bond dimension or one per bond of the working
     unit cell; `eta` is the convergence threshold on the fixed-point
     residual (in :func:`power_method`, the first step's threshold and the
-    floor of the later steps'); `init` selects the starting state
-    ("schmidt" for a local-SVD seed, "random", or an explicit state).
+    floor of the later steps'); `init` is the starting state, None for the
+    input state itself.  A start whose bonds differ from the targets is
+    fitted to them by :func:`fit_state_to_bonds` with `seed`.
     """
 
     target_chi: int | Sequence[int]
     eta: float = 1e-10
     max_iter: int = 500
-    init: str | UniformMPS = "schmidt"
+    init: UniformMPS | None = None
     seed: int = 0
 
     def __post_init__(self):
+        if self.init is not None and not isinstance(self.init, UniformMPS):
+            raise ValueError(f"init must be a UniformMPS or None, "
+                             f"got {self.init!r}")
         if self.eta <= 0:
             raise ValueError("eta must be positive")
         chis = ([self.target_chi] if isinstance(self.target_chi, int)
@@ -232,9 +236,9 @@ def extract_gauges(cp: CenterPair):
     al, ar = [], []
     for n, ac in enumerate(cp.acp):
         chi_l, d, chi_r = ac.shape
-        w_ac_l = polar_left(ac.reshape(chi_l * d, chi_r))
+        w_ac_l = polar(ac.reshape(chi_l * d, chi_r))
         al.append((w_ac_l @ w_c[n].conj().T).reshape(chi_l, d, chi_r))
-        w_ac_r = polar_right(ac.reshape(chi_l, d * chi_r))
+        w_ac_r = polar(ac.reshape(chi_l, d * chi_r))
         ar.append((w_c[n - 1].conj().T @ w_ac_r).reshape(chi_l, d, chi_r))
     return al, ar, completed
 
@@ -283,31 +287,16 @@ def fit_state_to_bonds(state: UniformMPS, targets,
 
 def _initial_state(m: UniformMPS, cfg: VompsConfig, targets, phys_dims,
                    work_cell: int) -> UniformMPS:
-    if isinstance(cfg.init, UniformMPS):
-        a0 = cfg.init
-        if work_cell % a0.unit_cell != 0:
-            raise ValueError("init state unit cell incompatible with problem")
-        a0 = a0.extended(work_cell // a0.unit_cell)
-        if a0.phys_dims != phys_dims:
-            raise ValueError("init state physical dims do not match")
-        if a0.bond_dims[:work_cell] != targets:
-            a0 = fit_state_to_bonds(a0, targets, seed=cfg.seed)
-        return a0
-    if cfg.init == "schmidt":
-        if m.phys_dims == phys_dims:
-            return fit_state_to_bonds(m, targets, seed=cfg.seed)
-        # MPO changes the physical space: fall back to a random seed
-        warnings.warn("schmidt init unavailable for dimension-changing MPO; "
-                      "using random init")
-    elif cfg.init != "random":
-        raise ValueError(f"unknown init strategy {cfg.init!r}")
-    rng = np.random.default_rng(cfg.seed)
-    tensors = [rng.standard_normal((targets[n], phys_dims[n],
-                                    targets[(n + 1) % work_cell]))
-               + 1j * rng.standard_normal((targets[n], phys_dims[n],
-                                           targets[(n + 1) % work_cell]))
-               for n in range(work_cell)]
-    return mixed_canonical(tensors)
+    """`cfg.init` (else `m`) over the working cell, fitted to `targets`."""
+    a0 = m if cfg.init is None else cfg.init
+    if work_cell % a0.unit_cell != 0:
+        raise ValueError("init state unit cell incompatible with problem")
+    a0 = a0.extended(work_cell // a0.unit_cell)
+    if a0.phys_dims != phys_dims:
+        raise ValueError("init state physical dims do not match")
+    if a0.bond_dims[:work_cell] != targets:
+        a0 = fit_state_to_bonds(a0, targets, seed=cfg.seed)
+    return a0
 
 
 def _regauge(al, c_by_site) -> UniformMPS:
@@ -407,7 +396,7 @@ def vomps_truncate(m: UniformMPS, cfg: VompsConfig,
     report.final_lambda = env.lam
     # _regauge keeps AL but turns each bond matrix C' into C' u: carry the
     # bra leg of the bond-0 right environment through the same unitary
-    u0 = polar_left(a.c[-1].conj().T @ result.c[-1])
+    u0 = polar(a.c[-1].conj().T @ result.c[-1])
     gr = np.tensordot(u0.T, env.gr[-1], axes=((1,), (0,)))
     report.env_guess = (env.gl[0].reshape(-1), gr.reshape(-1))
     return result, report
@@ -443,6 +432,12 @@ class PowerStop:
     tol: float = 1e-10
     max_iter: int = 200
 
+    def __post_init__(self):
+        if self.tol <= 0:
+            raise ValueError("tol must be positive")
+        if self.max_iter < 1:
+            raise ValueError("max_iter must be >= 1")
+
 
 @dataclass
 class PowerRecord:
@@ -472,14 +467,6 @@ class PowerReport:
     def write_csv(self, path, header_extra=()):
         _write_records(path, POWER_FORMAT, self.seed, header_extra,
                        PowerRecord, self.iterations)
-
-
-def stacked_mpo(mpo: MPO, layers: int) -> MPO:
-    """`layers` vertical applications of an MPO fused into one MPO."""
-    out = mpo
-    for _ in range(layers - 1):
-        out = _stacked_layers(out, mpo)
-    return out
 
 
 def power_method(mpo: MPO, init: UniformMPS, cfg: VompsConfig,
@@ -547,7 +534,7 @@ def power_method(mpo: MPO, init: UniformMPS, cfg: VompsConfig,
             report.period = p
             break
     report.final_lambda = complex(
-        mpo_eigenvalue_per_site(state, stacked_mpo(mpo, 2))) ** 0.5
+        mpo_eigenvalue_per_site(state, _stacked_layers(mpo, mpo))) ** 0.5
     if not report.converged:
         warnings.warn(f"power method not converged after {stop.max_iter} "
                       f"iterations (detected period {report.period})")

@@ -22,6 +22,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
@@ -197,15 +198,9 @@ def _stacked_layers(upper: MPO, lower: MPO) -> MPO:
     return MPO(o=tensors)
 
 
-def identity_mpo(phys_dims) -> MPO:
-    """Identity operator as an MPO with trivial bonds."""
-    if isinstance(phys_dims, int):
-        phys_dims = [phys_dims]
-    return MPO(o=[np.eye(d).reshape(1, d, d, 1) for d in phys_dims])
-
-
 def _normalize_targets(target_chi, L: int):
-    """Per-bond dimensions of an L-site cell from one dimension or L."""
+    """Per-bond (or per-site) dimensions of an L-site cell from one
+    dimension or L."""
     if isinstance(target_chi, int):
         return [target_chi] * L
     targets = [int(c) for c in target_chi]
@@ -214,12 +209,14 @@ def _normalize_targets(target_chi, L: int):
     return targets
 
 
-def random_uniform_mps(chi: int, d: int, unit_cell: int = 1,
+def random_uniform_mps(chi: int, d: int | Sequence[int], unit_cell: int = 1,
                        seed: int | np.random.Generator = 0) -> UniformMPS:
-    """Random injective uniform MPS in mixed canonical form."""
+    """Random injective uniform MPS in mixed canonical form; `d` is one
+    physical dimension or one per site."""
     rng = np.random.default_rng(seed)
-    a = [rng.standard_normal((chi, d, chi))
-         + 1j * rng.standard_normal((chi, d, chi)) for _ in range(unit_cell)]
+    a = [rng.standard_normal((chi, dn, chi))
+         + 1j * rng.standard_normal((chi, dn, chi))
+         for dn in _normalize_targets(d, unit_cell)]
     return mixed_canonical(a)
 
 
@@ -293,7 +290,7 @@ def left_orthonormalize(a, tol: float = 1e-14):
     relating the input to ``al``.  Warns and raises after ``_MAX_SWEEPS``
     sweeps for (near-)non-injective inputs on which the iteration stalls.
     """
-    a = [np.asarray(t, dtype=complex) for t in _as_cell(a)]
+    a = [np.asarray(t, dtype=complex) for t in a]
     L = len(a)
     gauges = [np.eye(t.shape[0], dtype=complex) for t in a]
     al = [None] * L
@@ -401,12 +398,6 @@ def _rotate_bonds(x, a, y):
     chi_l, d, chi_r = a.shape
     t = (x @ a.reshape(chi_l, d * chi_r)).reshape(-1, chi_r) @ y
     return t.reshape(x.shape[0], d, y.shape[1])
-
-
-def _as_cell(a):
-    if isinstance(a, np.ndarray) and a.ndim == 3:
-        return [a]
-    return list(a)
 
 
 # ---------------------------------------------------------------------------

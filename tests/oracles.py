@@ -11,9 +11,11 @@ from dataclasses import replace
 
 import numpy as np
 
-from vomps.truncation import stacked_mpo, vomps_truncate
+from vomps.truncation import vomps_truncate
 from vomps.umps import (
+    MPO,
     UniformMPS,
+    _stacked_layers,
     fidelity_per_site,
     mixed_canonical,
     mpo_eigenvalue_per_site,
@@ -23,6 +25,20 @@ from vomps.umps import (
 
 def random_complex(rng, *shape):
     return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+
+def identity_mpo(phys_dims) -> MPO:
+    """Identity operator as an MPO with trivial bonds."""
+    if isinstance(phys_dims, int):
+        phys_dims = [phys_dims]
+    return MPO(o=[np.eye(d).reshape(1, d, d, 1) for d in phys_dims])
+
+
+def materialize(op) -> np.ndarray:
+    """Dense matrix of a :class:`vomps.tensor.LinearMap`; only sensible
+    for small dims."""
+    eye = np.eye(op.dim, dtype=complex)
+    return np.column_stack([op.matvec(eye[:, k]) for k in range(op.dim)])
 
 
 def dense_site_matrix(top, bot, op=None, side="left"):
@@ -393,5 +409,5 @@ def reference_power_loop(mpo, init, cfg, stop):
         state = new
         if converged:
             break
-    lam = complex(mpo_eigenvalue_per_site(state, stacked_mpo(mpo, 2)))
+    lam = complex(mpo_eigenvalue_per_site(state, _stacked_layers(mpo, mpo)))
     return state, lam ** 0.5, converged

@@ -9,6 +9,7 @@ import pytest
 import vomps.cli
 from vomps.io import save_state
 from vomps.models import EvolutionRecord, neel_state
+from vomps.umps import random_uniform_mps
 
 from oracles import correlated_random_state
 
@@ -160,6 +161,21 @@ def test_fidelity_rejects_states_of_different_physical_dimension(
     assert capsys.readouterr().err.startswith("error: ")
 
 
+def test_truncate_random_start_on_mixed_physical_dims(tmp_path):
+    # a two-site cell with physical dims 2 and 3: the random start draws
+    # one tensor per site with that site's dimension
+    state_file = tmp_path / "mixed.json"
+    save_state(random_uniform_mps(4, [2, 3], unit_cell=2, seed=1),
+               str(state_file))
+    out = tmp_path / "out"
+    assert vomps.cli.main(["truncate", "--in", str(state_file), "--chi", "2",
+                           "--init", "random", "--seed", "3",
+                           "--out-dir", str(out)]) == 0
+    summary = json.loads((out / "summary.json").read_text())
+    assert summary["converged"] is True
+    assert summary["fidelity_vomps"] >= summary["fidelity_baseline"]
+
+
 def test_truncate_rejects_a_zero_bond(tmp_path, state_file, capsys):
     out = tmp_path / "out"
     assert vomps.cli.main(["truncate", "--in", str(state_file), "--chi", "0",
@@ -177,11 +193,15 @@ SHORT_EVOLVE = ["evolve", "--chi", "4", "--t-max", "0.1"]
     SHORT_EVOLVE + ["--oracle", "foo"],
     ["evolve", "--chi", "0"],
     ["evolve", "--dt", "0"],
+    ["evolve", "--t-max", "-1"],
     ["fixedpoint", "--chi", "0"],
     ["fixedpoint", "--beta-rel", "0"],
+    ["fixedpoint", "--chi", "4", "--beta-rel", "1.2", "--power-iter", "0"],
+    ["fixedpoint", "--tol", "-1", "--power-iter", "3"],
 ], ids=["evolve-oracle-ed:abc", "evolve-oracle-ed:7", "evolve-oracle-foo",
-        "evolve-chi-0", "evolve-dt-0", "fixedpoint-chi-0",
-        "fixedpoint-beta-rel-0"])
+        "evolve-chi-0", "evolve-dt-0", "evolve-t-max-negative",
+        "fixedpoint-chi-0", "fixedpoint-beta-rel-0",
+        "fixedpoint-power-iter-0", "fixedpoint-tol-negative"])
 def test_malformed_arguments_are_reported(monkeypatch, tmp_path, capsys,
                                           argv):
     evolve = vomps.cli.trotter_evolve

@@ -3,10 +3,8 @@ import json
 import numpy as np
 import pytest
 
-from vomps.io import SchemaError, load_mpo, load_state, save_mpo, save_state
-from vomps.umps import MPO, UniformMPS, expect_local, random_uniform_mps
-
-from oracles import random_complex
+from vomps.io import SchemaError, load_state, save_state
+from vomps.umps import expect_local, random_uniform_mps
 
 
 def test_state_round_trip(tmp_path):
@@ -26,16 +24,6 @@ def test_serialization_is_bit_stable(tmp_path):
     save_state(state, p1)
     save_state(load_state(p1), p2)
     assert p1.read_text() == p2.read_text()
-
-
-def test_mpo_round_trip(tmp_path):
-    rng = np.random.default_rng(3)
-    mpo = MPO(o=[random_complex(rng, 3, 2, 2, 3) for _ in range(2)])
-    path = tmp_path / "mpo.json"
-    save_mpo(mpo, path)
-    back = load_mpo(path)
-    for n in range(2):
-        assert np.max(np.abs(back.o[n] - mpo.o[n])) <= 1e-15
 
 
 def test_rejects_cyclic_bond_mismatch(tmp_path):
@@ -96,20 +84,10 @@ def test_golden_neel_fixture(tmp_path):
     assert abs(expect_local(loaded, up, 1)) < 1e-14
 
 
-def _saved(kind, tmp_path):
-    path = tmp_path / f"{kind}.json"
-    if kind == "state":
-        save_state(random_uniform_mps(3, 2, unit_cell=2, seed=7), path)
-        return path, load_state, "AL"
-    rng = np.random.default_rng(8)
-    save_mpo(MPO(o=[random_complex(rng, 3, 2, 2, 3) for _ in range(2)]),
-             path)
-    return path, load_mpo, "O"
-
-
-@pytest.mark.parametrize("kind", ["state", "mpo"])
+@pytest.mark.parametrize("kind", ["state"])
 def test_both_formats_share_the_schema_checks(tmp_path, kind):
-    path, load, name = _saved(kind, tmp_path)
+    path, name = tmp_path / f"{kind}.json", "AL"
+    save_state(random_uniform_mps(3, 2, unit_cell=2, seed=7), path)
     good = json.loads(path.read_text())
     for edit, where in (
             (lambda d: d.update(unit_cell=0), r"\.unit_cell: must be"),
@@ -121,4 +99,4 @@ def test_both_formats_share_the_schema_checks(tmp_path, kind):
         edit(doc)
         path.write_text(json.dumps(doc))
         with pytest.raises(SchemaError, match=where):
-            load(path)
+            load_state(path)

@@ -7,8 +7,7 @@ from vomps.tensor import (
     LinearMap,
     RankDeficiencyWarning,
     leading_eig,
-    polar_left,
-    polar_right,
+    polar,
     qr_positive,
     rq_positive,
     svd,
@@ -124,21 +123,21 @@ class TestSVD:
 
 
 class TestPolar:
-    # the polar functions return the unitary factor only; P is formed here
-    # as W^dag m (left) or m W^dag (right)
+    # polar returns the unitary factor only; P is formed here as W^dag m
+    # (tall m) or m W^dag (wide m)
     def test_unitary_input(self):
         rng = np.random.default_rng(5)
         q, _ = qr_positive(random_complex(rng, 4, 4))
-        w = polar_left(q)
+        w = polar(q)
         np.testing.assert_allclose(w, q, atol=1e-12)
         np.testing.assert_allclose(w.conj().T @ q, np.eye(4), atol=1e-12)
 
     def test_scaled_identity(self):
         m = 2.0 * np.eye(3)
-        w = polar_left(m)
+        w = polar(m)
         np.testing.assert_allclose(w, np.eye(3), atol=1e-13)
         np.testing.assert_allclose(w.conj().T @ m, m, atol=1e-13)
-        w2 = polar_right(m)
+        w2 = polar(m)
         np.testing.assert_allclose(w2, np.eye(3), atol=1e-13)
         np.testing.assert_allclose(m @ w2.conj().T, m, atol=1e-13)
 
@@ -146,7 +145,7 @@ class TestPolar:
     def test_random_tall(self, seed):
         rng = np.random.default_rng(seed)
         m = random_complex(rng, 8, 4)
-        w = polar_left(m)
+        w = polar(m)
         p = w.conj().T @ m
         assert np.linalg.norm(w @ p - m) < 1e-12 * np.linalg.norm(m)
         assert np.linalg.norm(w.conj().T @ w - np.eye(4)) < 1e-12
@@ -157,7 +156,7 @@ class TestPolar:
     def test_random_wide(self, seed):
         rng = np.random.default_rng(seed + 10)
         m = random_complex(rng, 4, 8)
-        w = polar_right(m)
+        w = polar(m)
         p = m @ w.conj().T
         assert np.linalg.norm(p @ w - m) < 1e-12 * np.linalg.norm(m)
         assert np.linalg.norm(w @ w.conj().T - np.eye(4)) < 1e-12

@@ -15,16 +15,15 @@ from vomps.truncation import (
     extract_gauges,
     fit_state_to_bonds,
     power_method,
-    stacked_mpo,
     vomps_truncate,
 )
 from vomps.umps import (
     MPO,
     UniformMPS,
     _right_gauge_from_left,
+    _stacked_layers,
     environments,
     fidelity_per_site,
-    identity_mpo,
     mixed_canonical,
     mixed_transfer_map,
     mpo_eigenvalue_per_site,
@@ -36,6 +35,7 @@ from vomps.models import (
     ising_free_energy,
     ising_magnetization,
     ising_mpo,
+    neel_state,
     trotter_evolve,
     trotter_layer_mpo,
     xxz_gate,
@@ -46,6 +46,7 @@ from oracles import (
     correlated_random_state,
     dense_centers,
     dense_fidelity,
+    identity_mpo,
     matrix_modulus,
     random_complex,
     reference_power_loop,
@@ -135,8 +136,8 @@ class TestExtractGauges:
         acp /= np.linalg.norm(acp)
         eye = np.eye(3, dtype=complex) / np.sqrt(3)
         al, _, _ = extract_gauges(CenterPair(acp=[acp], cp=[eye]))
-        from vomps.tensor import polar_left
-        w = polar_left(acp.reshape(6, 3))
+        from vomps.tensor import polar
+        w = polar(acp.reshape(6, 3))
         assert np.max(np.abs(al[0].reshape(6, 3) - w)) < 1e-12
 
     def test_gauges_are_isometric(self):
@@ -155,7 +156,7 @@ class TestExtractGauges:
         # a square C has one unitary polar factor: the left gauge of site
         # n takes the left factor of C[n], the right gauge the right factor
         # of C[n-1], both as separate polar decompositions would give them
-        from vomps.tensor import polar_left, polar_right
+        from vomps.tensor import polar
 
         rng = np.random.default_rng(54)
         acp = [random_complex(rng, 3, 2, 2), random_complex(rng, 2, 2, 3)]
@@ -167,10 +168,10 @@ class TestExtractGauges:
         assert completed
         for n in range(2):
             chi_l, d, chi_r = pair.acp[n].shape
-            w_l = polar_left(pair.acp[n].reshape(chi_l * d, chi_r))
-            want_l = w_l @ polar_left(pair.cp[n]).conj().T
-            w_r = polar_right(pair.acp[n].reshape(chi_l, d * chi_r))
-            want_r = polar_right(pair.cp[n - 1]).conj().T @ w_r
+            w_l = polar(pair.acp[n].reshape(chi_l * d, chi_r))
+            want_l = w_l @ polar(pair.cp[n]).conj().T
+            w_r = polar(pair.acp[n].reshape(chi_l, d * chi_r))
+            want_r = polar(pair.cp[n - 1]).conj().T @ w_r
             assert np.max(np.abs(al[n].reshape(want_l.shape) - want_l)) < 1e-14
             assert np.max(np.abs(ar[n].reshape(want_r.shape) - want_r)) < 1e-14
 
@@ -275,7 +276,8 @@ class TestVompsTruncate:
 
     def test_deterministic_under_seed(self):
         m = correlated_random_state(8, seed=73)
-        cfg = VompsConfig(target_chi=4, eta=1e-10, seed=11, init="random")
+        cfg = VompsConfig(target_chi=4, eta=1e-10, seed=11,
+                          init=random_uniform_mps(4, 2, seed=11))
         s1, r1 = vomps_truncate(m, cfg)
         s2, r2 = vomps_truncate(m, cfg)
         assert len(r1.iterations) == len(r2.iterations)
@@ -314,7 +316,7 @@ class TestVompsTruncate:
         m = correlated_random_state(12, seed=78)
         state, report = vomps_truncate(
             m, VompsConfig(target_chi=6, eta=1e-14, max_iter=2, seed=0,
-                           init="random"))
+                           init=random_uniform_mps(6, 2, seed=0)))
         assert not report.converged
         state.check(1e-8)
 
@@ -323,6 +325,23 @@ class TestVompsTruncate:
         with pytest.raises(ValueError, match="isometric"):
             vomps_truncate(m, VompsConfig(target_chi=[1, 4], eta=1e-8),
                            mpo=None)
+
+    def test_init_must_be_a_state(self):
+        with pytest.raises(ValueError, match="init must be a UniformMPS"):
+            VompsConfig(target_chi=2, init="random")
+
+    def test_orthogonal_start_is_flagged(self):
+        # the two Neel states are orthogonal: the first environment solve
+        # collapses, and the start comes back unchanged
+        neel = neel_state()
+        with pytest.warns(UserWarning, match="fidelity collapsed"):
+            state, report = vomps_truncate(
+                neel, VompsConfig(target_chi=1, init=neel.translated(1)))
+        assert report.orthogonal
+        assert not report.converged
+        assert len(report.iterations) == 0
+        assert report.final_lambda == 0
+        state.check()
 
     def test_csv_round_trip(self, tmp_path):
         m = correlated_random_state(8, seed=80)
@@ -618,10 +637,10 @@ class TestPowerMethod:
         rng = np.random.default_rng(113)
         mpo = MPO(o=[0.8 * random_complex(rng, 2, 2, 2, 2)])
         state = random_uniform_mps(2, 2, seed=114)
-        lam2 = mpo_eigenvalue_per_site(state, stacked_mpo(mpo, 2))
+        lam2 = mpo_eigenvalue_per_site(state, _stacked_layers(mpo, mpo))
         from oracles import dense_environment_eigenvalue
         lam2_dense = dense_environment_eigenvalue(state, state,
-                                                  stacked_mpo(mpo, 2))
+                                                  _stacked_layers(mpo, mpo))
         assert abs(lam2 - lam2_dense) < 1e-9
 
 
@@ -636,7 +655,7 @@ class TestSoftMonotonicity:
             m = correlated_random_state(10, seed=200 + seed)
             _, report = vomps_truncate(
                 m, VompsConfig(target_chi=5, eta=1e-11, seed=seed,
-                               init="random"))
+                               init=random_uniform_mps(5, 2, seed=seed)))
             lams = [r.abs_lambda for r in report.iterations][3:]
             trials += 1
             if all(b >= a - 1e-12 for a, b in zip(lams, lams[1:])):

@@ -14,7 +14,6 @@ from vomps.umps import (
     environments,
     expect_local,
     fidelity_per_site,
-    identity_mpo,
     left_orthonormalize,
     mixed_canonical,
     mixed_transfer_map,
@@ -28,6 +27,8 @@ from oracles import (
     dense_fidelity,
     dense_leading_eig,
     dense_local_expectation,
+    identity_mpo,
+    materialize,
     random_complex,
     site_transfer,
 )
@@ -218,7 +219,7 @@ class TestTransferMap:
         top = random_uniform_mps(2, 2, seed=2)
         bot = random_uniform_mps(2, 2, seed=3)
         for side in ("left", "right"):
-            got = mixed_transfer_map(top, bot, side).materialize()
+            got = materialize(mixed_transfer_map(top, bot, side))
             want = dense_cell_matrix(top, bot, side=side)
             assert np.max(np.abs(got - want)) < 1e-13
 
@@ -228,22 +229,22 @@ class TestTransferMap:
         bot = random_uniform_mps(3, 2, seed=6)
         mpo = random_mpo(rng, 2, 2)
         for side in ("left", "right"):
-            got = mixed_transfer_map(top, bot, side, mpo).materialize()
+            got = materialize(mixed_transfer_map(top, bot, side, mpo))
             want = dense_cell_matrix(top, bot, mpo, side=side)
             assert np.max(np.abs(got - want)) < 1e-12
 
     def test_identity_mpo_equals_plain(self):
         top = random_uniform_mps(3, 2, seed=7)
         bot = random_uniform_mps(2, 2, seed=8)
-        plain = mixed_transfer_map(top, bot, "left").materialize()
-        dressed = mixed_transfer_map(top, bot, "left",
-                                     identity_mpo(2)).materialize()
+        plain = materialize(mixed_transfer_map(top, bot, "left"))
+        dressed = materialize(mixed_transfer_map(top, bot, "left",
+                                                 identity_mpo(2)))
         assert np.max(np.abs(plain - dressed)) < 1e-13
 
     def test_unit_cell_lcm_extension(self):
         a = random_uniform_mps(2, 2, unit_cell=1, seed=9)
         b = random_uniform_mps(2, 2, unit_cell=2, seed=10)
-        got = mixed_transfer_map(a, b, "left").materialize()
+        got = materialize(mixed_transfer_map(a, b, "left"))
         want = dense_cell_matrix(a, b)
         assert np.max(np.abs(got - want)) < 1e-12
 
