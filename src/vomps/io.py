@@ -20,7 +20,7 @@ import numpy as np
 from .umps import UniformMPS
 
 STATE_FORMAT = "umps-json/1"
-TRACE_FORMAT = "vomps-trace/2"
+TRACE_FORMAT = "vomps-trace/3"
 POWER_FORMAT = "vomps-power/3"
 EVOLUTION_FORMAT = "vomps-evolution/1"
 

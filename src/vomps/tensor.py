@@ -9,6 +9,7 @@ imported only by the SVD's fallback after a LAPACK failure.
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass, replace
 from typing import Callable
@@ -139,10 +140,14 @@ class EigResult:
     iterations: int = 0
 
 
-# Krylov sizes at which the dominant Ritz pair is tested before the
+# Krylov sizes at which the dominant Ritz pair may be tested before the
 # subspace is full; at size 1 the estimate is the start vector's own
-# residual, so a guess that is already an eigenvector costs two matvecs
+# residual, so a guess that is already an eigenvector costs two matvecs.
+# A later size costs an eig and is skipped while the cycle's estimates,
+# extrapolated geometrically, stay above _SKIP_SLACK times the target
+# there (Ritz residuals often fall faster than geometrically).
 _CHECKPOINTS = (1, 4, 8, 12, 16)
+_SKIP_SLACK = 300.0
 
 
 def leading_eig(op: LinearMap, guess: np.ndarray, tol: float = 1e-12,
@@ -151,18 +156,20 @@ def leading_eig(op: LinearMap, guess: np.ndarray, tol: float = 1e-12,
 
     Grows a Krylov subspace of up to `subspace` vectors from the current
     vector, orthogonalized by two-pass block classical Gram-Schmidt
-    (CGS2).  At a few fixed sizes (1, 4, 8, 12 and 16) it tests the Ritz
-    residual estimate ``|h[k, k-1] y[k-1]|`` of the dominant Ritz pair; when
-    that passes, or the subspace is full, one matvec gives the pair's true
-    residual ``|A x - value x|``.  The pair is accepted when the true
-    residual is at most ``tol * |value|``; otherwise the iteration restarts
-    from the Ritz vector, until the matvec budget `max_iter` is spent or the
-    Krylov space is (numerically) invariant.  The lowest-residual pair seen
-    is returned, with ``iterations`` the number of matvecs applied.
-    Deterministic for a fixed guess.  A relative gap below `tol` between
-    the top two Ritz magnitudes (``gap < tol * |value|``) is reported
-    through the `degenerate` flag; a pair accepted at Krylov size 1 has no
-    second Ritz value and is never flagged.
+    (CGS2).  It tests the Ritz residual estimate ``|h[k, k-1] y[k-1]|`` of
+    the dominant Ritz pair at Krylov sizes 1 and 4, and at 8, 12 and 16
+    when this cycle's estimates, extrapolated geometrically, could reach
+    ``tol * |value|`` there; when that passes, or the subspace is full,
+    one matvec gives the pair's true residual ``|A x - value x|``.  The
+    pair is accepted when the true residual is at most ``tol * |value|``;
+    otherwise the iteration restarts from the Ritz vector, until the matvec
+    budget `max_iter` is spent or the Krylov space is (numerically)
+    invariant.  The lowest-residual pair seen is returned, with
+    ``iterations`` the number of matvecs applied.  Deterministic for a
+    fixed guess.  A relative gap below `tol` between the top two Ritz
+    magnitudes (``gap < tol * |value|``) is reported through the
+    `degenerate` flag; a pair accepted at Krylov size 1 has no second Ritz
+    value and is never flagged.
     """
     n = op.dim
     if n < 1:
@@ -186,23 +193,30 @@ def leading_eig(op: LinearMap, guess: np.ndarray, tol: float = 1e-12,
         h = np.zeros((m + 1, m), dtype=complex)
         q[0] = v
         q_h[0] = v.conj()
+        tested = []  # (Krylov size, Ritz residual estimate) this cycle
         for j in range(m):
             w = np.asarray(op.matvec(q[j]), dtype=complex).reshape(n)
             nmv += 1
-            w_norm = np.linalg.norm(w)
+            w_norm = math.sqrt(np.vdot(w, w).real)
             # block classical Gram-Schmidt, two passes (CGS2)
             for _ in range(2):
                 c = q_h[:j + 1] @ w
                 h[:j + 1, j] += c
                 w -= c @ q[:j + 1]
-            beta = np.linalg.norm(w)
+            beta = math.sqrt(np.vdot(w, w).real)
             h[j + 1, j] = beta
             k = j + 1
             invariant = beta <= 1e-14 * w_norm
             if not invariant:
                 q[k] = w / beta
                 q_h[k] = q[k].conj()
-            if invariant or k == m or k in _CHECKPOINTS:
+            may_pass = k in _CHECKPOINTS
+            if may_pass and len(tested) >= 2:
+                (k0, r0), (k1, r1) = tested[-2:]
+                rate = min(r1 / r0, 1.0) ** (1.0 / (k1 - k0))
+                target = _SKIP_SLACK * tol * abs(lam)
+                may_pass = r1 * rate ** (k - k1) <= target
+            if invariant or k == m or may_pass:
                 # zgeev gives a 1x1 matrix's entry and the vector [1]
                 # exactly, unless LAPACK rescales a tiny or huge entry
                 if k == 1 and 1e-100 < abs(h[0, 0]) < 1e100:
@@ -214,6 +228,7 @@ def leading_eig(op: LinearMap, guess: np.ndarray, tol: float = 1e-12,
                 estimate = abs(beta * y[k - 1, order[0]])
                 if invariant or k == m or estimate <= tol * abs(lam):
                     break
+                tested.append((k, estimate))
 
         x = y[:, order[0]] @ q[:k]
         x /= np.linalg.norm(x)

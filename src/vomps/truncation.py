@@ -97,14 +97,15 @@ class CenterPair:
 
 @dataclass
 class IterationRecord:
-    """One outer iteration: fixed-point residual, |lambda|, wall time and
-    the matvecs of its environment solves."""
+    """One outer iteration: fixed-point residual, |lambda|, wall time, the
+    matvecs of its environment solves and their relative tolerance."""
 
     iteration: int
     epsilon: float
     abs_lambda: float
     wall_ms: float
     matvecs: int
+    tol_inner: float
 
 
 @dataclass
@@ -129,10 +130,11 @@ class TruncationReport:
     seed: int | None = None
     env_guess: tuple | None = None
 
-    def record(self, iteration, epsilon, abs_lambda, wall_ms, matvecs):
-        self.iterations.append(IterationRecord(iteration, float(epsilon),
-                                               float(abs_lambda),
-                                               float(wall_ms), int(matvecs)))
+    def record(self, iteration, epsilon, abs_lambda, wall_ms, matvecs,
+               tol_inner):
+        self.iterations.append(IterationRecord(
+            iteration, float(epsilon), float(abs_lambda), float(wall_ms),
+            int(matvecs), float(tol_inner)))
 
     @property
     def final_epsilon(self) -> float:
@@ -373,7 +375,7 @@ def vomps_truncate(m: UniformMPS, cfg: VompsConfig,
         a = UniformMPS(al=al, ar=ar, c=cp.cp)
         guess = (env.gl[0].reshape(-1), env.gr[-1].reshape(-1))
         wall_ms = 1e3 * (time.perf_counter() - t0)
-        report.record(it, eps, abs(env.lam), wall_ms, env.matvecs)
+        report.record(it, eps, abs(env.lam), wall_ms, env.matvecs, tol_inner)
 
         if lam_first is None:
             lam_first = max(abs(env.lam), 1e-300)

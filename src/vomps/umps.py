@@ -232,48 +232,59 @@ _REFRESH_TOL = 1e-13
 # UniformMPS.check).  Positive QR/RQ fixes the basis of directions whose
 # Schmidt values lie below ~1e-14 only up to rounding, so on bonds larger
 # than the state needs the sweeps settle into a cycle whose changes reach
-# ~4e-12 at bond dimensions 32-48 (Trotter states soon after a product
-# state).
+# 4e-12 to 3e-11 at bond dimensions 32-48 (Trotter states soon after a
+# product state).
 _STALL_TOL = 1e-10
-# Sweep budget of a gauge iteration, and the sweeps between its checkpoints.
-_MAX_SWEEPS = 10_000
+# The sweeps crawl when a change below _CRAWL_GAIN of the gauge shrinks
+# less than 1 / _CRAWL_GAIN-fold per _REFRESH_EVERY sweeps (a refresh is
+# solved on the current sweep's tensors and lands about as far off as the
+# square of their error, so it cannot help a larger change): judged on
+# every sweep against the change _CRAWL_SPAN sweeps earlier until the
+# first refresh, then every _REFRESH_EVERY sweeps.
+_CRAWL_GAIN = 0.05
+_CRAWL_SPAN = 2
 _REFRESH_EVERY = 4
+_MAX_SWEEPS = 10_000  # sweep budget of a gauge iteration
 
 
 def _settle_gauge(sweep_once, gauges, fixed_point, tol):
     """Repeat `sweep_once` until the bond-0 gauge ``gauges[0]`` settles.
 
     Converged when one sweep moves it by at most `tol` relative to its
-    norm.  A checkpoint every `_REFRESH_EVERY` sweeps that shows less than a
-    twentyfold gain means progress is gap-limited or at the rounding
-    floor: a change below the refresh's accuracy ``_REFRESH_TOL`` (below
-    ``_STALL_TOL`` if the previous checkpoint refreshed) is accepted, and
-    otherwise ``gauges[0]`` jumps to ``fixed_point(eig_tol)``, an Arnoldi
-    solve of its fixed-point equation to ``max(tol, _REFRESH_TOL)``,
-    phase-fixed and kept at the current norm.  Returns None when
-    converged, else the last change after `_MAX_SWEEPS`.
+    norm.  A crawl (see `_CRAWL_GAIN`) means progress is gap-limited or at
+    the rounding floor: a change below the refresh's accuracy
+    ``_REFRESH_TOL`` (below ``_STALL_TOL`` if the previous checkpoint
+    refreshed) is accepted, and otherwise ``gauges[0]`` jumps to
+    ``fixed_point(eig_tol)``, an Arnoldi solve of its fixed-point equation
+    to ``max(tol, _REFRESH_TOL)``, phase-fixed and kept at the current
+    norm.  The first refresh thus comes as soon as the sweeps crawl.
+    Returns None when converged, else the last change after `_MAX_SWEEPS`.
     """
-    last_checkpoint = np.inf
+    changes, span, step = [], _CRAWL_SPAN, 1
     refreshed = False
-    for sweep in range(_MAX_SWEEPS):
+    for _ in range(_MAX_SWEEPS):
         old = gauges[0]
         sweep_once()
         scale = np.linalg.norm(gauges[0])
         residual = np.linalg.norm(gauges[0] - old)
         if residual <= tol * scale:
             return None
-        if (sweep + 1) % _REFRESH_EVERY == 0:
-            stalled = residual > 0.05 * last_checkpoint
-            floor = _STALL_TOL if refreshed else _REFRESH_TOL
-            if stalled and residual <= floor * scale:
-                return None
-            if stalled:
-                g = fixed_point(max(tol, _REFRESH_TOL))
-                phase = _phase_reference(g)
-                gauges[0] = g * (np.conj(phase) / abs(phase)
-                                 * scale / np.linalg.norm(g))
-            refreshed = stalled
-            last_checkpoint = residual
+        changes.append(residual)
+        if len(changes) <= span or (len(changes) - 1) % step:
+            continue
+        gain = _CRAWL_GAIN ** (span / _REFRESH_EVERY)
+        stalled = (gain * changes[-1 - span] < residual
+                   < _CRAWL_GAIN * scale)
+        floor = _STALL_TOL if refreshed else _REFRESH_TOL
+        if stalled and residual <= floor * scale:
+            return None
+        if stalled:
+            g = fixed_point(max(tol, _REFRESH_TOL))
+            phase = _phase_reference(g)
+            gauges[0] = g * (np.conj(phase) / abs(phase)
+                             * scale / np.linalg.norm(g))
+            changes, span, step = [residual], _REFRESH_EVERY, _REFRESH_EVERY
+        refreshed = stalled
     return residual
 
 
@@ -282,13 +293,13 @@ def left_orthonormalize(a, tol: float = 1e-14):
 
     Repeats positive-QR decompositions of (gauge @ a[n]) around the cell
     until the bond-0 gauge matrix stops moving, `tol` relative to its norm
-    (see :func:`_settle_gauge`).  Every few sweeps without progress the
-    bond-0 gauge is refreshed by an Arnoldi solve of its fixed-point
-    equation, which keeps convergence fast for states with small transfer
-    gaps where the plain iteration crawls.  Returns ``(al, gauges)`` with
-    ``gauges[k]`` the (unit-RMS normalized) transform on bond ``k``
-    relating the input to ``al``.  Warns and raises after ``_MAX_SWEEPS``
-    sweeps for (near-)non-injective inputs on which the iteration stalls.
+    (see :func:`_settle_gauge`).  As soon as the sweeps crawl, the bond-0
+    gauge is refreshed by an Arnoldi solve of its fixed-point equation,
+    which keeps convergence fast for states with small transfer gaps.
+    Returns ``(al, gauges)`` with ``gauges[k]`` the (unit-RMS normalized)
+    transform on bond ``k`` relating the input to ``al``.  Warns and
+    raises after ``_MAX_SWEEPS`` sweeps for (near-)non-injective inputs on
+    which the iteration stalls.
     """
     a = [np.asarray(t, dtype=complex) for t in a]
     L = len(a)
@@ -298,11 +309,9 @@ def left_orthonormalize(a, tol: float = 1e-14):
 
     def sweep_once():
         for n in range(L):
-            chi_r = a[n].shape[2]
-            d = a[n].shape[1]
-            m = np.tensordot(gauges[n], a[n], axes=((1,), (0,))).reshape(
-                gauges[n].shape[0] * d, chi_r)
-            q, r = qr_positive(m)
+            chi_l, d, chi_r = a[n].shape
+            m = gauges[n] @ a[n].reshape(chi_l, d * chi_r)
+            q, r = qr_positive(m.reshape(-1, chi_r))
             al[n] = q.reshape(gauges[n].shape[0], d, chi_r)
             # unit-RMS normalization keeps the identity gauge at identity
             gauges[(n + 1) % L] = r / (np.linalg.norm(r)
@@ -344,11 +353,10 @@ def _right_gauge_from_left(al, seed=None, tol: float = 1e-14):
 
     def sweep_once():
         for n in reversed(range(L)):
-            chi_l, d, _ = al[n].shape
-            m = np.tensordot(al[n], rs[(n + 1) % L], axes=((2,), (0,)))
-            m = m.reshape(chi_l, d * rs[(n + 1) % L].shape[1])
-            r, q = rq_positive(m)
-            ar[n] = q.reshape(chi_l, d, rs[(n + 1) % L].shape[1])
+            chi_l, d, chi_r = al[n].shape
+            m = al[n].reshape(chi_l * d, chi_r) @ rs[(n + 1) % L]
+            r, q = rq_positive(m.reshape(chi_l, -1))
+            ar[n] = q.reshape(chi_l, d, -1)
             rs[n] = r
 
     def fixed_point(eig_tol):

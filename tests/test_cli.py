@@ -126,7 +126,7 @@ def test_truncate_exit_code_and_summary(tmp_path, state_file, max_iter, code,
     assert summary["converged"] is converged
     assert 1 <= summary["iterations"] <= int(max_iter)
     assert (out / "trace.csv").read_text().startswith(
-        "# format: vomps-trace/2\n")
+        "# format: vomps-trace/3\n")
 
 
 @pytest.mark.parametrize("content", [None, '{"format": "umps-json/0"}'])

@@ -341,6 +341,70 @@ class TestLeadingEig:
         assert abs(res.value - 1e-12) < 1e-24
         assert len(calls) > 2
 
+    @pytest.mark.parametrize("seed", range(3))
+    def test_checkpoints_that_cannot_pass_skip_the_eig(self, seed,
+                                                       eig_sizes):
+        # a gap of 0.1 over a disk of eigenvalues: tol 1e-13 takes several
+        # full 20-vector cycles, whose sizes-8..16 estimates cannot pass
+        rng = np.random.default_rng(seed)
+        n = 80
+        s = np.eye(n) + 0.3 * random_complex(rng, n, n) / np.sqrt(n)
+        lam = 0.9 * np.sqrt(rng.uniform(0, 1, n)) * np.exp(
+            2j * np.pi * rng.uniform(0, 1, n))
+        lam[0] = 1.0
+        m = s @ np.diag(lam) @ np.linalg.inv(s)
+        op, calls = counting_map(m)
+        res = leading_eig(op, guess=random_complex(rng, n), tol=1e-13)
+        # a cycle of k Arnoldi steps costs k + 1 matvecs and crosses the
+        # checkpoints 4, 8, 12 and 16 up to k, and k itself when full
+        full, last = divmod(res.iterations, 21)
+        crossed = 5 * full + sum(c < last for c in (4, 8, 12, 16))
+        assert full >= 3
+        assert len(eig_sizes) < 0.7 * crossed
+        assert res.converged and res.iterations == len(calls)
+        evals = np.linalg.eigvals(m)
+        assert abs(res.value - evals[np.argmax(np.abs(evals))]) < 1e-12
+        assert np.linalg.norm(m @ res.vector - res.value * res.vector) \
+            <= 1e-13 * abs(res.value)
+
+    @pytest.mark.parametrize("noise, sizes", [(1e-7, [4]), (1e-6, [4, 8])])
+    def test_well_separated_map_stops_at_first_passing_checkpoint(
+            self, noise, sizes, eig_sizes):
+        # eigenvalues 2 and a disk of radius 0.05: from a guess this close
+        # to the eigenvector the size-4 (or size-8) checkpoint passes, and
+        # no eig runs at a size that is not tested
+        rng = np.random.default_rng(23)
+        n = 40
+        s = np.eye(n) + 0.3 * random_complex(rng, n, n) / np.sqrt(n)
+        lam = 0.05 * random_complex(rng, n) / np.sqrt(2)
+        lam[0] = 2.0
+        m = s @ np.diag(lam) @ np.linalg.inv(s)
+        op, calls = counting_map(m)
+        guess = s[:, 0] + noise * np.linalg.norm(s[:, 0]) * random_complex(
+            rng, n)
+        res = leading_eig(op, guess=guess, tol=1e-10)
+        assert res.converged
+        assert eig_sizes == sizes
+        assert res.iterations == len(calls) == sizes[-1] + 1
+        assert abs(res.value - 2.0) < 1e-9
+
+
+@pytest.fixture
+def eig_sizes(monkeypatch):
+    """Sizes of the Hessenberg matrices `leading_eig` hands to
+    ``np.linalg.eig``, one entry per call."""
+    import vomps.tensor
+
+    sizes = []
+    eig = vomps.tensor.np.linalg.eig
+
+    def counting(a):
+        sizes.append(a.shape[0])
+        return eig(a)
+
+    monkeypatch.setattr(vomps.tensor.np.linalg, "eig", counting)
+    return sizes
+
 
 @settings(max_examples=25, deadline=None)
 @given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 40),

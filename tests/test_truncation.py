@@ -350,18 +350,25 @@ class TestVompsTruncate:
         path = tmp_path / "trace.csv"
         report.write_csv(path)
         lines = path.read_text().splitlines()
-        assert lines[0] == "# format: vomps-trace/2"
-        assert TRACE_FORMAT == "vomps-trace/2"
+        assert lines[0] == "# format: vomps-trace/3"
+        assert TRACE_FORMAT == "vomps-trace/3"
         assert "# seed: 3" in lines
         header_idx = next(i for i, l in enumerate(lines)
                           if not l.startswith("#"))
-        assert lines[header_idx] == "iter,epsilon,abs_lambda,wall_ms,matvecs"
+        assert lines[header_idx] == ("iter,epsilon,abs_lambda,wall_ms,"
+                                     "matvecs,tol_inner")
         rows = [l.split(",") for l in lines[header_idx + 1:]]
         assert len(rows) == len(report.iterations)
         assert float(rows[-1][1]) == report.iterations[-1].epsilon
         assert [int(r[4]) for r in rows] == [
             it.matvecs for it in report.iterations]
         assert all(it.matvecs > 0 for it in report.iterations)
+        # the inner tolerance follows the schedule: at most 1e-5, never
+        # tighter than eta / 10
+        assert [float(r[5]) for r in rows] == [
+            it.tol_inner for it in report.iterations]
+        assert all(1e-11 <= it.tol_inner <= 1e-5
+                   for it in report.iterations)
 
     def test_env_guess_warm_starts_a_repeat(self):
         m = random_uniform_mps(6, 2, seed=81)
@@ -499,6 +506,66 @@ class TestRegauge:
         ar, rs = _right_gauge_from_left(list(m.al), seed=seed, tol=1e-14)
         c = rs[0] / np.linalg.norm(rs[0])
         UniformMPS(al=m.al, ar=ar, c=[c]).check(1e-12)
+
+    def test_power_step_regauge_refreshes_as_soon_as_it_crawls(
+            self, monkeypatch):
+        # a power step's C' seeds the right gauge of its update; after one
+        # sweep the change shrinks only ~15% per sweep, so the Arnoldi
+        # refresh has to come early for the gauge to settle in few sweeps
+        import vomps.truncation as truncation
+        import vomps.umps as umps
+        from vomps.cli import _biased_initial_state
+
+        seeded = []
+
+        def capturing(al, seed=None, tol=1e-14):
+            seeded.append((list(al), list(seed)))
+            return _right_gauge_from_left(al, seed=seed, tol=tol)
+
+        monkeypatch.setattr(truncation, "_right_gauge_from_left", capturing)
+        mpo = ising_mpo(IsingParams(beta=1.01 * BETA_C))
+        with pytest.warns(UserWarning, match="not converged"):
+            power_method(mpo, _biased_initial_state(8, 1, 0),
+                         VompsConfig(target_chi=8, eta=1e-9),
+                         PowerStop(max_iter=30))
+        al, seed = seeded[-1]
+
+        sweeps, refreshed_after = [], []
+        rq_positive, leading_eig = umps.rq_positive, umps.leading_eig
+
+        def counting_rq(m):
+            sweeps.append(1)  # one RQ per sweep on a one-site cell
+            return rq_positive(m)
+
+        def counting_eig(*args, **kwargs):
+            refreshed_after.append(len(sweeps))
+            return leading_eig(*args, **kwargs)
+
+        monkeypatch.setattr(umps, "rq_positive", counting_rq)
+        monkeypatch.setattr(umps, "leading_eig", counting_eig)
+        ar, rs = _right_gauge_from_left(al, seed=seed, tol=1e-14)
+        assert refreshed_after and refreshed_after[0] <= 4
+        assert len(sweeps) <= 12
+        c = rs[0] / np.linalg.norm(rs[0])
+        UniformMPS(al=al, ar=ar, c=[c]).check(1e-12)
+
+    def test_chi32_trotter_layers_meet_the_gauge_check(self, monkeypatch):
+        # chi 32 holds far more Schmidt values than the early Neel quench
+        # needs, so the gauge sweeps settle into a rounding cycle (~4e-12);
+        # every layer must still pass the default check and not raise
+        import vomps.models as models
+
+        apply_layer = models.apply_layer
+        residuals = []
+
+        def checking(*args, **kwargs):
+            state, report = apply_layer(*args, **kwargs)
+            residuals.append(state.check(1e-10))
+            return state, report
+
+        monkeypatch.setattr(models, "apply_layer", checking)
+        trotter_evolve(delta=0.5, dt=0.05, t_max=0.3, chi_max=32)
+        assert len(residuals) == 18
 
 
 class TestPowerMethod:
