@@ -147,13 +147,16 @@ def mpo_mps_local_truncate(m: UniformMPS, mpo: MPO, new_chi,
          for n in range(L)]
     l_fp = [None] * L
     r_fp = [None] * L
+    # the kernels carry a plain channel's unit mpo bond as the middle axis
     l_fp[0] = _hermitian_fixed_point(left.vector, dm0, chi0)
     for n in range(1, L):
-        g = _apply_left_site(l_fp[n - 1], np.conj(b[n - 1]), b[n - 1])
+        g = _apply_left_site(l_fp[n - 1][:, None], np.conj(b[n - 1]),
+                             b[n - 1])[:, 0]
         l_fp[n] = 0.5 * (g + g.conj().T)
     r_fp[L - 1] = _hermitian_fixed_point(right.vector, dm0, chi0)
     for n in reversed(range(L - 1)):
-        g = _apply_right_site(r_fp[n + 1], np.conj(b[n + 1]), b[n + 1])
+        g = _apply_right_site(r_fp[n + 1][:, None], np.conj(b[n + 1]),
+                              b[n + 1])[:, 0]
         r_fp[n] = 0.5 * (g + g.conj().T)
 
     # gauge: al_b[n] = x[n] b[n] pinv(x[n+1]), rank-revealing in the

@@ -117,8 +117,7 @@ def cmd_evolve(args) -> int:
         # trotter_evolve rejects bad arguments before it truncates
         state, records = trotter_evolve(delta=args.delta, dt=args.dt,
                                         t_max=args.t_max, chi_max=args.chi,
-                                        order=args.order, eta=args.eta,
-                                        seed=args.seed)
+                                        eta=args.eta, seed=args.seed)
     except ValueError as exc:
         return _input_error(exc)
     os.makedirs(args.out_dir, exist_ok=True)
@@ -129,8 +128,8 @@ def cmd_evolve(args) -> int:
     extra = ["ed_reference"] if reference is not None else []
     vio.write_trace(
         os.path.join(args.out_dir, "evolution.csv"), vio.EVOLUTION_FORMAT,
-        args.seed, _header_lines(args, ("delta", "dt", "t_max", "order",
-                                        "chi", "eta")),
+        args.seed, _header_lines(args, ("delta", "dt", "t_max", "chi",
+                                        "eta")),
         ["t", "staggered_offset", "epsilon_last", "chi_used"] + extra,
         [[rec.time, rec.offset, rec.epsilon, rec.chi]
          + ([reference[k]] if extra else []) for k, rec in enumerate(records)])
@@ -242,7 +241,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--delta", type=float, default=0.5)
     p.add_argument("--dt", type=float, default=0.05)
     p.add_argument("--t-max", type=float, default=2.0)
-    p.add_argument("--order", type=int, choices=(1, 2), default=2)
     p.add_argument("--chi", type=int, default=64)
     p.add_argument("--eta", type=float, default=1e-10)
     p.add_argument("--seed", type=int, default=0)

@@ -137,29 +137,22 @@ def apply_layer(state: UniformMPS, layer: MPO, chi_max: int,
 
 
 def trotter_evolve(delta: float, dt: float, t_max: float, chi_max: int,
-                   order: int = 2, eta: float = 1e-10, seed: int = 0):
-    """Evolve the Neel state under the XXZ Hamiltonian with Trotter-layer
-    MPOs, truncating variationally after each layer.
+                   eta: float = 1e-10, seed: int = 0):
+    """Evolve the Neel state under the XXZ Hamiltonian with second-order
+    Trotter steps (half-step even, full odd, half-step even layer MPOs),
+    truncating variationally after each layer.
 
-    A second-order step applies half-step even, full odd, half-step even
-    layers; first order applies full even then full odd.  Returns the
-    final state and one :class:`EvolutionRecord` per step (including the
-    t=0 row); a record's `converged` is true when every layer truncation
-    of its step converged.
+    Returns the final state and one :class:`EvolutionRecord` per step
+    (including the t=0 row); a record's `converged` is true when every
+    layer truncation of its step converged.
     """
     if dt <= 0:
         raise ValueError("dt must be positive")
     if t_max < 0:
         raise ValueError("t_max must be non-negative")
-    if order == 2:
-        layers = [trotter_layer_mpo(xxz_gate(delta, dt / 2), "even"),
-                  trotter_layer_mpo(xxz_gate(delta, dt), "odd"),
-                  trotter_layer_mpo(xxz_gate(delta, dt / 2), "even")]
-    elif order == 1:
-        layers = [trotter_layer_mpo(xxz_gate(delta, dt), "even"),
-                  trotter_layer_mpo(xxz_gate(delta, dt), "odd")]
-    else:
-        raise ValueError("order must be 1 or 2")
+    layers = [trotter_layer_mpo(xxz_gate(delta, dt / 2), "even"),
+              trotter_layer_mpo(xxz_gate(delta, dt), "odd"),
+              trotter_layer_mpo(xxz_gate(delta, dt / 2), "even")]
 
     state = neel_state()
     records = [EvolutionRecord(time=0.0, offset=staggered_offset(state),

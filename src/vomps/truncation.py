@@ -167,34 +167,24 @@ def compute_centers(env: MixedEnvironment, source: UniformMPS,
                     mpo: MPO | None = None) -> CenterPair:
     """Updated center tensors from converged environments.
 
-    ``acp[n]`` contracts gl[n] -- center tensor of the source (through the
-    MPO tensor when present) -- gr[n], divided by the per-site eigenvalue;
-    ``cp[n]`` contracts gl[n+1] -- source bond matrix -- gr[n], with MPO
-    bonds passed straight through.  Both are returned unit-normalized.
+    ``acp[n]`` contracts gl[n] -- center tensor of the source through the
+    MPO tensor (the identity for a plain source) -- gr[n], divided by the
+    per-site eigenvalue; ``cp[n]`` contracts gl[n+1] -- source bond
+    matrix -- gr[n], with MPO bonds passed straight through.  Both are
+    returned unit-normalized.
     """
     L = len(env.gl)
     source = source.extended(L // source.unit_cell)
-    ops = mpo.extended(L // mpo.unit_cell).o if mpo is not None else None
+    ops = (mpo.extended(L // mpo.unit_cell).o if mpo is not None
+           else [np.eye(d).reshape(1, d, d, 1) for d in source.phys_dims])
     acp, cp = [], []
     for n in range(L):
-        mc = source.ac(n)
-        if ops is None:
-            t = np.tensordot(env.gl[n], mc, axes=((1,), (0,)))
-            raw_ac = np.tensordot(t, env.gr[n], axes=((2,), (1,)))
-        else:
-            t = np.tensordot(env.gl[n], mc, axes=((2,), (0,)))
-            t = np.tensordot(t, ops[n], axes=((1, 2), (0, 2)))
-            raw_ac = np.tensordot(t, env.gr[n], axes=((1, 3), (2, 1)))
-        raw_ac = raw_ac / env.lam
+        t = np.tensordot(env.gl[n], source.ac(n), axes=((2,), (0,)))
+        t = np.tensordot(t, ops[n], axes=((1, 2), (0, 2)))
+        raw_ac = np.tensordot(t, env.gr[n], axes=((1, 3), (2, 1))) / env.lam
 
-        cm = source.c[n]
-        gl_next = env.gl[(n + 1) % L]
-        if ops is None:
-            t = np.tensordot(gl_next, cm, axes=((1,), (0,)))
-            raw_c = np.tensordot(t, env.gr[n], axes=((1,), (1,)))
-        else:
-            t = np.tensordot(gl_next, cm, axes=((2,), (0,)))
-            raw_c = np.tensordot(t, env.gr[n], axes=((1, 2), (1, 2)))
+        t = np.tensordot(env.gl[(n + 1) % L], source.c[n], axes=((2,), (0,)))
+        raw_c = np.tensordot(t, env.gr[n], axes=((1, 2), (1, 2)))
 
         scale = max(np.linalg.norm(env.gl[n]) * np.linalg.norm(env.gr[n]), 1.0)
         if (np.linalg.norm(raw_ac) < 1e-14 * scale

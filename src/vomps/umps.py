@@ -9,9 +9,10 @@ Conventions used throughout the package
   bond to the *right* of site ``n``, i.e. bond ``(n+1) % L``, with indices
   ``(row, col)`` read left to right.
 * Left environments ``gl[n]`` live on bond ``n`` with indices
-  ``(bra bond, [mpo bond,] ket bond)``; right environments ``gr[n]`` live
+  ``(bra bond, mpo bond, ket bond)``; right environments ``gr[n]`` live
   on bond ``(n+1) % L`` with the same ordering.  The bra layer is the
-  conjugated one.
+  conjugated one.  A channel without an MPO has an MPO bond of dimension
+  1, so every bond vector has these three axes.
 
 All objects are immutable value types: arrays are frozen after
 construction and every operation returns new values.
@@ -320,7 +321,7 @@ def left_orthonormalize(a, tol: float = 1e-14):
     def fixed_point(eig_tol):
         # the leading left fixed point of the mixed transfer between the
         # current isometric estimate and the input
-        op = _cell_transfer(al, a, "left")
+        op = _cell_transfer(al, a, "left", (None,) * L)
         res = leading_eig(op, gauges[0].reshape(-1), tol=eig_tol,
                           max_iter=600)
         return res.vector.reshape(gauges[0].shape)
@@ -362,7 +363,7 @@ def _right_gauge_from_left(al, seed=None, tol: float = 1e-14):
     def fixed_point(eig_tol):
         # rs[0]^T is the leading fixed point of the right mixed transfer
         # between the current ar estimate and the input
-        op = _cell_transfer(ar, al, "right")
+        op = _cell_transfer(ar, al, "right", (None,) * L)
         res = leading_eig(op, rs[0].T.reshape(-1), tol=eig_tol, max_iter=600)
         return res.vector.reshape(rs[0].T.shape).T
 
@@ -413,16 +414,17 @@ def _rotate_bonds(x, a, y):
 
 
 def _apply_left_site(v, topc, bot, op=None):
-    """One site of the left mixed transfer: v has axes (bra, [mpo,] ket).
+    """One site of the left mixed transfer: v has axes (bra, mpo, ket).
 
     `topc` is the conjugated top tensor, so that callers conjugate once per
-    map rather than once per application.
+    map rather than once per application.  A plain channel (`op` None, mpo
+    bond 1) skips the operator contraction.
     """
     a, p, b = topc.shape
     c, q, d = bot.shape
     if op is None:
-        t = (v.T @ topc.reshape(a, p * b)).reshape(c * p, b)
-        return t.T @ bot.reshape(c * p, d)
+        t = (v.reshape(a, c).T @ topc.reshape(a, p * b)).reshape(c * p, b)
+        return (t.T @ bot.reshape(c * p, d)).reshape(b, 1, d)
     m, n = op.shape[0], op.shape[3]
     t = v.reshape(a, m * c).T @ topc.reshape(a, p * b)       # (m c, p b)
     t = t.reshape(m, c, p, b).transpose(1, 3, 0, 2).reshape(c * b, m * p)
@@ -432,13 +434,13 @@ def _apply_left_site(v, topc, bot, op=None):
 
 
 def _apply_right_site(v, topc, bot, op=None):
-    """One site of the right mixed transfer: v has axes (bra, [mpo,] ket),
-    `topc` is the conjugated top tensor as in :func:`_apply_left_site`."""
+    """One site of the right mixed transfer: v has axes (bra, mpo, ket),
+    `topc` and `op` as in :func:`_apply_left_site`."""
     a, p, b = topc.shape
     c, q, d = bot.shape
     if op is None:
-        t = (bot.reshape(c * p, d) @ v.T).reshape(c, p * b)
-        return topc.reshape(a, p * b) @ t.T
+        t = (bot.reshape(c * p, d) @ v.reshape(b, d).T).reshape(c, p * b)
+        return (topc.reshape(a, p * b) @ t.T).reshape(a, 1, c)
     m, n = op.shape[0], op.shape[3]
     t = bot.reshape(c * q, d) @ v.reshape(b * n, d).T          # (c q, b n)
     t = t.reshape(c, q, b, n).transpose(0, 2, 1, 3).reshape(c * b, q * n)
@@ -447,59 +449,60 @@ def _apply_right_site(v, topc, bot, op=None):
     return (topc.reshape(a, p * b) @ t).reshape(a, m, c)
 
 
-def _cell_tensors(top: UniformMPS, bottom: UniformMPS, side: str,
-                  mpo: MPO | None):
+def _cell_tensors(top: UniformMPS, bottom: UniformMPS, mpo: MPO | None):
+    """`top`, `bottom` and the per-site MPO tensors, all over the channel's
+    common unit cell; a plain channel (`mpo` None) has None at every site."""
     reps = math.lcm(top.unit_cell, bottom.unit_cell,
                     mpo.unit_cell if mpo is not None else 1)
     top = top.extended(reps // top.unit_cell)
     bottom = bottom.extended(reps // bottom.unit_cell)
-    if mpo is not None:
-        mpo = mpo.extended(reps // mpo.unit_cell)
-    tops = top.al if side == "left" else top.ar
-    bots = bottom.al if side == "left" else bottom.ar
-    ops = mpo.o if mpo is not None else None
-    L = len(tops)
-    for n in range(L):
-        d_top, d_bot = tops[n].shape[1], bots[n].shape[1]
-        if ops is None:
-            if d_top != d_bot:
-                raise ValueError(f"physical dims differ at site {n}: "
-                                 f"{d_top} vs {d_bot}")
-        else:
-            if ops[n].shape[1] != d_top or ops[n].shape[2] != d_bot:
-                raise ValueError(
-                    f"mpo physical dims {ops[n].shape[1:3]} do not match "
-                    f"states ({d_top}, {d_bot}) at site {n}")
-    return top, bottom, mpo, tops, bots, ops
+    ops = (mpo.extended(reps // mpo.unit_cell).o if mpo is not None
+           else (None,) * reps)
+    for n, (t, b, op) in enumerate(zip(top.al, bottom.al, ops)):
+        dims = op.shape[1:3] if op is not None else (b.shape[1],) * 2
+        if dims != (t.shape[1], b.shape[1]):
+            raise ValueError(
+                f"physical dims at site {n}: states ({t.shape[1]}, "
+                f"{b.shape[1]}), channel {dims}")
+    return top, bottom, ops
+
+
+def _bond_shape(tops, bots, ops):
+    """Axes (bra, mpo, ket) of a bond-0 vector of the channel through the
+    per-site tensors; a plain channel (None operators) has mpo bond 1."""
+    return (tops[0].shape[0], 1 if ops[0] is None else ops[0].shape[0],
+            bots[0].shape[0])
 
 
 def mixed_transfer_map(top: UniformMPS, bottom: UniformMPS, side: str,
                        mpo: MPO | None = None) -> LinearMap:
     """Unit-cell mixed transfer matrix as a matrix-free linear map.
 
-    The map acts on bond-0 vectors with axes (top bond, [mpo bond,] bottom
-    bond), top layer conjugated; ``side`` selects left-to-right action on
-    left-canonical tensors or the mirrored right action.  Unit cells are
-    extended to their least common multiple first.
+    The map acts on bond-0 vectors with axes (top bond, mpo bond, bottom
+    bond), top layer conjugated and mpo bond 1 without `mpo`; ``side``
+    selects left-to-right action on left-canonical tensors or the mirrored
+    right action.  Unit cells are extended to their least common multiple
+    first.
     """
     if side not in ("left", "right"):
         raise ValueError("side must be 'left' or 'right'")
-    _, _, _, tops, bots, ops = _cell_tensors(top, bottom, side, mpo)
-    return _cell_transfer(tops, bots, side, ops)
+    top, bottom, ops = _cell_tensors(top, bottom, mpo)
+    if side == "left":
+        return _cell_transfer(top.al, bottom.al, side, ops)
+    return _cell_transfer(top.ar, bottom.ar, side, ops)
 
 
-def _cell_transfer(tops, bots, side, ops=None) -> LinearMap:
-    """Mixed transfer through the given per-site tensors, as a linear map on
-    bond-0 vectors (top bond, [mpo bond,] bottom bond); bond 0 is both left
-    of site 0 and, cyclically, right of the last site.  The top tensors are
-    conjugated once here, not on every application."""
-    shape = ((tops[0].shape[0], ops[0].shape[0], bots[0].shape[0])
-             if ops is not None else (tops[0].shape[0], bots[0].shape[0]))
+def _cell_transfer(tops, bots, side, ops) -> LinearMap:
+    """Mixed transfer through the given per-site tensors (`ops` None at
+    every site of a plain channel), as a linear map on bond-0 vectors
+    (top bond, mpo bond, bottom bond); bond 0 is both left of site 0 and,
+    cyclically, right of the last site.  The top tensors are conjugated
+    once here, not on every application."""
+    shape = _bond_shape(tops, bots, ops)
     dim = math.prod(shape)
     order = range(len(tops)) if side == "left" else reversed(range(len(tops)))
     apply_site = _apply_left_site if side == "left" else _apply_right_site
-    layers = [(np.conj(tops[n]), bots[n], ops[n] if ops is not None else None)
-              for n in order]
+    layers = [(np.conj(tops[n]), bots[n], ops[n]) for n in order]
 
     def matvec(vec):
         v = vec.reshape(shape)
@@ -514,7 +517,8 @@ def _cell_transfer(tops, bots, side, ops=None) -> LinearMap:
 class MixedEnvironment:
     """Left/right fixed points of a mixed transfer matrix.
 
-    ``gl[n]`` sits on bond ``n``, ``gr[n]`` on bond ``(n+1) % L``; ``lam``
+    ``gl[n]`` sits on bond ``n``, ``gr[n]`` on bond ``(n+1) % L``, both
+    with axes (bra, mpo, ket) and mpo bond 1 for a plain channel; ``lam``
     is the per-site eigenvalue (principal L-th root of the unit-cell
     eigenvalue, with the phase of gl[0] fixed so its generalized trace is
     real positive).  Normalization: closing gl[n] against gr[n-1] through
@@ -538,13 +542,10 @@ class MixedEnvironment:
 
 
 def _phase_reference(g: np.ndarray) -> complex:
-    """Deterministic phase reference: generalized trace, else max entry."""
-    if g.ndim == 2:
-        z = np.trace(g) if g.shape[0] == g.shape[1] else \
-            sum(g[i, i] for i in range(min(g.shape)))
-    else:
-        k = min(g.shape[0], g.shape[2])
-        z = sum(g[i, :, i].sum() for i in range(k))
+    """Deterministic phase reference of a bond vector (bra, mpo, ket) or a
+    gauge matrix (read as mpo bond 1): generalized trace, else max entry."""
+    g3 = g.reshape(g.shape[0], -1, g.shape[-1])
+    z = sum(g3[i, :, i].sum() for i in range(min(g3.shape[0], g3.shape[2])))
     if abs(z) < 1e-12 * np.linalg.norm(g):
         z = g.flat[np.argmax(np.abs(g))]
     return complex(z)
@@ -552,26 +553,17 @@ def _phase_reference(g: np.ndarray) -> complex:
 
 def _bond_pairing(gl, gr, c_top, c_bot) -> complex:
     """Close gl (bond k) against gr (same bond) through the bond matrices."""
-    t = np.tensordot(np.conj(c_top), gl, axes=((0,), (0,)))
-    if gl.ndim == 3:
-        # t: (bra', m, ket)
-        t = np.tensordot(t, c_bot, axes=((2,), (0,)))   # (bra', m, ket')
-        return complex(np.tensordot(t, gr, axes=((0, 1, 2), (0, 1, 2))))
-    t = np.tensordot(t, c_bot, axes=((1,), (0,)))        # (bra', ket')
-    return complex(np.tensordot(t, gr, axes=((0, 1), (0, 1))))
+    t = np.tensordot(np.conj(c_top), gl, axes=((0,), (0,)))  # (bra', m, ket)
+    t = np.tensordot(t, c_bot, axes=((2,), (0,)))           # (bra', m, ket')
+    return complex(np.tensordot(t, gr, axes=((0, 1, 2), (0, 1, 2))))
 
 
 def _default_guess(shape) -> np.ndarray:
-    """Deterministic, generic eigensolver guess for a given bond shape."""
+    """Deterministic, generic eigensolver guess for a bond of `shape`
+    (bra, mpo, ket): the identity on every mpo index, slightly perturbed."""
     rng = np.random.default_rng(0x5EED)
-    if len(shape) == 2:
-        g = np.eye(shape[0], shape[1], dtype=complex)
-    else:
-        g = np.zeros(shape, dtype=complex)
-        for m in range(shape[1]):
-            g[:, m, :] = np.eye(shape[0], shape[2])
-    g = g + 1e-3 * (rng.standard_normal(shape)
-                    + 1j * rng.standard_normal(shape))
+    g = np.eye(shape[0], shape[2])[:, None, :] + 1e-3 * (
+        rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
     return g.reshape(-1)
 
 
@@ -594,21 +586,17 @@ def environments(top: UniformMPS, bottom: UniformMPS, mpo: MPO | None = None,
     falls back to the default guess.  Raises OrthogonalStatesError when the
     eigenvalue collapses to zero.
     """
-    top, bottom, _, tops_l, bots_l, ops = _cell_tensors(
-        top, bottom, "left", mpo)
-    tops_r, bots_r = top.ar, bottom.ar
-    left_map = _cell_transfer(tops_l, bots_l, "left", ops)
-    right_map = _cell_transfer(tops_r, bots_r, "right", ops)
-    L = top.unit_cell
-    d0 = ops[0].shape[0] if ops is not None else None
-    shape_l = ((top.bond_dims[0], d0, bottom.bond_dims[0])
-               if ops is not None else (top.bond_dims[0], bottom.bond_dims[0]))
+    top, bottom, ops = _cell_tensors(top, bottom, mpo)
+    shape = _bond_shape(top.al, bottom.al, ops)
+    L = len(ops)
 
     gl_guess, gr_guess = guess if guess is not None else (None, None)
-    left = leading_eig(left_map, _fitting_guess(gl_guess, shape_l), tol=tol,
+    left = leading_eig(_cell_transfer(top.al, bottom.al, "left", ops),
+                       _fitting_guess(gl_guess, shape), tol=tol,
                        max_iter=10_000)
-    right = leading_eig(right_map, _fitting_guess(gr_guess, shape_l),
-                        tol=tol, max_iter=10_000)
+    right = leading_eig(_cell_transfer(top.ar, bottom.ar, "right", ops),
+                        _fitting_guess(gr_guess, shape), tol=tol,
+                        max_iter=10_000)
 
     lam_cell = left.value
     lam = complex(lam_cell) ** (1.0 / L)
@@ -619,19 +607,17 @@ def environments(top: UniformMPS, bottom: UniformMPS, mpo: MPO | None = None,
 
     gl = [None] * L
     gr = [None] * L
-    gl[0] = left.vector.reshape(shape_l)
+    gl[0] = left.vector.reshape(shape)
     phase = _phase_reference(gl[0])
     gl[0] = gl[0] * (np.conj(phase) / abs(phase))
     for n in range(1, L):
-        gl[n] = _apply_left_site(gl[n - 1], np.conj(tops_l[n - 1]),
-                                 bots_l[n - 1],
-                                 ops[n - 1] if ops is not None else None) / lam
+        gl[n] = _apply_left_site(gl[n - 1], np.conj(top.al[n - 1]),
+                                 bottom.al[n - 1], ops[n - 1]) / lam
 
-    gr[L - 1] = right.vector.reshape(shape_l)
+    gr[L - 1] = right.vector.reshape(shape)
     for n in reversed(range(L - 1)):
-        gr[n] = _apply_right_site(gr[n + 1], np.conj(tops_r[n + 1]),
-                                  bots_r[n + 1],
-                                  ops[n + 1] if ops is not None else None) / lam
+        gr[n] = _apply_right_site(gr[n + 1], np.conj(top.ar[n + 1]),
+                                  bottom.ar[n + 1], ops[n + 1]) / lam
 
     # normalization: close gl[n] against gr[n-1] through the bond matrices
     for n in range(L):
@@ -665,6 +651,17 @@ class WarmStart:
     vector: np.ndarray | None = None
 
 
+def _leading_per_site(top: UniformMPS, bottom: UniformMPS,
+                      mpo: MPO | None, tol: float, guess):
+    """Leading eigenpair of the left unit-cell channel, started from
+    `guess` when it fits, and the channel's unit-cell length."""
+    top, bottom, ops = _cell_tensors(top, bottom, mpo)
+    start = _fitting_guess(guess, _bond_shape(top.al, bottom.al, ops))
+    res = leading_eig(_cell_transfer(top.al, bottom.al, "left", ops), start,
+                      tol=tol, max_iter=20_000)
+    return res, len(ops)
+
+
 def fidelity_per_site(a: UniformMPS, b: UniformMPS,
                       guess: WarmStart | None = None) -> float:
     """Per-site overlap magnitude |lambda| of two normalized states.
@@ -674,13 +671,10 @@ def fidelity_per_site(a: UniformMPS, b: UniformMPS,
     agree up to gauge.  `guess` warm-starts the eigensolve and receives
     its eigenvector (see :class:`WarmStart`).
     """
-    op = mixed_transfer_map(a, b, "left")
-    start = _fitting_guess(guess.vector if guess is not None else None,
-                           (a.bond_dims[0], b.bond_dims[0]))
-    res = leading_eig(op, start, tol=1e-13, max_iter=20_000)
+    res, L = _leading_per_site(a, b, None, 1e-13,
+                               guess.vector if guess is not None else None)
     if guess is not None:
         guess.vector = res.vector
-    L = math.lcm(a.unit_cell, b.unit_cell)
     return float(abs(res.value) ** (1.0 / L))
 
 
@@ -700,9 +694,5 @@ def expect_local(state: UniformMPS, op, site: int = 0) -> complex:
 def mpo_eigenvalue_per_site(state: UniformMPS, mpo: MPO) -> complex:
     """Per-site leading eigenvalue of the MPO channel with the state in
     both layers (principal branch of the unit-cell root)."""
-    op = mixed_transfer_map(state, state, "left", mpo)
-    chi = state.bond_dims[0]
-    res = leading_eig(op, _default_guess((chi, mpo.bond_dims[0], chi)),
-                      tol=1e-12, max_iter=20_000)
-    L = math.lcm(state.unit_cell, mpo.unit_cell)
+    res, L = _leading_per_site(state, state, mpo, 1e-12, None)
     return complex(res.value) ** (1.0 / L)

@@ -41,31 +41,29 @@ def materialize(op) -> np.ndarray:
     return np.column_stack([op.matvec(eye[:, k]) for k in range(op.dim)])
 
 
+def _site_operator(op, bot):
+    """`op`, or for a plain channel the identity with unit mpo bonds."""
+    d = bot.shape[1]
+    return np.eye(d).reshape(1, d, d, 1) if op is None else op
+
+
 def dense_site_matrix(top, bot, op=None, side="left"):
     """One site of the mixed transfer as a dense matrix on flattened
-    (top bond, [mpo bond,] bottom bond) vectors."""
-    if op is None:
-        m = np.einsum("apb,cpd->bdac", np.conj(top), bot)
-        dim_out = top.shape[2] * bot.shape[2]
-        dim_in = top.shape[0] * bot.shape[0]
-    else:
-        m = np.einsum("apb,mpqx,cqd->bxdamc", np.conj(top), op, bot)
-        dim_out = top.shape[2] * op.shape[3] * bot.shape[2]
-        dim_in = top.shape[0] * op.shape[0] * bot.shape[0]
-    m = m.reshape(dim_out, dim_in)
+    (top bond, mpo bond, bottom bond) vectors; mpo bond 1 without `op`."""
+    op = _site_operator(op, bot)
+    m = np.einsum("apb,mpqx,cqd->bxdamc", np.conj(top), op, bot)
+    m = m.reshape(top.shape[2] * op.shape[3] * bot.shape[2],
+                  top.shape[0] * op.shape[0] * bot.shape[0])
     return m if side == "left" else m.T
 
 
 def site_transfer(v, top, bot, op=None, side="left"):
     """One site of the mixed transfer applied to a bond tensor `v` with
-    axes (top bond, [mpo bond,] bottom bond) by a single einsum; the top
-    layer is conjugated here."""
-    if op is None:
-        spec = "ac,apb,cpd->bd" if side == "left" else "bd,apb,cpd->ac"
-        return np.einsum(spec, v, np.conj(top), bot)
+    axes (top bond, mpo bond, bottom bond) by a single einsum; the top
+    layer is conjugated here and the mpo bond is 1 without `op`."""
     spec = ("amc,apb,mpqn,cqd->bnd" if side == "left"
             else "bnd,apb,mpqn,cqd->amc")
-    return np.einsum(spec, v, np.conj(top), op, bot)
+    return np.einsum(spec, v, np.conj(top), _site_operator(op, bot), bot)
 
 
 def dense_cell_matrix(top_state, bot_state, mpo=None, side="left"):
@@ -141,11 +139,8 @@ def dense_environment_eigenvalue(top, bot, mpo=None):
 
 
 def _dense_phase_reference(g):
-    if g.ndim == 2:
-        z = sum(g[i, i] for i in range(min(g.shape)))
-    else:
-        k = min(g.shape[0], g.shape[2])
-        z = sum(g[i, :, i].sum() for i in range(k))
+    k = min(g.shape[0], g.shape[2])
+    z = sum(g[i, :, i].sum() for i in range(k))
     if abs(z) < 1e-12 * np.linalg.norm(g):
         z = g.flat[int(np.argmax(np.abs(g)))]
     return complex(z)
@@ -153,15 +148,14 @@ def _dense_phase_reference(g):
 
 def dense_environments(top, bottom, mpo=None):
     """Fixed-point environments with the package's documented conventions,
-    computed from fully materialized transfer matrices."""
-    import math
-
-    L = math.lcm(top.unit_cell, bottom.unit_cell,
-                 mpo.unit_cell if mpo is not None else 1)
+    computed from fully materialized transfer matrices; a plain channel is
+    the identity MPO's."""
+    if mpo is None:
+        mpo = identity_mpo(bottom.phys_dims)
+    L = math.lcm(top.unit_cell, bottom.unit_cell, mpo.unit_cell)
     topx = top.extended(L // top.unit_cell)
     botx = bottom.extended(L // bottom.unit_cell)
-    ops = (mpo.extended(L // mpo.unit_cell).o if mpo is not None
-           else [None] * L)
+    ops = mpo.extended(L // mpo.unit_cell).o
 
     lam_cell, gl_vec = dense_leading_eig(dense_cell_matrix(top, bottom, mpo,
                                                            "left"))
@@ -170,8 +164,6 @@ def dense_environments(top, bottom, mpo=None):
     lam = complex(lam_cell) ** (1.0 / L)
 
     def shape_at(n):
-        if ops[n % L] is None:
-            return (topx.bond_dims[n % L], botx.bond_dims[n % L])
         return (topx.bond_dims[n % L], ops[n % L].shape[0],
                 botx.bond_dims[n % L])
 
@@ -194,35 +186,26 @@ def dense_environments(top, bottom, mpo=None):
         ct = np.conj(topx.c[(n - 1) % L])
         cb = botx.c[(n - 1) % L]
         g, h = gl[n], gr[(n - 1) % L]
-        if g.ndim == 3:
-            s = np.einsum("amc,ab,cd,bmd->", g, ct, cb, h)
-        else:
-            s = np.einsum("ac,ab,cd,bd->", g, ct, cb, h)
+        s = np.einsum("amc,ab,cd,bmd->", g, ct, cb, h)
         gr[(n - 1) % L] = h / s
     return gl, gr, lam
 
 
 def dense_centers(top, bottom, mpo=None):
     """Unit-normalized updated center tensors from dense environments."""
-    import math
-
-    L = math.lcm(top.unit_cell, bottom.unit_cell,
-                 mpo.unit_cell if mpo is not None else 1)
+    if mpo is None:
+        mpo = identity_mpo(bottom.phys_dims)
+    L = math.lcm(top.unit_cell, bottom.unit_cell, mpo.unit_cell)
     botx = bottom.extended(L // bottom.unit_cell)
-    ops = (mpo.extended(L // mpo.unit_cell).o if mpo is not None
-           else [None] * L)
+    ops = mpo.extended(L // mpo.unit_cell).o
     gl, gr, lam = dense_environments(top, bottom, mpo)
     acp, cp = [], []
     for n in range(L):
         mc = botx.ac(n)
         cm = botx.c[n]
-        if ops[n] is None:
-            raw_ac = np.einsum("ax,xpy,by->apb", gl[n], mc, gr[n]) / lam
-            raw_c = np.einsum("ax,xy,by->ab", gl[(n + 1) % L], cm, gr[n])
-        else:
-            raw_ac = np.einsum("amx,mpqn,xqy,bny->apb", gl[n], ops[n], mc,
-                               gr[n]) / lam
-            raw_c = np.einsum("amx,xy,bmy->ab", gl[(n + 1) % L], cm, gr[n])
+        raw_ac = np.einsum("amx,mpqn,xqy,bny->apb", gl[n], ops[n], mc,
+                           gr[n]) / lam
+        raw_c = np.einsum("amx,xy,bmy->ab", gl[(n + 1) % L], cm, gr[n])
         acp.append(raw_ac / np.linalg.norm(raw_ac))
         cp.append(raw_c / np.linalg.norm(raw_c))
     return acp, cp

@@ -8,7 +8,7 @@ import pathlib
 
 SRC = pathlib.Path(__file__).resolve().parent.parent / "src" / "vomps"
 
-MAX_SETTABLE = 88
+MAX_SETTABLE = 85
 
 
 def _is_dataclass(node: ast.ClassDef) -> bool:

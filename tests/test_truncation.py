@@ -343,6 +343,22 @@ class TestVompsTruncate:
         assert report.final_lambda == 0
         state.check()
 
+    def test_collapsing_fidelity_is_flagged(self):
+        # the states overlap by 2e-10 per site: the environments solve, but
+        # the plain channel's |lambda| falls below 1e-8 and the loop stops
+        def product(amplitudes):
+            return mixed_canonical([np.array(amplitudes, dtype=complex)
+                                    .reshape(1, 2, 1)])
+
+        target, start = product([1.0, 1e-10]), product([1e-10, 1.0])
+        with pytest.warns(UserWarning, match="fidelity collapsed"):
+            _, report = vomps_truncate(
+                target, VompsConfig(target_chi=1, init=start))
+        assert report.orthogonal
+        assert not report.converged
+        assert len(report.iterations) == 1
+        assert abs(abs(report.final_lambda) - 2e-10) < 1e-15
+
     def test_csv_round_trip(self, tmp_path):
         m = correlated_random_state(8, seed=80)
         _, report = vomps_truncate(

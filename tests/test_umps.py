@@ -157,7 +157,7 @@ class TestSiteTransfer:
         else:
             op = None
             bot = random_complex(rng, 6, 2, 7)
-            v = random_complex(rng, 3, 6)
+            v = random_complex(rng, 3, 1, 6)
         got = _apply_left_site(v, np.conj(top), bot, op)
         want = site_transfer(v, top, bot, op, side="left")
         assert got.shape == want.shape
@@ -174,7 +174,7 @@ class TestSiteTransfer:
         else:
             op = None
             bot = random_complex(rng, 6, 2, 7)
-            v = random_complex(rng, 4, 7)
+            v = random_complex(rng, 4, 1, 7)
         got = _apply_right_site(v, np.conj(top), bot, op)
         want = site_transfer(v, top, bot, op, side="right")
         assert got.shape == want.shape
@@ -240,6 +240,15 @@ class TestTransferMap:
         dressed = materialize(mixed_transfer_map(top, bot, "left",
                                                  identity_mpo(2)))
         assert np.max(np.abs(plain - dressed)) < 1e-13
+        # a plain channel's bond vectors are the identity MPO's, unit mpo
+        # bond included
+        plain = environments(top, bot, tol=1e-13)
+        dressed = environments(top, bot, identity_mpo(2), tol=1e-13)
+        assert abs(plain.lam - dressed.lam) < 1e-12
+        for name in ("gl", "gr"):
+            for g, h in zip(getattr(plain, name), getattr(dressed, name)):
+                assert g.shape == h.shape == (3, 1, 2)
+                assert np.max(np.abs(g - h)) < 1e-12
 
     def test_unit_cell_lcm_extension(self):
         a = random_uniform_mps(2, 2, unit_cell=1, seed=9)
@@ -262,7 +271,7 @@ class TestEnvironments:
         assert abs(env.lam - 1.0) < 1e-11
         gl = env.gl[0]
         # identity is the canonical left fixed point
-        assert np.linalg.norm(gl / gl[0, 0] - np.eye(4)) < 1e-9
+        assert np.linalg.norm(gl / gl[0, 0, 0] - np.eye(4)[:, None]) < 1e-9
         assert env.converged
 
     def test_orthogonal_product_states_flagged(self):
@@ -296,6 +305,17 @@ class TestEnvironments:
             s = _bond_pairing(env.gl[n], env.gr[n - 1],
                               top.c[n - 1], bot.c[n - 1])
             assert abs(s - 1.0) < 1e-10
+
+    def test_phase_reference_falls_back_to_largest_entry(self):
+        from vomps.umps import _phase_reference
+        # a gauge matrix and a bond vector whose generalized traces vanish
+        gauge = np.array([[1.0, 0.5], [3j, -1.0]])
+        assert _phase_reference(gauge) == 3j
+        bond = np.zeros((2, 2, 3), dtype=complex)
+        bond[0, 0, 0], bond[1, 0, 1] = 1.0, -1.0
+        bond[0, 1, 0], bond[1, 1, 1] = 2.0, -2.0
+        bond[1, 0, 2] = -5j
+        assert _phase_reference(bond) == -5j
 
     def test_unit_cell_environments(self):
         top = random_uniform_mps(2, 2, unit_cell=2, seed=33)
