@@ -41,6 +41,7 @@ from .models import (
 from .truncation import (
     PowerStop,
     VompsConfig,
+    _regauge,
     epsilon_measure,
     power_method,
     vomps_truncate,
@@ -75,6 +76,7 @@ def cmd_truncate(args) -> int:
         return _input_error(exc)
     os.makedirs(args.out_dir, exist_ok=True)
     result, report = vomps_truncate(state, cfg)
+    result = _regauge(result)
     baseline, discarded = schmidt_truncate(state, args.chi)
 
     fid_v = fidelity_per_site(result, state)
@@ -130,8 +132,9 @@ def cmd_evolve(args) -> int:
         os.path.join(args.out_dir, "evolution.csv"), vio.EVOLUTION_FORMAT,
         args.seed, _header_lines(args, ("delta", "dt", "t_max", "chi",
                                         "eta")),
-        ["t", "staggered_offset", "epsilon_last", "chi_used"] + extra,
-        [[rec.time, rec.offset, rec.epsilon, rec.chi]
+        ["t", "staggered_offset", "epsilon_last", "truncation_infidelity",
+         "chi_used"] + extra,
+        [[rec.time, rec.offset, rec.epsilon, rec.infidelity, rec.chi]
          + ([reference[k]] if extra else []) for k, rec in enumerate(records)])
 
     vio.save_state(state, os.path.join(args.out_dir, "final_state.json"))

@@ -22,7 +22,7 @@ from .umps import UniformMPS
 STATE_FORMAT = "umps-json/1"
 TRACE_FORMAT = "vomps-trace/3"
 POWER_FORMAT = "vomps-power/3"
-EVOLUTION_FORMAT = "vomps-evolution/1"
+EVOLUTION_FORMAT = "vomps-evolution/2"
 
 
 class SchemaError(ValueError):

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .tensor import svd
-from .truncation import VompsConfig, vomps_truncate
+from .truncation import VompsConfig, _regauge, vomps_truncate
 from .umps import MPO, UniformMPS, environments, expect_local
 
 PAULI_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
@@ -100,9 +100,13 @@ def staggered_offset(state: UniformMPS) -> float:
 
 @dataclass
 class EvolutionRecord:
+    """One Trotter step; `infidelity` sums its unitary layers' truncation
+    losses 1 - |lambda|^2, lambda the overlap with the layer's image."""
+
     time: float
     offset: float
     epsilon: float
+    infidelity: float
     chi: int
     converged: bool = True
 
@@ -130,7 +134,8 @@ def _layer_targets(state: UniformMPS, layer: MPO, chi_max: int):
 def apply_layer(state: UniformMPS, layer: MPO, chi_max: int,
                 eta: float = 1e-10, seed: int = 0):
     """Variationally truncate `layer @ state` to at most `chi_max` in at
-    most 200 iterations, initialized with the untouched state."""
+    most 200 iterations, initialized with the untouched state; the result
+    is mixed-canonical to `eta` only (see :func:`vomps_truncate`)."""
     cfg = VompsConfig(target_chi=_layer_targets(state, layer, chi_max),
                       eta=eta, max_iter=200, seed=seed)
     return vomps_truncate(state, cfg, mpo=layer)
@@ -142,9 +147,9 @@ def trotter_evolve(delta: float, dt: float, t_max: float, chi_max: int,
     Trotter steps (half-step even, full odd, half-step even layer MPOs),
     truncating variationally after each layer.
 
-    Returns the final state and one :class:`EvolutionRecord` per step
-    (including the t=0 row); a record's `converged` is true when every
-    layer truncation of its step converged.
+    Returns the final state, regauged exactly once, and one
+    :class:`EvolutionRecord` per step (including the t=0 row); a record's
+    `converged` is true when every layer truncation of its step converged.
     """
     if dt <= 0:
         raise ValueError("dt must be positive")
@@ -156,20 +161,28 @@ def trotter_evolve(delta: float, dt: float, t_max: float, chi_max: int,
 
     state = neel_state()
     records = [EvolutionRecord(time=0.0, offset=staggered_offset(state),
-                               epsilon=0.0, chi=1)]
+                               epsilon=0.0, infidelity=0.0, chi=1)]
     steps = int(round(t_max / dt))
     for k in range(steps):
-        eps = 0.0
+        eps = infidelity = 0.0
         converged = True
         for layer in layers:
-            state, report = apply_layer(state, layer, chi_max, eta=eta,
-                                        seed=seed)
+            new, report = apply_layer(state, layer, chi_max, eta=eta,
+                                      seed=seed)
+            lam = report.final_lambda
+            if report.converged and len(report.iterations) == 1:
+                # a loop that stopped at its first update reports the lambda
+                # of its start (the state before the layer), not its result's
+                lam = environments(new, state, layer, tol=1e-13).lam
+            state = new
             eps = max(eps, report.final_epsilon)
+            infidelity += 1.0 - abs(lam) ** 2
             converged = converged and report.converged
         records.append(EvolutionRecord(
             time=(k + 1) * dt, offset=staggered_offset(state), epsilon=eps,
-            chi=max(state.bond_dims), converged=converged))
-    return state, records
+            infidelity=infidelity, chi=max(state.bond_dims),
+            converged=converged))
+    return _regauge(state), records
 
 
 # ---------------------------------------------------------------------------

@@ -117,8 +117,8 @@ class TruncationReport:
     update: the fidelity is stationary at the optimum, so near it this
     matches the returned state's to second order in that update.
     `env_guess` holds that solve's bond-0 vectors ``(left, right)``, the
-    right one carried into the returned state's gauge, which can
-    warm-start a related truncation.
+    right one carried into the bond matrices of a regauged result, which
+    can warm-start a related truncation.
     """
 
     iterations: list = field(default_factory=list)
@@ -291,18 +291,17 @@ def _initial_state(m: UniformMPS, cfg: VompsConfig, targets, phys_dims,
     return a0
 
 
-def _regauge(al, c_by_site) -> UniformMPS:
-    """Exact mixed-canonical state from an isometric left family.
-
-    `c_by_site` seeds the right-gauge iteration; c[n] sits on bond n+1,
-    while the gauge list is indexed by bond.
+def _regauge(state: UniformMPS) -> UniformMPS:
+    """Exact mixed-canonical form of a state with isometric AL, which it
+    keeps; the state's C seeds the right-gauge iteration (c[n] sits on
+    bond n+1, while the gauge list is indexed by bond).
     """
-    L = len(al)
-    seed = [c_by_site[(k - 1) % L] for k in range(L)]
-    ar, rs = _right_gauge_from_left(al, seed=seed, tol=1e-14)
+    L = state.unit_cell
+    seed = [state.c[(k - 1) % L] for k in range(L)]
+    ar, rs = _right_gauge_from_left(list(state.al), seed=seed, tol=1e-14)
     c = [rs[(n + 1) % L] for n in range(L)]
     c = [m / np.linalg.norm(m) for m in c]
-    return UniformMPS(al=al, ar=ar, c=c)
+    return UniformMPS(al=state.al, ar=ar, c=c)
 
 
 # ---------------------------------------------------------------------------
@@ -322,7 +321,10 @@ def vomps_truncate(m: UniformMPS, cfg: VompsConfig,
     the ``report.env_guess`` of a truncation of a nearby problem.  The
     loop solves no environments after it stops: ``report.final_lambda``
     and ``report.env_guess`` come from its last solve (see
-    :class:`TruncationReport`).  Non-convergence returns the best state
+    :class:`TruncationReport`).  A converged result is the loop's last
+    iterate if that passes :meth:`UniformMPS.check` at ``cfg.eta`` (the
+    residual bounds ``AL' C'`` only), else, like an unconverged one, it is
+    regauged exactly, keeping AL'.  Non-convergence returns the best state
     found, flagged in the report; a collapsing fidelity flags
     orthogonality instead of looping forever.
     """
@@ -384,8 +386,11 @@ def vomps_truncate(m: UniformMPS, cfg: VompsConfig,
         report.final_lambda = env.lam if env is not None else 0.0
         return a, report
 
-    result = _regauge(list(a.al), list(a.c))
     report.final_lambda = env.lam
+    if report.converged and a.check(math.inf) <= cfg.eta:
+        report.env_guess = guess
+        return a, report
+    result = _regauge(a)
     # _regauge keeps AL but turns each bond matrix C' into C' u: carry the
     # bra leg of the bond-0 right environment through the same unitary
     u0 = polar(a.c[-1].conj().T @ result.c[-1])
@@ -489,7 +494,8 @@ def power_method(mpo: MPO, init: UniformMPS, cfg: VompsConfig,
     the square root of that of two stacked layers with the state in both,
     which map an antiferromagnetic fixed point back onto itself.  Each
     step's environment solves and translation-fidelity solve start from
-    the previous step's solutions.
+    the previous step's solutions.  Steps hand on states canonical to
+    their truncation's eta; the returned state is regauged exactly.
     """
     if mpo.phys_dims_out != mpo.phys_dims_in:
         raise ValueError("power method needs a square MPO")
@@ -519,6 +525,7 @@ def power_method(mpo: MPO, init: UniformMPS, cfg: VompsConfig,
         step_cfg = replace(cfg, init=state.translated(1), eta=max(
             cfg.eta, _STEP_FRACTION * math.sqrt(infidelity)))
 
+    state = _regauge(state)
     report.period = 0
     for p in range(1, len(recent)):
         if 1.0 - fidelity_per_site(recent[-1], recent[-1 - p]) < \

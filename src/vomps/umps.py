@@ -245,6 +245,10 @@ _STALL_TOL = 1e-10
 _CRAWL_GAIN = 0.05
 _CRAWL_SPAN = 2
 _REFRESH_EVERY = 4
+# A refresh brings no progress when the change that called for it is not
+# below half the smallest one at the earlier refreshes (no settling gauge
+# of the tests and workloads had one); past this many, the sweeps cycle.
+_IDLE_REFRESHES = 8
 _MAX_SWEEPS = 10_000  # sweep budget of a gauge iteration
 
 
@@ -259,10 +263,11 @@ def _settle_gauge(sweep_once, gauges, fixed_point, tol):
     ``fixed_point(eig_tol)``, an Arnoldi solve of its fixed-point equation
     to ``max(tol, _REFRESH_TOL)``, phase-fixed and kept at the current
     norm.  The first refresh thus comes as soon as the sweeps crawl.
-    Returns None when converged, else the last change after `_MAX_SWEEPS`.
+    Returns None when converged, else the last change after `_MAX_SWEEPS`
+    sweeps or more than `_IDLE_REFRESHES` refreshes without progress.
     """
     changes, span, step = [], _CRAWL_SPAN, 1
-    refreshed = False
+    refreshed, best, idle = False, math.inf, 0
     for _ in range(_MAX_SWEEPS):
         old = gauges[0]
         sweep_once()
@@ -280,6 +285,10 @@ def _settle_gauge(sweep_once, gauges, fixed_point, tol):
         if stalled and residual <= floor * scale:
             return None
         if stalled:
+            idle += residual > best / 2
+            if idle > _IDLE_REFRESHES:
+                return residual
+            best = min(best, residual)
             g = fixed_point(max(tol, _REFRESH_TOL))
             phase = _phase_reference(g)
             gauges[0] = g * (np.conj(phase) / abs(phase)
@@ -299,8 +308,8 @@ def left_orthonormalize(a, tol: float = 1e-14):
     which keeps convergence fast for states with small transfer gaps.
     Returns ``(al, gauges)`` with ``gauges[k]`` the (unit-RMS normalized)
     transform on bond ``k`` relating the input to ``al``.  Warns and
-    raises after ``_MAX_SWEEPS`` sweeps for (near-)non-injective inputs on
-    which the iteration stalls.
+    raises CanonicalizationError for (near-)non-injective inputs on which
+    the iteration stalls (see :func:`_settle_gauge`).
     """
     a = [np.asarray(t, dtype=complex) for t in a]
     L = len(a)
@@ -331,8 +340,7 @@ def left_orthonormalize(a, tol: float = 1e-14):
         return al, gauges
     warnings.warn("left orthonormalization did not converge "
                   f"(residual {residual:.2e}); input may be non-injective")
-    raise CanonicalizationError(
-        f"no convergence after {_MAX_SWEEPS} sweeps (tol {tol:.1e})")
+    raise CanonicalizationError(f"no convergence (tol {tol:.1e})")
 
 
 def _right_gauge_from_left(al, seed=None, tol: float = 1e-14):
@@ -371,8 +379,7 @@ def _right_gauge_from_left(al, seed=None, tol: float = 1e-14):
     if residual is None:
         return ar, rs
     raise CanonicalizationError(
-        f"right gauge iteration stalled after {_MAX_SWEEPS} sweeps "
-        f"(residual {residual:.2e})")
+        f"right gauge iteration stalled (residual {residual:.2e})")
 
 
 def mixed_canonical(a, tol: float = 1e-14, right_seed=None) -> UniformMPS:
@@ -584,7 +591,9 @@ def environments(top: UniformMPS, bottom: UniformMPS, mpo: MPO | None = None,
     `guess` may carry ``(left_vector, right_vector)`` to warm-start the
     eigensolves; an entry that is None or does not fit the bond-0 shape
     falls back to the default guess.  Raises OrthogonalStatesError when the
-    eigenvalue collapses to zero.
+    eigenvalue collapses to zero.  `degenerate` also flags a right solve
+    that found the conjugate of the left eigenvalue (nearer it by more than
+    ``tol`` relative), whose eigenvector does not pair with the left one.
     """
     top, bottom, ops = _cell_tensors(top, bottom, mpo)
     shape = _bond_shape(top.al, bottom.al, ops)
@@ -599,6 +608,8 @@ def environments(top: UniformMPS, bottom: UniformMPS, mpo: MPO | None = None,
                         max_iter=10_000)
 
     lam_cell = left.value
+    mispaired = (abs(right.value - lam_cell)
+                 - abs(right.value - np.conj(lam_cell)) > tol * abs(lam_cell))
     lam = complex(lam_cell) ** (1.0 / L)
     if abs(lam) < 1e-12:
         raise OrthogonalStatesError(
@@ -630,7 +641,7 @@ def environments(top: UniformMPS, bottom: UniformMPS, mpo: MPO | None = None,
 
     return MixedEnvironment(
         gl=gl, gr=gr, lam=lam,
-        degenerate=left.degenerate or right.degenerate,
+        degenerate=left.degenerate or right.degenerate or mispaired,
         converged=left.converged and right.converged,
         matvecs=left.iterations + right.iterations)
 

@@ -19,9 +19,11 @@ SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
 
 def _fake_evolution(converged):
     def trotter_evolve(**kwargs):
-        records = [EvolutionRecord(time=0.0, offset=0.0, epsilon=0.0, chi=1),
+        records = [EvolutionRecord(time=0.0, offset=0.0, epsilon=0.0,
+                                   infidelity=0.0, chi=1),
                    EvolutionRecord(time=0.05, offset=0.0, epsilon=1e-14,
-                                   chi=1, converged=converged)]
+                                   infidelity=0.0, chi=1,
+                                   converged=converged)]
         return neel_state(), records
     return trotter_evolve
 
@@ -94,10 +96,11 @@ def test_evolution_trace_has_its_own_format(tmp_path):
     assert vomps.cli.main(["evolve", "--chi", "4", "--t-max", "0.1",
                            "--oracle", "ed:6", "--out-dir", str(out)]) == 0
     lines = (out / "evolution.csv").read_text().splitlines()
-    assert lines[0] == "# format: vomps-evolution/1"
+    assert lines[0] == "# format: vomps-evolution/2"
     assert "# seed: 0" in lines
     header = next(line for line in lines if not line.startswith("#"))
-    assert header == "t,staggered_offset,epsilon_last,chi_used,ed_reference"
+    assert header == ("t,staggered_offset,epsilon_last,truncation_infidelity,"
+                      "chi_used,ed_reference")
     assert len(lines) - lines.index(header) - 1 == 3
 
 

@@ -9,6 +9,7 @@ from vomps.truncation import (
     CenterPair,
     PowerStop,
     VompsConfig,
+    _regauge,
     compute_centers,
     epsilon_measure,
     error_epsilon,
@@ -425,9 +426,9 @@ class TestVompsTruncate:
 
     @pytest.mark.parametrize("seed", [0, 3])
     def test_env_guess_is_fixed_point_of_returned_state(self, seed):
-        # the regauge turns the bond matrices C' into C' u; a right vector
-        # not carried through u0 misses the returned state's fixed point by
-        # 3e-2 to 1 on these inputs, against below 5e-6 when carried
+        # the loop's own iterate is returned here; where it is regauged
+        # instead, the right vector is carried through the unitary u0 that
+        # turns C' into C' u (TestGaugeContract covers that path)
         m = correlated_random_state(4, seed=seed)
         layer = trotter_layer_mpo(xxz_gate(0.5, 0.1), "even")
         state, report = vomps_truncate(
@@ -455,6 +456,11 @@ def test_report_comes_from_the_last_solve(seed, chi, cut, cell):
     assert report.converged
     assert abs(abs(report.final_lambda) - fidelity_per_site(state, m)) < 1e-9
     assert max(guess_residuals(state, m, None, report.env_guess)) < 1e-3
+    # epsilon measures AL' C' only: over 1 200 draws of this domain the
+    # loop's iterate missed AL' C' = C' AR' by up to 8.8e-7 (at epsilon
+    # 2.4e-14), so a converged result must still pass the check at eta,
+    # as the iterate or regauged
+    state.check(1e-10)
 
 
 class TestFitStateToBonds:
@@ -499,20 +505,24 @@ class TestRegauge:
     def test_oversized_bond_trotter_run_regauges(self, monkeypatch):
         # chi 20 exceeds the Schmidt rank the early Neel quench needs; the
         # right gauge sweeps then settle near 1e-14, which the absolute
-        # 1e-14 test missed, and spun to CanonicalizationError
+        # 1e-14 test missed, and spun to CanonicalizationError.  The layers
+        # hand their states on unregauged, so each one is regauged here
         import vomps.models as models
 
         apply_layer = models.apply_layer
-        checks = []
+        outputs = []
 
-        def checking(*args, **kwargs):
+        def capturing(*args, **kwargs):
             state, report = apply_layer(*args, **kwargs)
-            checks.append(state.check(1e-12))
+            outputs.append(state)
             return state, report
 
-        monkeypatch.setattr(models, "apply_layer", checking)
-        trotter_evolve(delta=0.5, dt=0.05, t_max=0.15, chi_max=20)
-        assert len(checks) == 9
+        monkeypatch.setattr(models, "apply_layer", capturing)
+        final, _ = trotter_evolve(delta=0.5, dt=0.05, t_max=0.15, chi_max=20)
+        assert len(outputs) == 9
+        for state in outputs:
+            _regauge(state).check(1e-12)
+        final.check(1e-12)
 
     @pytest.mark.parametrize("scale", [1e-4, 1e4])
     def test_right_gauge_stopping_rule_is_relative(self, scale):
@@ -525,9 +535,10 @@ class TestRegauge:
 
     def test_power_step_regauge_refreshes_as_soon_as_it_crawls(
             self, monkeypatch):
-        # a power step's C' seeds the right gauge of its update; after one
-        # sweep the change shrinks only ~15% per sweep, so the Arnoldi
-        # refresh has to come early for the gauge to settle in few sweeps
+        # the last power step's C' seeds the right gauge of power_method's
+        # closing regauge; after one sweep the change shrinks only ~15% per
+        # sweep, so the Arnoldi refresh has to come early for the gauge to
+        # settle in few sweeps
         import vomps.truncation as truncation
         import vomps.umps as umps
         from vomps.cli import _biased_initial_state
@@ -561,14 +572,21 @@ class TestRegauge:
         monkeypatch.setattr(umps, "leading_eig", counting_eig)
         ar, rs = _right_gauge_from_left(al, seed=seed, tol=1e-14)
         assert refreshed_after and refreshed_after[0] <= 4
-        assert len(sweeps) <= 12
+        # 17 sweeps, refreshes after 4 and 12 (at most 12 sweeps when every
+        # step was regauged): 29 steps without a regauge leave the seed C' a
+        # unitary away from the RQ fixed point and 4x farther in the rest
+        # (a change of 1.1e-6 after the first sweep, not 2.8e-7), so the
+        # first refresh lands at 1e-11, not 2e-13, and the crawl from there
+        # takes a second one
+        assert len(sweeps) <= 17
         c = rs[0] / np.linalg.norm(rs[0])
         UniformMPS(al=al, ar=ar, c=[c]).check(1e-12)
 
     def test_chi32_trotter_layers_meet_the_gauge_check(self, monkeypatch):
         # chi 32 holds far more Schmidt values than the early Neel quench
         # needs, so the gauge sweeps settle into a rounding cycle (~4e-12);
-        # every layer must still pass the default check and not raise
+        # every layer's state, its loop's iterate or regauged, must still
+        # pass the default check, and no regauge may raise
         import vomps.models as models
 
         apply_layer = models.apply_layer
@@ -582,6 +600,84 @@ class TestRegauge:
         monkeypatch.setattr(models, "apply_layer", checking)
         trotter_evolve(delta=0.5, dt=0.05, t_max=0.3, chi_max=32)
         assert len(residuals) == 18
+
+
+class TestGaugeContract:
+    """A converged truncation returns the loop's own iterate when that
+    passes the gauge check at eta; a workload regauges once, on the way
+    out."""
+
+    def test_iterate_that_misses_its_check_is_regauged(self):
+        # one update from the Schmidt start stops at epsilon 2.5e-16, while
+        # the iterate's C' AR' misses AL' C' by 4e-7: epsilon measures the
+        # left side only.  The regauge carries the right guess along
+        m = correlated_random_state(3, seed=688502989)
+        state, report = vomps_truncate(
+            m, VompsConfig(target_chi=2, eta=1e-10, seed=0))
+        assert report.converged and report.final_epsilon < 1e-15
+        state.check(1e-12)
+        assert max(guess_residuals(state, m, None, report.env_guess)) < 1e-4
+
+    @pytest.mark.parametrize("run", ["power", "trotter"])
+    def test_workload_regauges_once(self, run, monkeypatch):
+        import vomps.models as models
+        import vomps.truncation as truncation
+        from vomps.cli import _biased_initial_state
+
+        regauges, within = [], []
+        right_gauge = truncation._right_gauge_from_left
+        truncate = truncation.vomps_truncate
+
+        def counting(*args, **kwargs):
+            regauges.append(1)
+            return right_gauge(*args, **kwargs)
+
+        def truncating(*args, **kwargs):
+            before = len(regauges)
+            state, report = truncate(*args, **kwargs)
+            within.append((len(regauges) - before, report.converged))
+            return state, report
+
+        monkeypatch.setattr(truncation, "_right_gauge_from_left", counting)
+        monkeypatch.setattr(truncation, "vomps_truncate", truncating)
+        monkeypatch.setattr(models, "vomps_truncate", truncating)
+        if run == "power":
+            state, report = power_method(
+                ising_mpo(IsingParams(beta=1.05 * BETA_C)),
+                _biased_initial_state(4, 1, 0),
+                VompsConfig(target_chi=4, eta=1e-9))
+            assert report.converged
+        else:
+            state, _ = trotter_evolve(delta=0.5, dt=0.05, t_max=0.2,
+                                      chi_max=4)
+        # every truncation converged and handed on its own iterate
+        assert len(within) > 10 and set(within) == {(0, True)}
+        assert len(regauges) == 1
+        state.check(1e-12)
+
+
+class TestEvolutionRecords:
+    def test_steps_sum_their_layers_infidelity(self, monkeypatch):
+        # each layer's loss 1 - |lambda|^2 against a tight solve of its
+        # result over the layer applied to its input; the first layers
+        # grow bonds exactly, and their loops stop at the first update
+        import vomps.models as models
+
+        apply_layer = models.apply_layer
+        losses = []
+
+        def measuring(state, layer, *args, **kwargs):
+            new, report = apply_layer(state, layer, *args, **kwargs)
+            lam = environments(new, state, layer, tol=1e-14).lam
+            losses.append(1 - abs(lam) ** 2)
+            return new, report
+
+        monkeypatch.setattr(models, "apply_layer", measuring)
+        _, records = trotter_evolve(delta=0.5, dt=0.05, t_max=0.5, chi_max=8)
+        assert records[0].infidelity == 0.0 and len(losses) == 30
+        for k, rec in enumerate(records[1:]):
+            assert abs(rec.infidelity - sum(losses[3 * k:3 * k + 3])) < 1e-9
+        assert abs(records[1].infidelity) < 1e-10
 
 
 class TestPowerMethod:

@@ -3,6 +3,7 @@ import pytest
 
 from vomps.baseline import schmidt_truncate
 from vomps.tensor import qr_positive, svd
+from vomps.truncation import VompsConfig, vomps_truncate
 from vomps.umps import (
     MPO,
     OrthogonalStatesError,
@@ -22,6 +23,7 @@ from vomps.umps import (
 )
 
 from oracles import (
+    correlated_random_state,
     dense_cell_matrix,
     dense_environment_eigenvalue,
     dense_fidelity,
@@ -132,6 +134,25 @@ class TestMixedCanonical:
         for seed in range(3):
             random_uniform_mps(8, 2, seed=seed).check(1e-12)
         assert refreshes and all(refreshes)
+
+    def test_cycling_gauge_fails_fast(self, monkeypatch):
+        # padding this chi-4 state to chi 32 leaves a right-gauge iteration
+        # that cycles between gauges ~5e-3 apart, refresh after refresh: it
+        # must raise after its idle refreshes (51 sweeps), not spend the
+        # whole sweep budget (10 000 sweeps, 10 s)
+        import vomps.umps as umps
+
+        state = correlated_random_state(4, seed=0)
+        rq, sweeps = umps.rq_positive, []
+
+        def counting(m):
+            sweeps.append(1)  # one RQ per sweep on a one-site cell
+            return rq(m)
+
+        monkeypatch.setattr(umps, "rq_positive", counting)
+        with pytest.raises(umps.CanonicalizationError, match="stalled"):
+            vomps_truncate(state, VompsConfig(target_chi=32))
+        assert len(sweeps) <= 100
 
     def test_diagonal_descending_bond_matrices(self):
         state = random_uniform_mps(5, 2, seed=11)
@@ -316,6 +337,30 @@ class TestEnvironments:
         bond[0, 1, 0], bond[1, 1, 1] = 2.0, -2.0
         bond[1, 0, 2] = -5j
         assert _phase_reference(bond) == -5j
+
+    def test_right_solve_on_the_conjugate_is_flagged(self, monkeypatch):
+        # on a channel whose top magnitude is a pair lambda, conj(lambda)
+        # the right solve may land on the other one of the pair
+        import dataclasses
+        import vomps.umps as umps
+
+        top = random_uniform_mps(3, 2, seed=35)
+        bot = random_uniform_mps(3, 2, seed=36)
+        env = environments(top, bot, tol=1e-13)
+        assert abs(env.lam.imag) > 1e-3 * abs(env.lam)
+        assert not env.degenerate
+        solve, calls = umps.leading_eig, []
+
+        def conjugating_right(*args, **kwargs):
+            res = solve(*args, **kwargs)
+            calls.append(res)
+            if len(calls) % 2 == 0:  # environments solves left, then right
+                res = dataclasses.replace(res, value=np.conj(res.value))
+            return res
+
+        monkeypatch.setattr(umps, "leading_eig", conjugating_right)
+        assert environments(top, bot, tol=1e-13).degenerate
+        assert len(calls) == 2
 
     def test_unit_cell_environments(self):
         top = random_uniform_mps(2, 2, unit_cell=2, seed=33)
