@@ -20,7 +20,7 @@ from .umps import (
     _apply_left_site,
     _apply_right_site,
     _cell_transfer,
-    _default_guess,
+    _fitting_guess,
     _normalize_targets,
     _rotate_bonds,
     _stacked_layers,
@@ -132,7 +132,7 @@ def mpo_mps_local_truncate(m: UniformMPS, mpo: MPO, new_chi,
     dagger = MPO(o=[np.conj(t).transpose(0, 2, 1, 3) for t in op.o])
     fused = _stacked_layers(dagger, op).o
     dm0, chi0 = op.o[0].shape[0], st.al[0].shape[0]
-    guess = _default_guess((chi0, dm0 * dm0, chi0))
+    guess = _fitting_guess(None, st.al, st.al, fused)
     left, right = (leading_eig(_cell_transfer(st.al, st.al, side, fused),
                                guess, tol=1e-13, max_iter=20_000)
                    for side in ("left", "right"))

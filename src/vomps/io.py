@@ -7,7 +7,8 @@ the lists ``AL``, ``AR`` and ``C`` of L tensors each.  Tensor entries are
 nested arrays of ``[re, im]`` pairs in the documented index orders —
 ``(left, physical, right)`` for site tensors, ``(row, col)`` for bond
 matrices.  Floats are written in Python's shortest exact decimal form (up
-to 17 significant digits), so a round trip is bit-exact.
+to 17 significant digits), so a round trip is bit-exact.  A state whose
+imaginary parts are all zero loads as float64, any other as complex128.
 """
 
 from __future__ import annotations
@@ -43,7 +44,7 @@ def _decode(node, shape, where: str) -> np.ndarray:
                           f"expected {tuple(shape) + (2,)}")
     if not np.all(np.isfinite(arr)):
         raise SchemaError(f"{where}: non-finite entries")
-    return arr[..., 0] + 1j * arr[..., 1]
+    return arr
 
 
 def _expect(doc, key, kind, where: str):
@@ -105,6 +106,9 @@ def load_state(path: str | os.PathLike) -> UniformMPS:
         tensors[name] = [_decode(node[n], shape(bonds, dims, n),
                                  f"{path}.tensors.{name}[{n}]")
                          for n in range(L)]
+    real = not any(np.any(t[..., 1]) for ts in tensors.values() for t in ts)
+    tensors = {name: [t[..., 0] if real else t[..., 0] + 1j * t[..., 1]
+                      for t in ts] for name, ts in tensors.items()}
     try:
         return UniformMPS(al=tensors["AL"], ar=tensors["AR"], c=tensors["C"])
     except ValueError as exc:

@@ -216,7 +216,7 @@ def _ising_site_mpo(p: IsingParams, spin_weight: np.ndarray) -> MPO:
     else:
         incoming, right = PAULI_X.real @ r, f @ sign
     o = np.einsum("pt,t,tq,tl,tr->lpqr", r, spin_weight, incoming, f, right)
-    return MPO(o=[o.astype(complex)])
+    return MPO(o=[o])
 
 
 def ising_mpo(p: IsingParams) -> MPO:

@@ -1,8 +1,9 @@
-"""Dense complex tensor primitives and a restarted-Arnoldi eigensolver.
+"""Dense tensor primitives and a restarted-Arnoldi eigensolver.
 
-Tensors are plain ``numpy.ndarray`` objects of dtype complex128 stored
-row-major over the declared index order; every function in this package
-states the index order of its arguments explicitly.  All operations here
+Tensors are plain ``numpy.ndarray`` objects stored row-major over the
+declared index order; every function in this package states the index
+order of its arguments explicitly.  Real inputs give float64 results, with
+sign fixes for phase fixes, complex ones complex128.  All operations here
 are pure: inputs are never mutated.  They need numpy alone; scipy is
 imported only by the SVD's fallback after a LAPACK failure.
 """
@@ -25,6 +26,12 @@ class RankDeficiencyWarning(UserWarning):
     """A decomposition hit a (numerically) rank-deficient input."""
 
 
+def _float_array(m) -> np.ndarray:
+    """`m` as float64, or complex128 when it is complex."""
+    m = np.asarray(m)
+    return m.astype(complex if m.dtype.kind == "c" else float, copy=False)
+
+
 def qr_positive(m: np.ndarray):
     """Thin QR decomposition with real positive diagonal of R.
 
@@ -41,7 +48,7 @@ def qr_positive(m: np.ndarray):
     (Q, R) : Q isometric (Q^dag Q = 1), R upper triangular with strictly
     positive real diagonal.
     """
-    m = np.asarray(m, dtype=complex)
+    m = _float_array(m)
     if m.ndim != 2 or m.shape[0] < m.shape[1]:
         raise ValueError(f"qr_positive needs rows >= cols, got {m.shape}")
     return _phased_qr(m, "QR")
@@ -75,7 +82,7 @@ def rq_positive(m: np.ndarray):
     only: with m[::-1]^dag = Q' R', R is R'^dag reversed along both axes
     and Q is Q'^dag with its rows reversed.
     """
-    m = np.asarray(m, dtype=complex)
+    m = _float_array(m)
     if m.ndim != 2 or m.shape[1] < m.shape[0]:
         raise ValueError(f"rq_positive needs cols >= rows, got {m.shape}")
     if not np.all(np.isfinite(m)):
@@ -92,7 +99,7 @@ def svd(m: np.ndarray):
     LAPACK convergence failures are surfaced as DecompositionError after a
     retry with the slower but more robust gesvd driver.
     """
-    m = np.asarray(m, dtype=complex)
+    m = _float_array(m)
     try:
         return np.linalg.svd(m, full_matrices=False)
     except np.linalg.LinAlgError:
@@ -118,7 +125,7 @@ def polar(m: np.ndarray):
 
 @dataclass(frozen=True)
 class LinearMap:
-    """Matrix-free linear operator on complex vectors of length `dim`."""
+    """Matrix-free linear operator on vectors of length `dim`."""
 
     dim: int
     matvec: Callable[[np.ndarray], np.ndarray]
@@ -162,12 +169,14 @@ def leading_eig(op: LinearMap, guess: np.ndarray, tol: float = 1e-12,
     ``tol * |value|`` there; when that passes, or the subspace is full,
     one matvec gives the pair's true residual ``|A x - value x|``.  The
     pair is accepted when the true residual is at most ``tol * |value|``;
-    otherwise the iteration restarts from the Ritz vector, until the matvec
-    budget `max_iter` is spent or the Krylov space is (numerically)
-    invariant.  The lowest-residual pair seen is returned, with
-    ``iterations`` the number of matvecs applied.  Deterministic for a
-    fixed guess.  A relative gap below `tol` between the top two Ritz
-    magnitudes (``gap < tol * |value|``) is reported through the
+    otherwise the iteration restarts from the Ritz vector, whose image
+    that matvec gave, until the matvec budget `max_iter` is spent or the
+    Krylov space is (numerically) invariant.  The lowest-residual pair seen is
+    returned, with ``iterations`` the number of matvecs applied.
+    Deterministic for a fixed guess.  The basis is real while the guess and
+    images are, and turns complex at a non-real dominant Ritz value.  A
+    relative gap below `tol` between the top two Ritz magnitudes (``gap <
+    tol * |value|``; so a complex-conjugate pair) is reported through the
     `degenerate` flag; a pair accepted at Krylov size 1 has no second Ritz
     value and is never flagged.
     """
@@ -176,7 +185,7 @@ def leading_eig(op: LinearMap, guess: np.ndarray, tol: float = 1e-12,
         raise ValueError("empty domain")
     if tol <= 0:
         raise ValueError("tol must be positive")
-    v = np.asarray(guess, dtype=complex).reshape(n).copy()
+    v = _float_array(guess).reshape(n).copy()
     nv = np.linalg.norm(v)
     if nv == 0 or not np.isfinite(nv):
         raise ValueError("guess must be a nonzero finite vector")
@@ -185,18 +194,23 @@ def leading_eig(op: LinearMap, guess: np.ndarray, tol: float = 1e-12,
     m = min(subspace, n)
     nmv = 0
     best = None
+    ax = None  # the image of the last vector mapped
     # the basis and its conjugate, each row written as the vector is added
-    q = np.empty((m + 1, n), dtype=complex)
-    q_h = np.empty((m + 1, n), dtype=complex)
+    q = np.empty((m + 1, n), dtype=v.dtype)
+    q_h = np.empty_like(q)
 
     while True:
-        h = np.zeros((m + 1, m), dtype=complex)
-        q[0] = v
-        q_h[0] = v.conj()
+        h = np.zeros((m + 1, m), dtype=q.dtype)
         tested = []  # (Krylov size, Ritz residual estimate) this cycle
         for j in range(m):
-            w = np.asarray(op.matvec(q[j]), dtype=complex).reshape(n)
-            nmv += 1
+            if j or ax is None:  # a restart has its vector's image
+                ax = np.asarray(op.matvec(q[j] if j else v)).reshape(n)
+                nmv += 1
+            w = ax
+            if w.dtype != q.dtype:  # complex images of a real basis
+                q, q_h, h = (t.astype(w.dtype) for t in (q, q_h, h))
+            if j == 0:
+                q[0], q_h[0] = v, v.conj()
             w_norm = math.sqrt(np.vdot(w, w).real)
             # block classical Gram-Schmidt, two passes (CGS2)
             for _ in range(2):
@@ -217,10 +231,10 @@ def leading_eig(op: LinearMap, guess: np.ndarray, tol: float = 1e-12,
                 target = _SKIP_SLACK * tol * abs(lam)
                 may_pass = r1 * rate ** (k - k1) <= target
             if invariant or k == m or may_pass:
-                # zgeev gives a 1x1 matrix's entry and the vector [1]
+                # geev gives a 1x1 matrix's entry and the vector [1]
                 # exactly, unless LAPACK rescales a tiny or huge entry
                 if k == 1 and 1e-100 < abs(h[0, 0]) < 1e100:
-                    theta, y = h[0, :1], np.ones((1, 1), dtype=complex)
+                    theta, y = h[0, :1], np.ones((1, 1), dtype=h.dtype)
                 else:
                     theta, y = np.linalg.eig(h[:k, :k])
                 order = np.argsort(-np.abs(theta))
@@ -230,16 +244,18 @@ def leading_eig(op: LinearMap, guess: np.ndarray, tol: float = 1e-12,
                     break
                 tested.append((k, estimate))
 
+        if lam.imag == 0 and q.dtype == float:  # a real pair stays real
+            lam, y = lam.real, y.real
         x = y[:, order[0]] @ q[:k]
         x /= np.linalg.norm(x)
-        ax = np.asarray(op.matvec(x), dtype=complex).reshape(n)
+        ax = np.asarray(op.matvec(x)).reshape(n)
         nmv += 1
         residual = float(np.linalg.norm(ax - lam * x))
         converged = residual <= tol * abs(lam)
         gap = (np.abs(lam) - np.abs(theta[order[1]]) if k >= 2 else np.inf)
 
         if best is None or residual < best.residual:
-            best = EigResult(value=complex(lam), vector=x, residual=residual,
+            best = EigResult(value=lam.item(), vector=x, residual=residual,
                              converged=converged,
                              degenerate=bool(gap < tol * np.abs(lam)))
         # an invariant Krylov space admits no further progress

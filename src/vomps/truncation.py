@@ -86,10 +86,8 @@ class CenterPair:
     cp: tuple
 
     def __init__(self, acp, cp):
-        object.__setattr__(self, "acp", tuple(np.asarray(t, dtype=complex)
-                                              for t in acp))
-        object.__setattr__(self, "cp", tuple(np.asarray(m, dtype=complex)
-                                             for m in cp))
+        object.__setattr__(self, "acp", tuple(np.asarray(t) for t in acp))
+        object.__setattr__(self, "cp", tuple(np.asarray(m) for m in cp))
         for t in self.acp + self.cp:
             if abs(np.linalg.norm(t) - 1.0) > 1e-8:
                 raise ValueError("center tensors must be unit-normalized")
@@ -255,7 +253,7 @@ def fit_state_to_bonds(state: UniformMPS, targets,
 
     Bonds above target are cut by discarding the smallest Schmidt values;
     bonds below target are padded with small random entries (relative
-    scale 1e-3) and re-canonicalized.
+    scale 1e-3, real for a real state) and re-canonicalized.
     """
     L = state.unit_cell
     targets = _normalize_targets(targets, L)
@@ -272,6 +270,7 @@ def fit_state_to_bonds(state: UniformMPS, targets,
         scale = 1e-3 * np.mean(np.abs(a))
         t = scale * (rng.standard_normal((chi_l, d, chi_r))
                      + 1j * rng.standard_normal((chi_l, d, chi_r)))
+        t = t if np.iscomplexobj(a) else t.real
         t[:a.shape[0], :, :a.shape[2]] += a
         tensors.append(t)
     return mixed_canonical(tensors)

@@ -13,6 +13,8 @@ Conventions used throughout the package
   on bond ``(n+1) % L`` with the same ordering.  The bra layer is the
   conjugated one.  A channel without an MPO has an MPO bond of dimension
   1, so every bond vector has these three axes.
+* Tensors are float64 when real, else complex128; a real channel runs in
+  real arithmetic, with sign fixes and a real per-site eigenvalue.
 
 All objects are immutable value types: arrays are frozen after
 construction and every operation returns new values.
@@ -29,6 +31,7 @@ import numpy as np
 
 from .tensor import (
     LinearMap,
+    _float_array,
     leading_eig,
     qr_positive,
     rq_positive,
@@ -48,8 +51,8 @@ class CanonicalizationError(RuntimeError):
     """Gauge-fixing iteration failed to converge."""
 
 
-def _freeze(a: np.ndarray) -> np.ndarray:
-    a = np.ascontiguousarray(a, dtype=complex)
+def _freeze(a) -> np.ndarray:
+    a = np.ascontiguousarray(_float_array(a))
     a.flags.writeable = False
     return a
 
@@ -311,9 +314,9 @@ def left_orthonormalize(a, tol: float = 1e-14):
     raises CanonicalizationError for (near-)non-injective inputs on which
     the iteration stalls (see :func:`_settle_gauge`).
     """
-    a = [np.asarray(t, dtype=complex) for t in a]
+    a = [_float_array(t) for t in a]
     L = len(a)
-    gauges = [np.eye(t.shape[0], dtype=complex) for t in a]
+    gauges = [np.eye(t.shape[0], dtype=t.dtype) for t in a]
     al = [None] * L
     tol = max(tol, 1e-15)
 
@@ -354,10 +357,10 @@ def _right_gauge_from_left(al, seed=None, tol: float = 1e-14):
     """
     L = len(al)
     if seed is None:
-        rs = [np.eye(t.shape[0], dtype=complex) / math.sqrt(t.shape[0])
+        rs = [np.eye(t.shape[0], dtype=t.dtype) / math.sqrt(t.shape[0])
               for t in al]
     else:
-        rs = [np.asarray(m, dtype=complex) for m in seed]
+        rs = list(seed)
     ar = [None] * L
 
     def sweep_once():
@@ -399,7 +402,7 @@ def mixed_canonical(a, tol: float = 1e-14, right_seed=None) -> UniformMPS:
         u, s, vh = svd(rs[(n + 1) % L])
         us[(n + 1) % L] = u
         vs[(n + 1) % L] = vh.conj().T
-        c[n] = np.diag(s).astype(complex)
+        c[n] = np.diag(s).astype(al[n].dtype)
     al = [_rotate_bonds(us[n].conj().T, al[n], us[(n + 1) % L])
           for n in range(L)]
     ar = [_rotate_bonds(vs[n].conj().T, ar[n], vs[(n + 1) % L])
@@ -528,7 +531,8 @@ class MixedEnvironment:
     with axes (bra, mpo, ket) and mpo bond 1 for a plain channel; ``lam``
     is the per-site eigenvalue (principal L-th root of the unit-cell
     eigenvalue, with the phase of gl[0] fixed so its generalized trace is
-    real positive).  Normalization: closing gl[n] against gr[n-1] through
+    real positive; a real root of the cell eigenvalue's sign for a real
+    channel).  Normalization: closing gl[n] against gr[n-1] through
     the two bond matrices gives exactly 1.
     """
 
@@ -542,43 +546,42 @@ class MixedEnvironment:
     def __init__(self, gl, gr, lam, degenerate, converged, matvecs):
         object.__setattr__(self, "gl", tuple(_freeze(g) for g in gl))
         object.__setattr__(self, "gr", tuple(_freeze(g) for g in gr))
-        object.__setattr__(self, "lam", complex(lam))
+        object.__setattr__(self, "lam", lam)
         object.__setattr__(self, "degenerate", bool(degenerate))
         object.__setattr__(self, "converged", bool(converged))
         object.__setattr__(self, "matvecs", int(matvecs))
 
 
-def _phase_reference(g: np.ndarray) -> complex:
+def _phase_reference(g: np.ndarray):
     """Deterministic phase reference of a bond vector (bra, mpo, ket) or a
     gauge matrix (read as mpo bond 1): generalized trace, else max entry."""
     g3 = g.reshape(g.shape[0], -1, g.shape[-1])
     z = sum(g3[i, :, i].sum() for i in range(min(g3.shape[0], g3.shape[2])))
     if abs(z) < 1e-12 * np.linalg.norm(g):
         z = g.flat[np.argmax(np.abs(g))]
-    return complex(z)
+    return z.item()
 
 
-def _bond_pairing(gl, gr, c_top, c_bot) -> complex:
+def _bond_pairing(gl, gr, c_top, c_bot):
     """Close gl (bond k) against gr (same bond) through the bond matrices."""
     t = np.tensordot(np.conj(c_top), gl, axes=((0,), (0,)))  # (bra', m, ket)
     t = np.tensordot(t, c_bot, axes=((2,), (0,)))           # (bra', m, ket')
-    return complex(np.tensordot(t, gr, axes=((0, 1, 2), (0, 1, 2))))
+    return np.tensordot(t, gr, axes=((0, 1, 2), (0, 1, 2))).item()
 
 
-def _default_guess(shape) -> np.ndarray:
-    """Deterministic, generic eigensolver guess for a bond of `shape`
-    (bra, mpo, ket): the identity on every mpo index, slightly perturbed."""
+def _fitting_guess(guess, tops, bots, ops) -> np.ndarray:
+    """`guess` when it is a bond-0 vector of the channel through the
+    per-site tensors, else a deterministic, generic eigensolver guess: the
+    identity on every mpo index, slightly perturbed (the real part of that
+    for a real channel)."""
+    shape = _bond_shape(tops, bots, ops)
+    if guess is not None and np.size(guess) == math.prod(shape):
+        return guess
     rng = np.random.default_rng(0x5EED)
     g = np.eye(shape[0], shape[2])[:, None, :] + 1e-3 * (
         rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
-    return g.reshape(-1)
-
-
-def _fitting_guess(guess, shape) -> np.ndarray:
-    """`guess` when it is a vector for a bond of `shape`, else the default."""
-    if guess is not None and np.size(guess) == math.prod(shape):
-        return guess
-    return _default_guess(shape)
+    real = not any(map(np.iscomplexobj, (tops[0], bots[0], ops[0])))
+    return g.reshape(-1).real if real else g.reshape(-1)
 
 
 def environments(top: UniformMPS, bottom: UniformMPS, mpo: MPO | None = None,
@@ -601,16 +604,18 @@ def environments(top: UniformMPS, bottom: UniformMPS, mpo: MPO | None = None,
 
     gl_guess, gr_guess = guess if guess is not None else (None, None)
     left = leading_eig(_cell_transfer(top.al, bottom.al, "left", ops),
-                       _fitting_guess(gl_guess, shape), tol=tol,
-                       max_iter=10_000)
+                       _fitting_guess(gl_guess, top.al, bottom.al, ops),
+                       tol=tol, max_iter=10_000)
     right = leading_eig(_cell_transfer(top.ar, bottom.ar, "right", ops),
-                        _fitting_guess(gr_guess, shape), tol=tol,
-                        max_iter=10_000)
+                        _fitting_guess(gr_guess, top.al, bottom.al, ops),
+                        tol=tol, max_iter=10_000)
 
     lam_cell = left.value
     mispaired = (abs(right.value - lam_cell)
                  - abs(right.value - np.conj(lam_cell)) > tol * abs(lam_cell))
-    lam = complex(lam_cell) ** (1.0 / L)
+    # a real eigenvalue gets the real root of its sign (pairings fix phase)
+    lam = (lam_cell ** (1.0 / L) if isinstance(lam_cell, complex)
+           else math.copysign(abs(lam_cell) ** (1.0 / L), lam_cell))
     if abs(lam) < 1e-12:
         raise OrthogonalStatesError(
             f"mixed transfer eigenvalue collapsed to {lam_cell:.3e}: "
@@ -667,7 +672,7 @@ def _leading_per_site(top: UniformMPS, bottom: UniformMPS,
     """Leading eigenpair of the left unit-cell channel, started from
     `guess` when it fits, and the channel's unit-cell length."""
     top, bottom, ops = _cell_tensors(top, bottom, mpo)
-    start = _fitting_guess(guess, _bond_shape(top.al, bottom.al, ops))
+    start = _fitting_guess(guess, top.al, bottom.al, ops)
     res = leading_eig(_cell_transfer(top.al, bottom.al, "left", ops), start,
                       tol=tol, max_iter=20_000)
     return res, len(ops)

@@ -245,3 +245,15 @@ def test_fixedpoint_counts_unconverged_truncations(tmp_path):
                            "--out-dir", str(out)]) == 0
     summary = json.loads((out / "summary.json").read_text())
     assert summary["unconverged_truncations"] == 0
+
+
+@pytest.mark.parametrize("seed", [116, 278])
+def test_fixedpoint_first_step_converges(tmp_path, seed):
+    # from the earlier complex random start, these seeds' first (cold)
+    # truncation crawled and ended unconverged
+    out = tmp_path / "out"
+    assert vomps.cli.main(["fixedpoint", "--chi", "8", "--seed", str(seed),
+                           "--out-dir", str(out)]) == 0
+    summary = json.loads((out / "summary.json").read_text())
+    assert summary["unconverged_truncations"] == 0
+    assert summary["iterations"] == 90 and summary["period"] == 1

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from vomps.io import SchemaError, load_state, save_state
-from vomps.umps import expect_local, random_uniform_mps
+from vomps.umps import expect_local, mixed_canonical, random_uniform_mps
 
 
 def test_state_round_trip(tmp_path):
@@ -16,6 +16,26 @@ def test_state_round_trip(tmp_path):
         assert np.max(np.abs(back.al[n] - state.al[n])) <= 1e-15
         assert np.max(np.abs(back.ar[n] - state.ar[n])) <= 1e-15
         assert np.max(np.abs(back.c[n] - state.c[n])) <= 1e-15
+
+
+def test_real_state_loads_as_float64(tmp_path):
+    # all imaginary parts zero: every tensor loads float64, bit for bit;
+    # one nonzero imaginary part anywhere loads every tensor complex
+    state = mixed_canonical(
+        [np.random.default_rng(6).standard_normal((3, 2, 3))])
+    path = tmp_path / "state.json"
+    save_state(state, path)
+    back = load_state(path)
+    for name in ("al", "ar", "c"):
+        for x, y in zip(getattr(back, name), getattr(state, name)):
+            assert x.dtype == np.float64 and np.array_equal(x, y)
+    doc = json.loads(path.read_text())
+    doc["tensors"]["C"][0][1][1][1] = 1e-300
+    path.write_text(json.dumps(doc))
+    mixed = load_state(path)
+    assert {t.dtype for t in mixed.al + mixed.ar + mixed.c} == {
+        np.dtype(complex)}
+    assert mixed.c[0][1, 1].imag == 1e-300
 
 
 def test_serialization_is_bit_stable(tmp_path):

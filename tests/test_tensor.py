@@ -256,6 +256,62 @@ class TestLeadingEig:
         assert abs(res.value - evals[np.argmax(np.abs(evals))]) < 1e-8
         assert np.linalg.norm(m @ res.vector - res.value * res.vector) <= tol
 
+    def test_real_map_keeps_a_real_basis(self):
+        rng = np.random.default_rng(31)
+        m = rng.random((30, 30))  # Perron: a real, positive leading value
+        seen = []
+
+        def matvec(v):
+            seen.append(v.dtype)
+            return m @ v
+
+        res = leading_eig(LinearMap(dim=30, matvec=matvec),
+                          guess=rng.random(30), tol=1e-12, subspace=6)
+        assert set(seen) == {np.dtype(float)} and len(seen) > 7
+        assert isinstance(res.value, float)
+        assert res.vector.dtype == np.float64 and res.converged
+        evals = np.linalg.eigvals(m)
+        assert abs(res.value - evals[np.argmax(np.abs(evals))]) < 1e-10
+
+    def test_complex_pair_of_a_real_map_is_found_and_flagged(self):
+        # a real map whose leading eigenvalues are 0.8 exp(+-0.7i): the
+        # real start's first Ritz value is non-real, the basis turns complex
+        # and converges to one of the pair
+        rng = np.random.default_rng(32)
+        n = 24
+        d = np.diag(0.5 * rng.uniform(-1, 1, n))
+        d[:2, :2] = 0.8 * np.array([[np.cos(0.7), -np.sin(0.7)],
+                                    [np.sin(0.7), np.cos(0.7)]])
+        s = np.eye(n) + 0.3 * rng.standard_normal((n, n)) / np.sqrt(n)
+        m = s @ d @ np.linalg.inv(s)
+        res = leading_eig(LinearMap(dim=n, matvec=lambda v: m @ v),
+                          guess=rng.standard_normal(n), tol=1e-10)
+        pair = 0.8 * np.exp(0.7j)
+        assert min(abs(res.value - pair), abs(res.value - np.conj(pair))) \
+            < 1e-9
+        assert res.degenerate and res.converged
+        assert res.vector.dtype == np.complex128
+        assert np.linalg.norm(m @ res.vector - res.value * res.vector) \
+            <= 1e-10 * abs(res.value)
+
+    def test_restart_reuses_its_start_vectors_image(self):
+        # the residual's matvec of a restart vector is the first column of
+        # the next cycle, so no vector is mapped twice in a row
+        rng = np.random.default_rng(33)
+        m = random_complex(rng, 60, 60)
+        inputs = []
+
+        def matvec(v):
+            inputs.append(v.copy())
+            return m @ v
+
+        res = leading_eig(LinearMap(dim=60, matvec=matvec),
+                          guess=random_complex(rng, 60), tol=1e-11,
+                          subspace=4)
+        assert res.converged and res.iterations == len(inputs) > 10
+        assert not any(np.array_equal(a, b)
+                       for a, b in zip(inputs, inputs[1:]))
+
     def test_unconverged_flag(self):
         rng = np.random.default_rng(1)
         m = random_complex(rng, 40, 40)
@@ -355,9 +411,11 @@ class TestLeadingEig:
         m = s @ np.diag(lam) @ np.linalg.inv(s)
         op, calls = counting_map(m)
         res = leading_eig(op, guess=random_complex(rng, n), tol=1e-13)
-        # a cycle of k Arnoldi steps costs k + 1 matvecs and crosses the
-        # checkpoints 4, 8, 12 and 16 up to k, and k itself when full
-        full, last = divmod(res.iterations, 21)
+        # a cycle of k Arnoldi steps costs k matvecs (its start vector's
+        # image came with the last cycle's residual, the first cycle's
+        # costs one more) and crosses the checkpoints 4, 8, 12 and 16 up to
+        # k, and k itself when full
+        full, last = divmod(res.iterations - 1, 20)
         crossed = 5 * full + sum(c < last for c in (4, 8, 12, 16))
         assert full >= 3
         assert len(eig_sizes) < 0.7 * crossed

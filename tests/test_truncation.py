@@ -37,6 +37,8 @@ from vomps.models import (
     ising_magnetization,
     ising_mpo,
     neel_state,
+    onsager_free_energy,
+    onsager_magnetization,
     trotter_evolve,
     trotter_layer_mpo,
     xxz_gate,
@@ -541,7 +543,7 @@ class TestRegauge:
         # settle in few sweeps
         import vomps.truncation as truncation
         import vomps.umps as umps
-        from vomps.cli import _biased_initial_state
+        from vomps.cli import _ordered_initial_state
 
         seeded = []
 
@@ -552,7 +554,7 @@ class TestRegauge:
         monkeypatch.setattr(truncation, "_right_gauge_from_left", capturing)
         mpo = ising_mpo(IsingParams(beta=1.01 * BETA_C))
         with pytest.warns(UserWarning, match="not converged"):
-            power_method(mpo, _biased_initial_state(8, 1, 0),
+            power_method(mpo, _ordered_initial_state(8, 1, 0),
                          VompsConfig(target_chi=8, eta=1e-9),
                          PowerStop(max_iter=30))
         al, seed = seeded[-1]
@@ -572,12 +574,13 @@ class TestRegauge:
         monkeypatch.setattr(umps, "leading_eig", counting_eig)
         ar, rs = _right_gauge_from_left(al, seed=seed, tol=1e-14)
         assert refreshed_after and refreshed_after[0] <= 4
-        # 17 sweeps, refreshes after 4 and 12 (at most 12 sweeps when every
+        # 16 sweeps, refreshes after 4 and 12 (at most 12 sweeps when every
         # step was regauged): 29 steps without a regauge leave the seed C' a
-        # unitary away from the RQ fixed point and 4x farther in the rest
-        # (a change of 1.1e-6 after the first sweep, not 2.8e-7), so the
-        # first refresh lands at 1e-11, not 2e-13, and the crawl from there
-        # takes a second one
+        # unitary away from the RQ fixed point and farther in the rest (a
+        # change of 2.3e-6 after the first sweep, not 2.8e-7), so the first
+        # refresh lands far from rounding and the crawl from there takes a
+        # second one.  The earlier complex random start took 17 sweeps,
+        # with a change of 1.1e-6 after the first
         assert len(sweeps) <= 17
         c = rs[0] / np.linalg.norm(rs[0])
         UniformMPS(al=al, ar=ar, c=[c]).check(1e-12)
@@ -622,7 +625,7 @@ class TestGaugeContract:
     def test_workload_regauges_once(self, run, monkeypatch):
         import vomps.models as models
         import vomps.truncation as truncation
-        from vomps.cli import _biased_initial_state
+        from vomps.cli import _ordered_initial_state
 
         regauges, within = [], []
         right_gauge = truncation._right_gauge_from_left
@@ -644,7 +647,7 @@ class TestGaugeContract:
         if run == "power":
             state, report = power_method(
                 ising_mpo(IsingParams(beta=1.05 * BETA_C)),
-                _biased_initial_state(4, 1, 0),
+                _ordered_initial_state(4, 1, 0),
                 VompsConfig(target_chi=4, eta=1e-9))
             assert report.converged
         else:
@@ -654,6 +657,65 @@ class TestGaugeContract:
         assert len(within) > 10 and set(within) == {(0, True)}
         assert len(regauges) == 1
         state.check(1e-12)
+
+
+class TestRealArithmetic:
+    """A real channel runs in float64 from its real start to its result;
+    a complex one runs as it always did."""
+
+    @pytest.mark.parametrize("coupling", [1, -1])
+    def test_ordered_start_runs_the_power_method_real(self, coupling,
+                                                      monkeypatch):
+        import vomps.truncation as truncation
+        from vomps.cli import _ordered_initial_state
+
+        solved = truncation.environments
+        lams = []
+
+        def recording(*args, **kwargs):
+            env = solved(*args, **kwargs)
+            lams.append(env.lam)
+            assert all(g.dtype == np.float64 for g in env.gl + env.gr)
+            return env
+
+        monkeypatch.setattr(truncation, "environments", recording)
+        beta = 1.2 * BETA_C
+        params = IsingParams(beta=beta, coupling=coupling)
+        init = _ordered_initial_state(4, coupling, 0)
+        state, report = power_method(
+            ising_mpo(params), init, VompsConfig(target_chi=4, eta=1e-9),
+            PowerStop())
+        assert report.converged and report.period == (1 if coupling == 1
+                                                      else 2)
+        for t in init.al + state.al + state.ar + state.c:
+            assert t.dtype == np.float64
+        # a complex per-site lambda would have turned the centers complex
+        assert len(lams) > 10 and all(type(lam) is float for lam in lams)
+        f = ising_free_energy(abs(report.final_lambda), beta)
+        assert abs(f - onsager_free_energy(beta)) < 1e-8
+        m = abs(ising_magnetization(state, params))
+        assert abs(m - onsager_magnetization(beta)) < 1e-5
+
+    def test_complex_evolution_is_unchanged(self):
+        # the XXZ quench stays complex128, and its offsets are those of the
+        # all-complex implementation bit for bit (chi 12 to t 1.0)
+        state, records = trotter_evolve(delta=0.5, dt=0.05, t_max=1.0,
+                                        chi_max=12)
+        for t in state.al + state.ar + state.c:
+            assert t.dtype == np.complex128
+        assert [r.offset.hex() for r in records] == _XXZ_CHI12_OFFSETS
+
+
+# staggered offsets of trotter_evolve(0.5, 0.05, 1.0, 12), as float.hex, of
+# the all-complex implementation (numpy 2.4 with OpenBLAS 0.3.31, x86-64)
+_XXZ_CHI12_OFFSETS = [
+    "0x0.0p+0", "0x1.476ec1145c000p-10", "0x1.46c4a9660f580p-8",
+    "0x1.6e5f28729a300p-7", "0x1.441fa285387e0p-6", "0x1.f75d7ee944460p-6",
+    "0x1.67bb7026ca430p-5", "0x1.e55754d436a50p-5", "0x1.39c050127a750p-4",
+    "0x1.888a633d27ef0p-4", "0x1.de69a634e2108p-4", "0x1.1d5836b471a44p-3",
+    "0x1.4e52a3fcfb7a0p-3", "0x1.81c260e621bc0p-3", "0x1.b7419d189a950p-3",
+    "0x1.ee67651c087a8p-3", "0x1.13644d3c7e3e8p-2", "0x1.2ffc7735cc2fcp-2",
+    "0x1.4cc5ee35130a6p-2", "0x1.698ad0eea79d8p-2", "0x1.8616185970522p-2"]
 
 
 class TestEvolutionRecords:
@@ -694,7 +756,7 @@ class TestPowerMethod:
     def test_threaded_guesses_match_cold_run(self, coupling, monkeypatch,
                                              tmp_path):
         import vomps.truncation as truncation
-        from vomps.cli import _biased_initial_state
+        from vomps.cli import _ordered_initial_state
 
         truncate = truncation.vomps_truncate
         environments = truncation.environments
@@ -714,7 +776,7 @@ class TestPowerMethod:
         monkeypatch.setattr(truncation, "vomps_truncate", recording)
         beta = 1.2 * BETA_C
         mpo = ising_mpo(IsingParams(beta=beta, coupling=coupling))
-        init = _biased_initial_state(4, coupling, 0)
+        init = _ordered_initial_state(4, coupling, 0)
         cfg = VompsConfig(target_chi=4, eta=1e-9, max_iter=100, seed=0)
         runs, guesses = [], []
         for warm in (True, False):
@@ -752,7 +814,7 @@ class TestPowerMethod:
     def test_steps_truncate_to_the_last_step_from_its_translation(
             self, coupling, monkeypatch):
         import vomps.truncation as truncation
-        from vomps.cli import _biased_initial_state
+        from vomps.cli import _ordered_initial_state
 
         truncate = truncation.vomps_truncate
         calls = []
@@ -764,7 +826,7 @@ class TestPowerMethod:
 
         monkeypatch.setattr(truncation, "vomps_truncate", recording)
         mpo = ising_mpo(IsingParams(beta=1.2 * BETA_C, coupling=coupling))
-        init = _biased_initial_state(4, coupling, 0)
+        init = _ordered_initial_state(4, coupling, 0)
         cfg = VompsConfig(target_chi=4, eta=1e-9, max_iter=100, seed=0)
         _, report = power_method(mpo, init, cfg, PowerStop(tol=1e-10))
         assert report.converged and len(calls) == len(report.iterations) > 2
@@ -786,12 +848,12 @@ class TestPowerMethod:
 
     @pytest.mark.parametrize("coupling", [1, -1])
     def test_same_fixed_point_as_full_accuracy_steps(self, coupling):
-        from vomps.cli import _biased_initial_state
+        from vomps.cli import _ordered_initial_state
 
         beta = 1.2 * BETA_C
         params = IsingParams(beta=beta, coupling=coupling)
         mpo = ising_mpo(params)
-        init = _biased_initial_state(8, coupling, 0)
+        init = _ordered_initial_state(8, coupling, 0)
         cfg = VompsConfig(target_chi=8, eta=1e-9, max_iter=100, seed=0)
         stop = PowerStop(tol=1e-13)
         state, report = power_method(mpo, init, cfg, stop)
