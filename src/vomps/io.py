@@ -23,7 +23,7 @@ from .umps import UniformMPS
 STATE_FORMAT = "umps-json/1"
 TRACE_FORMAT = "vomps-trace/3"
 POWER_FORMAT = "vomps-power/3"
-EVOLUTION_FORMAT = "vomps-evolution/2"
+EVOLUTION_FORMAT = "vomps-evolution/3"
 
 
 class SchemaError(ValueError):

@@ -15,12 +15,11 @@ import numpy as np
 
 from .tensor import svd
 from .truncation import VompsConfig, _regauge, vomps_truncate
-from .umps import MPO, UniformMPS, environments, expect_local
+from .umps import MPO, UniformMPS, _stacked_layers, environments
 
 PAULI_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 PAULI_Y = np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=complex)
 PAULI_Z = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
-UP_PROJECTOR = 0.5 * (np.eye(2) + PAULI_Z)
 
 BETA_C = math.log(1.0 + math.sqrt(2.0)) / 2.0
 
@@ -93,15 +92,26 @@ def neel_state() -> UniformMPS:
     return UniformMPS(al=[up, dn], ar=[up, dn], c=[one, one])
 
 
-def staggered_offset(state: UniformMPS) -> float:
-    """Offset of the (1+Z)/2 occupation at site 0 from its maximal value 1."""
-    return float(1.0 - np.real(expect_local(state, UP_PROJECTOR, 0)))
+def staggered_offset(state: UniformMPS, gate: np.ndarray) -> float:
+    """Offset of the (1+Z)/2 occupation at site 0 from its maximal value
+    1 once the two-site `gate` acts on sites (0, 1): the expectation of
+    G^dag (P x 1) G on the state's center of those two sites, exact for a
+    layer of such gates on the bonds (0, 1), (2, 3), ..."""
+    theta = np.tensordot(state.ac(0), state.ar[1 % state.unit_cell],
+                         axes=((2,), (0,)))                # (l, p1, p2, r)
+    d = theta.shape[1]
+    theta = gate @ theta.transpose(1, 2, 0, 3).reshape(d * d, -1)
+    up = theta[:d]                                         # rows with p1 up
+    return float(1.0 - np.vdot(up, up).real)
 
 
 @dataclass
 class EvolutionRecord:
-    """One Trotter step; `infidelity` sums its unitary layers' truncation
-    losses 1 - |lambda|^2, lambda the overlap with the layer's image."""
+    """One Trotter step: the offset of the state at `time`, and the
+    residual `epsilon` and loss `infidelity` of the step's truncation,
+    1 - |lambda|^2 with lambda the per-site overlap of its result with the
+    image it approximates (the last step's also cover the closing half
+    layer)."""
 
     time: float
     offset: float
@@ -131,57 +141,81 @@ def _layer_targets(state: UniformMPS, layer: MPO, chi_max: int):
     return targets
 
 
-def apply_layer(state: UniformMPS, layer: MPO, chi_max: int,
+def apply_layer(state: UniformMPS, layer: MPO, chi_max: int, guess,
                 eta: float = 1e-10, seed: int = 0):
     """Variationally truncate `layer @ state` to at most `chi_max` in at
-    most 200 iterations, initialized with the untouched state; the result
-    is mixed-canonical to `eta` only (see :func:`vomps_truncate`)."""
+    most 200 iterations, initialized with the untouched state and with
+    `guess` (bond-0 environment vectors, or None) for the first solve; the
+    result is mixed-canonical to `eta` only (see :func:`vomps_truncate`)."""
     cfg = VompsConfig(target_chi=_layer_targets(state, layer, chi_max),
                       eta=eta, max_iter=200, seed=seed)
-    return vomps_truncate(state, cfg, mpo=layer)
+    return vomps_truncate(state, cfg, mpo=layer, guess=guess)
+
+
+def _truncation_loss(new, state, layer, report) -> float:
+    """1 - |lambda|^2 of the truncation of `layer @ state` to `new`."""
+    lam = report.final_lambda
+    if report.converged and len(report.iterations) == 1:
+        # a loop that stopped at its first update reports the lambda of
+        # its start (the state before the layer), not its result's
+        lam = environments(new, state, layer, tol=1e-13).lam
+    return 1.0 - abs(lam) ** 2
 
 
 def trotter_evolve(delta: float, dt: float, t_max: float, chi_max: int,
                    eta: float = 1e-10, seed: int = 0):
     """Evolve the Neel state under the XXZ Hamiltonian with second-order
-    Trotter steps (half-step even, full odd, half-step even layer MPOs),
-    truncating variationally after each layer.
+    Trotter steps E_h O E_h (E_h the half-step even layer, O the full odd
+    one), one variational truncation per step.
 
-    Returns the final state, regauged exactly once, and one
-    :class:`EvolutionRecord` per step (including the t=0 row); a record's
-    `converged` is true when every layer truncation of its step converged.
+    N steps are applied as E_h (O E)^(N-1) O E_h, with E = E_h E_h the
+    full even layer: step 1 truncates O E_h applied to the Neel state and
+    every later step O E applied to the previous step's state phi_k, each
+    warm-started from the previous step's environments.  Row k's offset is
+    that of E_h phi_k, evaluated exactly on the gate's two sites, and one
+    closing truncation of E_h phi_N gives the returned state, regauged
+    exactly once.
+
+    Returns that state and one :class:`EvolutionRecord` per step
+    (including the t=0 row); a record's `converged` is true when its
+    step's truncation converged, and the last record's epsilon, loss and
+    `converged` cover the closing truncation too.
     """
     if dt <= 0:
         raise ValueError("dt must be positive")
     if t_max < 0:
         raise ValueError("t_max must be non-negative")
-    layers = [trotter_layer_mpo(xxz_gate(delta, dt / 2), "even"),
-              trotter_layer_mpo(xxz_gate(delta, dt), "odd"),
-              trotter_layer_mpo(xxz_gate(delta, dt / 2), "even")]
+    half_gate = xxz_gate(delta, dt / 2)
+    full_gate = xxz_gate(delta, dt)
+    half_even = trotter_layer_mpo(half_gate, "even")
+    odd = trotter_layer_mpo(full_gate, "odd")
+    first = _stacked_layers(odd, half_even)
+    later = _stacked_layers(odd, trotter_layer_mpo(full_gate, "even"))
 
     state = neel_state()
-    records = [EvolutionRecord(time=0.0, offset=staggered_offset(state),
-                               epsilon=0.0, infidelity=0.0, chi=1)]
+    records = [EvolutionRecord(time=0.0, offset=staggered_offset(
+        state, np.eye(4)), epsilon=0.0, infidelity=0.0, chi=1)]
+    guess = None
     steps = int(round(t_max / dt))
     for k in range(steps):
-        eps = infidelity = 0.0
-        converged = True
-        for layer in layers:
-            new, report = apply_layer(state, layer, chi_max, eta=eta,
-                                      seed=seed)
-            lam = report.final_lambda
-            if report.converged and len(report.iterations) == 1:
-                # a loop that stopped at its first update reports the lambda
-                # of its start (the state before the layer), not its result's
-                lam = environments(new, state, layer, tol=1e-13).lam
-            state = new
-            eps = max(eps, report.final_epsilon)
-            infidelity += 1.0 - abs(lam) ** 2
-            converged = converged and report.converged
+        layer = first if k == 0 else later
+        new, report = apply_layer(state, layer, chi_max, guess, eta=eta,
+                                  seed=seed)
+        loss = _truncation_loss(new, state, layer, report)
+        state, guess = new, report.env_guess
         records.append(EvolutionRecord(
-            time=(k + 1) * dt, offset=staggered_offset(state), epsilon=eps,
-            infidelity=infidelity, chi=max(state.bond_dims),
-            converged=converged))
+            time=(k + 1) * dt, offset=staggered_offset(state, half_gate),
+            epsilon=report.final_epsilon, infidelity=loss,
+            chi=max(state.bond_dims), converged=report.converged))
+    if steps:
+        new, report = apply_layer(state, half_even, chi_max, None, eta=eta,
+                                  seed=seed)
+        last = records[-1]
+        last.epsilon = max(last.epsilon, report.final_epsilon)
+        last.infidelity += _truncation_loss(new, state, half_even, report)
+        last.chi = max(new.bond_dims)
+        last.converged = last.converged and report.converged
+        state = new
     return _regauge(state), records
 
 

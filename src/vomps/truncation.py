@@ -37,7 +37,6 @@ from .umps import (
     _stacked_layers,
     environments,
     fidelity_per_site,
-    mixed_canonical,
     mpo_eigenvalue_per_site,
 )
 
@@ -251,9 +250,13 @@ def fit_state_to_bonds(state: UniformMPS, targets,
                        seed: int = 0) -> UniformMPS:
     """Deform a state to prescribed per-bond dimensions.
 
-    Bonds above target are cut by discarding the smallest Schmidt values;
-    bonds below target are padded with small random entries (relative
-    scale 1e-3, real for a real state) and re-canonicalized.
+    Bonds above target are cut by discarding the smallest Schmidt values.
+    Bonds below target grow exactly, in the canonical frame: each AL is
+    embedded in the larger bonds and completed by orthonormal columns
+    from the null space of its grouped matrix (drawn at random with
+    `seed`, real for a real state), each AR mirrors this, and each C
+    gains a zero block, so ``AL' C' = C' AR'`` holds by construction and
+    the grown state is the input state.
     """
     L = state.unit_cell
     targets = _normalize_targets(targets, L)
@@ -263,17 +266,29 @@ def fit_state_to_bonds(state: UniformMPS, targets,
     if targets == state.bond_dims[:L]:
         return state
     rng = np.random.default_rng(seed)
-    tensors = []
+    al, ar, c = [], [], []
     for n in range(L):
-        a = state.al[n]
-        chi_l, d, chi_r = targets[n], a.shape[1], targets[(n + 1) % L]
-        scale = 1e-3 * np.mean(np.abs(a))
-        t = scale * (rng.standard_normal((chi_l, d, chi_r))
-                     + 1j * rng.standard_normal((chi_l, d, chi_r)))
-        t = t if np.iscomplexobj(a) else t.real
-        t[:a.shape[0], :, :a.shape[2]] += a
-        tensors.append(t)
-    return mixed_canonical(tensors)
+        chi_l, chi_r = targets[n], targets[(n + 1) % L]
+        al.append(_grown_isometry(state.al[n], chi_l, chi_r, rng))
+        # AR mirrored, (right, phys, left), is a left isometry
+        ar.append(_grown_isometry(state.ar[n].transpose(2, 1, 0), chi_r,
+                                  chi_l, rng).transpose(2, 1, 0))
+        c.append(np.pad(state.c[n], (0, chi_r - state.c[n].shape[0])))
+    return UniformMPS(al=al, ar=ar, c=c)
+
+
+def _grown_isometry(a, chi_l: int, chi_r: int, rng) -> np.ndarray:
+    """Left isometry `a` embedded in bonds (chi_l, chi_r): its columns
+    padded with zero rows, then completed by random orthonormal columns
+    orthogonal to them (two projection passes keep that to rounding)."""
+    l, d, r = a.shape
+    m = np.pad(a, ((0, chi_l - l), (0, 0), (0, 0))).reshape(chi_l * d, r)
+    extra = rng.standard_normal((chi_l * d, chi_r - r))
+    if np.iscomplexobj(a):
+        extra = extra + 1j * rng.standard_normal(extra.shape)
+    for _ in range(2):
+        extra, _ = np.linalg.qr(extra - m @ (m.conj().T @ extra))
+    return np.hstack([m, extra]).reshape(chi_l, d, chi_r)
 
 
 def _initial_state(m: UniformMPS, cfg: VompsConfig, targets, phys_dims,

@@ -96,7 +96,7 @@ def test_evolution_trace_has_its_own_format(tmp_path):
     assert vomps.cli.main(["evolve", "--chi", "4", "--t-max", "0.1",
                            "--oracle", "ed:6", "--out-dir", str(out)]) == 0
     lines = (out / "evolution.csv").read_text().splitlines()
-    assert lines[0] == "# format: vomps-evolution/2"
+    assert lines[0] == "# format: vomps-evolution/3"
     assert "# seed: 0" in lines
     header = next(line for line in lines if not line.startswith("#"))
     assert header == ("t,staggered_offset,epsilon_last,truncation_infidelity,"

@@ -12,10 +12,18 @@ from vomps.models import (
     ising_mpo,
     onsager_free_energy,
     onsager_magnetization,
+    staggered_offset,
+    trotter_layer_mpo,
+    xxz_gate,
 )
 from vomps.truncation import PowerStop, VompsConfig, power_method
+from vomps.umps import UniformMPS, random_uniform_mps
 
-from oracles import dense_neel_quench_offsets, trapezoid_onsager_free_energy
+from oracles import (
+    dense_local_expectation,
+    dense_neel_quench_offsets,
+    trapezoid_onsager_free_energy,
+)
 
 CATALAN = 0.915965594177219015054603514932384110774
 
@@ -71,3 +79,27 @@ class TestIsingMagnetization:
         assert abs(m[1] - m[-1]) < 1e-8
         for value in m.values():
             assert abs(value - onsager_magnetization(beta)) < 1e-5
+
+
+class TestStaggeredOffset:
+    @pytest.mark.parametrize("seed", range(2))
+    def test_gate_layer_matches_dense_expectation(self, seed):
+        # the two-site formula against the state with the whole even layer
+        # applied site by site (bonds grown by the layer's, no canonical
+        # form), its occupation taken from dense transfer fixed points
+        state = random_uniform_mps(3, 2, unit_cell=2, seed=seed)
+        gate = xxz_gate(0.7, 0.3)
+        layer = trotter_layer_mpo(gate, "even")
+        dressed = []
+        for a, o in zip(state.al, layer.o):
+            t = np.einsum("aqb,mpqn->ampbn", a, o)
+            dressed.append(t.reshape(a.shape[0] * o.shape[0], a.shape[1],
+                                     a.shape[2] * o.shape[3]))
+        bonds = [np.eye(t.shape[2]) for t in dressed]
+        exact = dense_local_expectation(
+            UniformMPS(al=dressed, ar=dressed, c=bonds), np.diag([1.0, 0.0]))
+        assert abs(staggered_offset(state, gate) - (1.0 - exact.real)) < 1e-12
+        # the identity gate leaves the plain occupation
+        plain = dense_local_expectation(state, np.diag([1.0, 0.0]))
+        assert abs(staggered_offset(state, np.eye(4))
+                   - (1.0 - plain.real)) < 1e-12

@@ -208,15 +208,29 @@ class TestExtractGauges:
         best_r = brute_force_best_isometry(acp.transpose(2, 1, 0), cp_mat.T)
         assert best_r - 1e-8 <= eps_r <= np.sqrt(2) * best_r + 1e-8
 
-    def test_rank_deficient_bond_matrix_converges(self):
-        # The first layers of the Neel quench have bond matrices with
-        # s_min / s_max down to ~1e-18 here.  The polar recipe converges
+    def test_rank_deficient_bond_matrix_converges(self, monkeypatch):
+        # The first steps of the Neel quench have bond matrices with
+        # s_min / s_max down to ~1e-17 here.  The polar recipe converges
         # there; the Procrustes form polar(AC C^dag) leaves AL undetermined
         # on the null directions of C and stalls above eta.
+        import vomps.models as models
+
+        apply_layer = models.apply_layer
+        ratios = []
+
+        def capturing(*args, **kwargs):
+            state, report = apply_layer(*args, **kwargs)
+            ratios.append(min(s[-1] / s[0] for s in map(
+                state.schmidt_values, range(state.unit_cell))))
+            return state, report
+
+        monkeypatch.setattr(models, "apply_layer", capturing)
         _, records = trotter_evolve(delta=0.5, dt=0.05, t_max=0.1,
                                     chi_max=12)
         assert len(records) == 3
         assert all(rec.epsilon < 1e-10 for rec in records)
+        # two steps and the closing half layer, each result rank-deficient
+        assert len(ratios) == 3 and max(ratios) < 1e-14
 
 
 class TestErrorEpsilon:
@@ -465,12 +479,27 @@ def test_report_comes_from_the_last_solve(seed, chi, cut, cell):
     state.check(1e-10)
 
 
+@pytest.mark.xfail(strict=True, reason="ROADMAP item 2: the outer loop "
+                   "crawls instead of converging")
+def test_two_site_cut_that_crawls_converges():
+    # a draw of test_report_comes_from_the_last_solve (seed 92927, chi 4 ->
+    # 3, two-site cell): epsilon falls ~2.7 % per iteration and is 4.1e-6
+    # after the 500 allowed, at fidelity 0.98342 against Schmidt's 0.97603
+    seed = 92927
+    m = mixed_canonical([correlated_random_state(4, seed=seed).al[0],
+                         correlated_random_state(4, seed=seed + 1).al[0]])
+    _, report = vomps_truncate(m, VompsConfig(target_chi=3, eta=1e-10,
+                                              seed=0))
+    assert report.converged
+
+
 class TestFitStateToBonds:
     def test_pad_preserves_state(self):
+        # growth embeds the state exactly: AL' C' = C' AR' by construction
         m = random_uniform_mps(4, 2, seed=90)
         grown = fit_state_to_bonds(m, [8], seed=1)
         grown.check(1e-10)
-        assert fidelity_per_site(grown, m) > 1 - 1e-4
+        assert fidelity_per_site(grown, m) > 1 - 1e-12
 
     def test_cut_matches_schmidt(self):
         from vomps.baseline import schmidt_truncate
@@ -502,6 +531,22 @@ class TestGrowBond:
         env_grown = environments(grown, m, mpo, tol=1e-12)
         assert abs(env_grown.lam) >= abs(env_seed.lam) - 1e-12
 
+    def test_eightfold_growth_converges(self):
+        # chi 4 -> 32: random padding re-canonicalized by mixed_canonical
+        # stalled here and raised CanonicalizationError
+        m = correlated_random_state(4, seed=0)
+        grown, report = vomps_truncate(m, VompsConfig(target_chi=32))
+        assert report.converged and grown.bond_dims == [32, 32]
+        assert fidelity_per_site(grown, m) > 1 - 1e-12
+
+    def test_chi64_merged_steps_converge(self):
+        # the third step pads bonds 16 -> 64; the padded state's gauge
+        # iteration raised CanonicalizationError before growth was exact
+        _, records = trotter_evolve(delta=0.5, dt=0.05, t_max=0.15,
+                                    chi_max=64)
+        assert len(records) == 4 and all(r.converged for r in records)
+        assert records[-1].chi == 64
+
 
 class TestRegauge:
     def test_oversized_bond_trotter_run_regauges(self, monkeypatch):
@@ -521,7 +566,8 @@ class TestRegauge:
 
         monkeypatch.setattr(models, "apply_layer", capturing)
         final, _ = trotter_evolve(delta=0.5, dt=0.05, t_max=0.15, chi_max=20)
-        assert len(outputs) == 9
+        # one truncation per step, and the closing half layer
+        assert len(outputs) == 4
         for state in outputs:
             _regauge(state).check(1e-12)
         final.check(1e-12)
@@ -602,7 +648,8 @@ class TestRegauge:
 
         monkeypatch.setattr(models, "apply_layer", checking)
         trotter_evolve(delta=0.5, dt=0.05, t_max=0.3, chi_max=32)
-        assert len(residuals) == 18
+        # six steps and the closing half layer
+        assert len(residuals) == 7
 
 
 class TestGaugeContract:
@@ -651,7 +698,8 @@ class TestGaugeContract:
                 VompsConfig(target_chi=4, eta=1e-9))
             assert report.converged
         else:
-            state, _ = trotter_evolve(delta=0.5, dt=0.05, t_max=0.2,
+            # ten steps and the closing half layer: eleven truncations
+            state, _ = trotter_evolve(delta=0.5, dt=0.05, t_max=0.5,
                                       chi_max=4)
         # every truncation converged and handed on its own iterate
         assert len(within) > 10 and set(within) == {(0, True)}
@@ -697,17 +745,23 @@ class TestRealArithmetic:
         assert abs(m - onsager_magnetization(beta)) < 1e-5
 
     def test_complex_evolution_is_unchanged(self):
-        # the XXZ quench stays complex128, and its offsets are those of the
-        # all-complex implementation bit for bit (chi 12 to t 1.0)
+        # the XXZ quench stays complex128, and its offsets stay within 1e-9
+        # of those of the all-complex implementation that truncated after
+        # each of three layers per step (chi 12 to t 1.0); one truncation
+        # per step moved them by up to 3.7e-10
         state, records = trotter_evolve(delta=0.5, dt=0.05, t_max=1.0,
                                         chi_max=12)
         for t in state.al + state.ar + state.c:
             assert t.dtype == np.complex128
-        assert [r.offset.hex() for r in records] == _XXZ_CHI12_OFFSETS
+        reference = [float.fromhex(h) for h in _XXZ_CHI12_OFFSETS]
+        assert len(records) == len(reference)
+        for rec, offset in zip(records, reference):
+            assert abs(rec.offset - offset) < 1e-9
 
 
 # staggered offsets of trotter_evolve(0.5, 0.05, 1.0, 12), as float.hex, of
-# the all-complex implementation (numpy 2.4 with OpenBLAS 0.3.31, x86-64)
+# the all-complex implementation with three truncations per step (numpy 2.4
+# with OpenBLAS 0.3.31, x86-64)
 _XXZ_CHI12_OFFSETS = [
     "0x0.0p+0", "0x1.476ec1145c000p-10", "0x1.46c4a9660f580p-8",
     "0x1.6e5f28729a300p-7", "0x1.441fa285387e0p-6", "0x1.f75d7ee944460p-6",
@@ -720,9 +774,10 @@ _XXZ_CHI12_OFFSETS = [
 
 class TestEvolutionRecords:
     def test_steps_sum_their_layers_infidelity(self, monkeypatch):
-        # each layer's loss 1 - |lambda|^2 against a tight solve of its
-        # result over the layer applied to its input; the first layers
-        # grow bonds exactly, and their loops stop at the first update
+        # each truncation's loss 1 - |lambda|^2 against a tight solve of
+        # its result over the layer applied to its input: one per step, the
+        # last record adding the closing half layer's; the first step grows
+        # bonds exactly
         import vomps.models as models
 
         apply_layer = models.apply_layer
@@ -736,9 +791,10 @@ class TestEvolutionRecords:
 
         monkeypatch.setattr(models, "apply_layer", measuring)
         _, records = trotter_evolve(delta=0.5, dt=0.05, t_max=0.5, chi_max=8)
-        assert records[0].infidelity == 0.0 and len(losses) == 30
-        for k, rec in enumerate(records[1:]):
-            assert abs(rec.infidelity - sum(losses[3 * k:3 * k + 3])) < 1e-9
+        assert records[0].infidelity == 0.0 and len(losses) == 11
+        expected = losses[:9] + [losses[9] + losses[10]]
+        for rec, loss in zip(records[1:], expected):
+            assert abs(rec.infidelity - loss) < 1e-9
         assert abs(records[1].infidelity) < 1e-10
 
 

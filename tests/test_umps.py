@@ -3,7 +3,6 @@ import pytest
 
 from vomps.baseline import schmidt_truncate
 from vomps.tensor import qr_positive, svd
-from vomps.truncation import VompsConfig, vomps_truncate
 from vomps.umps import (
     MPO,
     OrthogonalStatesError,
@@ -136,13 +135,19 @@ class TestMixedCanonical:
         assert refreshes and all(refreshes)
 
     def test_cycling_gauge_fails_fast(self, monkeypatch):
-        # padding this chi-4 state to chi 32 leaves a right-gauge iteration
-        # that cycles between gauges ~5e-3 apart, refresh after refresh: it
-        # must raise after its idle refreshes (51 sweeps), not spend the
-        # whole sweep budget (10 000 sweeps, 10 s)
+        # this chi-4 state padded to chi 32 with complex noise of relative
+        # scale 1e-3 leaves a right-gauge iteration that cycles between
+        # gauges ~5e-3 apart, refresh after refresh: it must raise after
+        # its idle refreshes (51 sweeps), not spend the whole sweep budget
+        # (10 000 sweeps, 10 s)
         import vomps.umps as umps
 
-        state = correlated_random_state(4, seed=0)
+        a = correlated_random_state(4, seed=0).al[0]
+        rng = np.random.default_rng(0)
+        shape = (32, 2, 32)
+        padded = 1e-3 * np.mean(np.abs(a)) * (
+            rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
+        padded[:4, :, :4] += a
         rq, sweeps = umps.rq_positive, []
 
         def counting(m):
@@ -151,7 +156,7 @@ class TestMixedCanonical:
 
         monkeypatch.setattr(umps, "rq_positive", counting)
         with pytest.raises(umps.CanonicalizationError, match="stalled"):
-            vomps_truncate(state, VompsConfig(target_chi=32))
+            mixed_canonical([padded])
         assert len(sweeps) <= 100
 
     def test_diagonal_descending_bond_matrices(self):
