@@ -210,7 +210,7 @@ class TestExtractGauges:
 
     def test_rank_deficient_bond_matrix_converges(self, monkeypatch):
         # The first steps of the Neel quench have bond matrices with
-        # s_min / s_max down to ~1e-17 here.  The polar recipe converges
+        # s_min / s_max of 1e-21 to 1e-17 here.  The polar recipe converges
         # there; the Procrustes form polar(AC C^dag) leaves AL undetermined
         # on the null directions of C and stalls above eta.
         import vomps.models as models
