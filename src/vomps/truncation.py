@@ -9,7 +9,9 @@ convergence as the norm of the residual of the center fixed-point
 relation.  The polar extraction is exact at a fixed point ``AC = AL C``
 and otherwise leaves a residual within sqrt(2) of the best isometry (see
 :func:`extract_gauges`).  The fixed points of this iteration are exactly
-the variationally optimal truncations.
+the variationally optimal truncations.  Where the iteration crawls or
+cycles instead, a Riemannian L-BFGS ascent of the fidelity over the left
+isometries takes over (:class:`_Ascent`).
 """
 
 from __future__ import annotations
@@ -95,7 +97,9 @@ class CenterPair:
 @dataclass
 class IterationRecord:
     """One outer iteration: fixed-point residual, |lambda|, wall time, the
-    matvecs of its environment solves and their relative tolerance."""
+    matvecs of its environment solves and their relative tolerance.  Once
+    the ascent has taken over, each trial of its line search is one
+    iteration."""
 
     iteration: int
     epsilon: float
@@ -172,14 +176,8 @@ def compute_centers(env: MixedEnvironment, source: UniformMPS,
     """
     L = len(env.gl)
     source = source.extended(L // source.unit_cell)
-    ops = (mpo.extended(L // mpo.unit_cell).o if mpo is not None
-           else [np.eye(d).reshape(1, d, d, 1) for d in source.phys_dims])
     acp, cp = [], []
-    for n in range(L):
-        t = np.tensordot(env.gl[n], source.ac(n), axes=((2,), (0,)))
-        t = np.tensordot(t, ops[n], axes=((1, 2), (0, 2)))
-        raw_ac = np.tensordot(t, env.gr[n], axes=((1, 3), (2, 1))) / env.lam
-
+    for n, raw_ac in enumerate(_raw_centers(env, source, mpo)):
         t = np.tensordot(env.gl[(n + 1) % L], source.c[n], axes=((2,), (0,)))
         raw_c = np.tensordot(t, env.gr[n], axes=((1, 2), (1, 2)))
 
@@ -191,6 +189,20 @@ def compute_centers(env: MixedEnvironment, source: UniformMPS,
         acp.append(raw_ac / np.linalg.norm(raw_ac))
         cp.append(raw_c / np.linalg.norm(raw_c))
     return CenterPair(acp=acp, cp=cp)
+
+
+def _raw_centers(env: MixedEnvironment, source: UniformMPS,
+                 mpo: MPO | None):
+    """Per site, gl[n] -- source center tensor through the MPO tensor --
+    gr[n] divided by the per-site eigenvalue, not normalized (`source`
+    already spans the environments' cell)."""
+    L = len(env.gl)
+    ops = (mpo.extended(L // mpo.unit_cell).o if mpo is not None
+           else [np.eye(d).reshape(1, d, d, 1) for d in source.phys_dims])
+    for n in range(L):
+        t = np.tensordot(env.gl[n], source.ac(n), axes=((2,), (0,)))
+        t = np.tensordot(t, ops[n], axes=((1, 2), (0, 2)))
+        yield np.tensordot(t, env.gr[n], axes=((1, 3), (2, 1))) / env.lam
 
 
 def extract_gauges(cp: CenterPair):
@@ -319,6 +331,116 @@ def _regauge(state: UniformMPS) -> UniformMPS:
 
 
 # ---------------------------------------------------------------------------
+# ascent for a stalled loop
+
+
+# the loop hands over to :class:`_Ascent` when its residual fell less than
+# tenfold over this many iterations: the update crawls or cycles (cold
+# starts that converge fall more than a hundredfold over as many)
+_STALL_WINDOW = 30
+# curvature pairs the ascent keeps
+_MEMORY = 8
+# halvings of a step before the line search takes it as it is
+_MAX_HALVINGS = 20
+
+
+def _tangent(al, z) -> list:
+    """`z` projected on the tangent space of the left isometries `al`,
+    grouped (left*phys, right): ``z - al sym(al^dag z)``."""
+    out = []
+    for a, x in zip(al, z):
+        am = a.reshape(-1, a.shape[2])
+        b = am.conj().T @ x.reshape(am.shape)
+        out.append(x - (am @ (b + b.conj().T) / 2).reshape(a.shape))
+    return out
+
+
+def _dot(x, y) -> float:
+    return sum(float(np.vdot(u, v).real) for u, v in zip(x, y))
+
+
+def _fidelity_gradient(env: MixedEnvironment, source: UniformMPS,
+                       mpo: MPO | None, a: UniformMPS) -> list:
+    """Gradient of ``-log|lambda|`` (per site) over the left isometries of
+    the canonical trial `a` that `env` was solved for: the tangent part of
+    ``-AC' C^dag / L``, with AC' the center before normalization.  Up to
+    that normalization its tangent part is ``-(AC' - AL C') C^dag / L``,
+    the loop's residual read as a gradient (Hauru, Van Damme, Haegeman,
+    arXiv:2007.03638)."""
+    L = a.unit_cell
+    raw = _raw_centers(env, source, mpo)
+    return _tangent(a.al, [-np.tensordot(t, c.conj(), axes=((2,), (1,))) / L
+                           for t, c in zip(raw, a.c)])
+
+
+def _retract(a: UniformMPS, d, t: float) -> UniformMPS:
+    """The canonical state whose left isometries are the polar factors of
+    ``al + t d`` (the right gauge seeded by the bond matrices of `a`)."""
+    al = [polar((x + t * v).reshape(-1, x.shape[2])).reshape(x.shape)
+          for x, v in zip(a.al, d)]
+    return _regauge(UniformMPS(al=al, ar=a.ar, c=a.c))
+
+
+class _Ascent:
+    """Riemannian L-BFGS for ``f = -log|lambda|`` over the left isometries.
+
+    The loop's update is a fixed-point map whose fixed points are the
+    stationary points of f; where that map crawls or cycles, this descends
+    f directly.  Tangent vectors move to a new point by projection, and a
+    step of length t along d retracts to the polar factor of ``al + t d``.
+    The line search halves t from 1 until f falls by Armijo's margin (to
+    within rounding of f), at most `_MAX_HALVINGS` times.
+    :meth:`next_trial` takes the canonical trial the loop evaluated last,
+    with its f and gradient, and returns the next trial to evaluate.
+    """
+
+    def __init__(self):
+        self.pairs = []
+        self.base = None
+
+    def next_trial(self, a: UniformMPS, f: float, g) -> UniformMPS:
+        if self.base is not None:
+            b, f0, g0, d, slope, t = self.base
+            noise = 1e-14 * max(abs(f0), 1.0)
+            if f > f0 + 1e-4 * t * slope + noise and \
+                    t > 0.5 ** _MAX_HALVINGS:
+                self.base = (b, f0, g0, d, slope, t / 2)
+                return _retract(b, d, t / 2)
+            # the step is taken: keep its curvature pair, at the new point
+            s = _tangent(a.al, [t * x for x in d])
+            y = [u - v for u, v in zip(g, _tangent(a.al, g0))]
+            self.pairs = [(_tangent(a.al, p), _tangent(a.al, q))
+                          for p, q in self.pairs]
+            if _dot(s, y) > 0:
+                self.pairs = (self.pairs + [(s, y)])[-_MEMORY:]
+        d = self._direction(g)
+        if _dot(g, d) >= 0:
+            # transported pairs can lose positive curvature
+            self.pairs = []
+            d = self._direction(g)
+        self.base = (a, f, g, d, _dot(g, d), 1.0)
+        return _retract(a, d, 1.0)
+
+    def _direction(self, g) -> list:
+        """The two-loop recursion's ``-H g``; without pairs, a step of
+        length at most 0.1 against the gradient."""
+        q, alphas = g, []
+        for s, y in reversed(self.pairs):
+            alphas.append(_dot(s, q) / _dot(y, s))
+            q = [u - alphas[-1] * v for u, v in zip(q, y)]
+        if self.pairs:
+            s, y = self.pairs[-1]
+            gamma = _dot(s, y) / _dot(y, y)
+        else:
+            gamma = min(1.0, 0.1 / math.sqrt(_dot(g, g)))
+        r = [gamma * u for u in q]
+        for (s, y), alpha in zip(self.pairs, reversed(alphas)):
+            beta = _dot(y, r) / _dot(y, s)
+            r = [u + (alpha - beta) * v for u, v in zip(r, s)]
+        return [-u for u in r]
+
+
+# ---------------------------------------------------------------------------
 # the main loop
 
 
@@ -330,17 +452,19 @@ def vomps_truncate(m: UniformMPS, cfg: VompsConfig,
     Returns ``(state, report)``.  The loop alternates environment solves,
     center updates, and gauge extraction until the fixed-point residual
     drops below ``cfg.eta``; each environment solve starts from the
-    previous iteration's solution.  `guess` may carry bond-0
-    environment vectors ``(left, right)`` for the first solve, such as
-    the ``report.env_guess`` of a truncation of a nearby problem.  The
-    loop solves no environments after it stops: ``report.final_lambda``
-    and ``report.env_guess`` come from its last solve (see
-    :class:`TruncationReport`).  A converged result is the loop's last
-    iterate if that passes :meth:`UniformMPS.check` at ``cfg.eta`` (the
-    residual bounds ``AL' C'`` only), else, like an unconverged one, it is
-    regauged exactly, keeping AL'.  Non-convergence returns the best state
-    found, flagged in the report; a collapsing fidelity flags
-    orthogonality instead of looping forever.
+    previous iteration's solution.  If the residual falls less than
+    tenfold over `_STALL_WINDOW` iterations, the trials come from
+    :class:`_Ascent` instead, starting at the update regauged.  `guess`
+    may carry bond-0 environment vectors ``(left, right)`` for the first
+    solve, such as the ``report.env_guess`` of a truncation of a nearby
+    problem.  The loop solves no environments after it stops:
+    ``report.final_lambda`` and ``report.env_guess`` come from its last
+    solve (see :class:`TruncationReport`).  A converged result is the
+    loop's last iterate if that passes :meth:`UniformMPS.check` at
+    ``cfg.eta`` (the residual bounds ``AL' C'`` only), else, like an
+    unconverged one, it is regauged exactly, keeping AL'.  Non-convergence
+    returns the last iterate, flagged in the report; a collapsing fidelity
+    flags orthogonality instead of looping forever.
     """
     work_cell = math.lcm(m.unit_cell, mpo.unit_cell if mpo else 1)
     m_ext = m.extended(work_cell // m.unit_cell)
@@ -359,9 +483,12 @@ def vomps_truncate(m: UniformMPS, cfg: VompsConfig,
     eps = eps_prev = 1e-2
     lam_first = None
     env = None
+    ascent = None
 
+    # each record's wall time runs from the previous one's, so that it
+    # includes the ascent's retraction to its trial
+    t0 = time.perf_counter()
     for it in range(cfg.max_iter):
-        t0 = time.perf_counter()
         # near a fixed point the residual falls faster than linearly (about
         # quadratically), so solve for the one the last ratio predicts
         eps_next = eps * min(1.0, eps / eps_prev)
@@ -378,10 +505,11 @@ def vomps_truncate(m: UniformMPS, cfg: VompsConfig,
         report.singular_completion |= completed
         report.degenerate |= env.degenerate
         eps_prev, eps = eps, error_epsilon(cp, al)
-        a = UniformMPS(al=al, ar=ar, c=cp.cp)
+        trial, a = a, UniformMPS(al=al, ar=ar, c=cp.cp)
         guess = (env.gl[0].reshape(-1), env.gr[-1].reshape(-1))
         wall_ms = 1e3 * (time.perf_counter() - t0)
         report.record(it, eps, abs(env.lam), wall_ms, env.matvecs, tol_inner)
+        t0 = time.perf_counter()
 
         if lam_first is None:
             lam_first = max(abs(env.lam), 1e-300)
@@ -393,6 +521,14 @@ def vomps_truncate(m: UniformMPS, cfg: VompsConfig,
         if eps < cfg.eta:
             report.converged = True
             break
+        if ascent is not None:
+            a = ascent.next_trial(
+                trial, -math.log(abs(env.lam)),
+                _fidelity_gradient(env, m_ext, mpo, trial))
+        elif it >= _STALL_WINDOW and \
+                eps > report.iterations[-1 - _STALL_WINDOW].epsilon / 10:
+            ascent = _Ascent()
+            a = _regauge(a)
 
     if report.orthogonal:
         warnings.warn("fidelity collapsed: input states are (numerically) "
