@@ -2,9 +2,11 @@
 
 The package provides the tangent-space optimization loop for
 approximating a uniform MPS (optionally with an MPO applied) at a smaller
-bond dimension, the local Schmidt-truncation baselines, uniform-MPS gauge
+bond dimension, the local Schmidt-truncation baseline, uniform-MPS gauge
 and transfer-matrix machinery, and the model builders and oracles used by
-the command-line experiments.
+the command-line experiments.  The local baseline for an MPO-MPS product
+is ``schmidt_truncate`` of the product that ``vomps_truncate`` builds at
+its full bonds (see :mod:`vomps.baseline`).
 """
 
 import os as _os
@@ -16,7 +18,7 @@ if _os.environ.get("UMPS_THREADS"):
                  "MKL_NUM_THREADS", "NUMEXPR_NUM_THREADS"):
         _os.environ.setdefault(_var, _os.environ["UMPS_THREADS"])
 
-from .baseline import MemoryGuardError, mpo_mps_local_truncate, schmidt_truncate
+from .baseline import schmidt_truncate
 from .io import load_state, save_state
 from .tensor import (
     EigResult,
@@ -45,7 +47,6 @@ from .umps import (
     UniformMPS,
     WarmStart,
     environments,
-    expect_local,
     fidelity_per_site,
     left_orthonormalize,
     mixed_canonical,

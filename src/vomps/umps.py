@@ -385,16 +385,15 @@ def _right_gauge_from_left(al, seed=None, tol: float = 1e-14):
         f"right gauge iteration stalled (residual {residual:.2e})")
 
 
-def mixed_canonical(a, tol: float = 1e-14, right_seed=None) -> UniformMPS:
+def mixed_canonical(a, tol: float = 1e-14) -> UniformMPS:
     """Bring a unit cell of site tensors into mixed canonical form.
 
     Left-orthonormalizes, derives the right gauge from the resulting
-    isometric family (optionally warm-started through `right_seed`, one
-    matrix per bond), and rotates every bond so the bond matrices are
+    isometric family, and rotates every bond so the bond matrices are
     diagonal with descending Schmidt values.
     """
     al, _ = left_orthonormalize(a, tol=tol)
-    ar, rs = _right_gauge_from_left(al, seed=right_seed, tol=tol)
+    ar, rs = _right_gauge_from_left(al, tol=tol)
     L = len(al)
     us, vs, c = [None] * L, [None] * L, [None] * L
     for n in range(L):
@@ -692,19 +691,6 @@ def fidelity_per_site(a: UniformMPS, b: UniformMPS,
     if guess is not None:
         guess.vector = res.vector
     return float(abs(res.value) ** (1.0 / L))
-
-
-def expect_local(state: UniformMPS, op, site: int = 0) -> complex:
-    """Expectation value of a single-site operator at `site`.
-
-    Contracts the closed network conj(ac) (op x bond identities) ac; for a
-    normalized state and Hermitian op the imaginary part is numerical
-    noise only.
-    """
-    op = np.asarray(op, dtype=complex)
-    ac = state.ac(site % state.unit_cell)
-    t = np.einsum("pq,aqb->apb", op, ac)
-    return complex(np.tensordot(np.conj(ac), t, axes=((0, 1, 2), (0, 1, 2))))
 
 
 def mpo_eigenvalue_per_site(state: UniformMPS, mpo: MPO) -> complex:

@@ -3,11 +3,13 @@ import functools
 import numpy as np
 import pytest
 
-from vomps.baseline import MemoryGuardError, mpo_mps_local_truncate
+from vomps.baseline import schmidt_truncate
 from vomps.models import (
     BETA_C,
     IsingParams,
+    _layer_targets,
     ising_mpo,
+    trotter_evolve,
     trotter_layer_mpo,
     xxz_gate,
 )
@@ -34,54 +36,77 @@ PRODUCTS = {
 }
 
 
+def full_product(m, mpo):
+    """The product ``mpo @ m`` in canonical form at its full bonds chi*D
+    (clamped to representable ranks): VOMPS without truncation."""
+    chi_max = max(m.bond_dims) * max(mpo.bond_dims)
+    full = _layer_targets(m, mpo, chi_max)
+    product, report = vomps_truncate(
+        m, VompsConfig(target_chi=full, eta=1e-12), mpo=mpo)
+    assert report.converged
+    return product
+
+
 @functools.lru_cache(maxsize=None)
 def untruncated(name):
-    """(state, mpo, local truncation above the product rank, dense norm per
-    site, dense bond-0 Schmidt values) of one product."""
+    """(state, mpo, full product, dense norm per site, dense bond-0
+    Schmidt values) of one product."""
     mpo, chi, _ = PRODUCTS[name]
     m = correlated_random_state(chi, seed=1)
-    return (m, mpo, mpo_mps_local_truncate(m, mpo, 64),
-            *dense_product_spectrum(m, mpo))
+    return (m, mpo, full_product(m, mpo), *dense_product_spectrum(m, mpo))
 
 
 @pytest.mark.parametrize("name", sorted(PRODUCTS))
 class TestMpoMpsLocalTruncate:
-    """Untruncated products (`new_chi` above the product rank) against the
-    dense O^dag O channel.  The even Trotter layer has MPO bonds (1, 4) and
-    the complex one (1, 3), so their bond 0 is not the largest one."""
+    """Untruncated products against the dense O^dag O channel.  The even
+    Trotter layer has MPO bonds (1, 4) and the complex one (1, 3), so
+    their bond 0 is not the largest one."""
 
     def test_overlap_is_the_product_norm(self, name):
         m, mpo, result, norm, _ = untruncated(name)
         lam = abs(environments(result, m, mpo, tol=1e-13).lam)
-        assert abs(lam - norm) < 1e-10 * norm
+        assert abs(lam - norm) < 1e-13 * norm
         if PRODUCTS[name][2]:
             # a unitary layer preserves the norm
-            assert abs(lam - 1.0) < 1e-10
+            assert abs(lam - 1.0) < 1e-13
 
     def test_bond0_schmidt_values_match_product_spectrum(self, name):
         *_, result, _, want = untruncated(name)
         got = result.schmidt_values(0)
-        assert np.max(np.abs(got - want[:len(got)])) < 1e-10
+        assert np.max(np.abs(got - want[:len(got)])) < 1e-11
         assert np.linalg.norm(want[len(got):]) < 1e-6
 
 
 def test_vomps_overlap_at_least_local():
     m = correlated_random_state(8, seed=1)
-    local = mpo_mps_local_truncate(m, ISING, 8)
-    result, report = vomps_truncate(m, VompsConfig(target_chi=8), mpo=ISING)
+    product = full_product(m, ISING)
+    for new_chi in (8, 6, 4):
+        local, _ = schmidt_truncate(product, new_chi)
+        result, report = vomps_truncate(m, VompsConfig(target_chi=new_chi),
+                                        mpo=ISING)
+        assert report.converged
+        lam_local = abs(environments(local, m, ISING, tol=1e-13).lam)
+        lam_vomps = abs(environments(result, m, ISING, tol=1e-13).lam)
+        assert lam_vomps >= lam_local - 1e-12 * lam_local
+
+
+def test_rank_deficient_product_keeps_its_fidelity():
+    # a Trotter state with Schmidt values down to 4.2e-8 times the odd
+    # layer: the product is rank deficient at its full bonds, so a gauge
+    # built from the separate top eigenvectors of its two fixed points
+    # does not pair them up; a cut at or above its numerical rank must
+    # lose nothing
+    state, _ = trotter_evolve(0.5, 0.05, 1.0, 16)
+    odd = trotter_layer_mpo(xxz_gate(0.5, 0.05), "odd")
+    product = full_product(state, odd)
+
+    def infidelity(new):
+        return 1.0 - abs(environments(new, state, odd, tol=1e-13).lam) ** 2
+
+    for new_chi in (16, 12):
+        assert infidelity(schmidt_truncate(product, new_chi)[0]) <= 1e-12
+    local = infidelity(schmidt_truncate(product, 8)[0])
+    result, report = vomps_truncate(state, VompsConfig(target_chi=8),
+                                    mpo=odd)
     assert report.converged
-    lam_local = abs(environments(local, m, ISING, tol=1e-13).lam)
-    lam_vomps = abs(environments(result, m, ISING, tol=1e-13).lam)
-    assert lam_vomps >= lam_local - 1e-12 * lam_local
-
-
-def test_memory_guard_refuses_with_estimate_and_guard():
-    # chi 8, d 2, D 2: the fixed points and Krylov basis of the product
-    # transfer take 16 (chi D)^2 (d + 34) bytes, about 0.141 MiB
-    m = correlated_random_state(8, seed=1)
-    with pytest.raises(MemoryGuardError) as info:
-        mpo_mps_local_truncate(m, ISING, 4, mem_limit_bytes=1024)
-    message = str(info.value)
-    assert f"~{16 * 16**2 * 36 / 2**20:.3g} MiB" in message
-    assert "chi=8, d=2, D=2" in message
-    assert f"guard is {1024 / 2**20:.3g} MiB" in message
+    assert infidelity(result) <= local + 1e-12

@@ -4,7 +4,9 @@ import numpy as np
 import pytest
 
 from vomps.io import SchemaError, load_state, save_state
-from vomps.umps import expect_local, mixed_canonical, random_uniform_mps
+from vomps.umps import mixed_canonical, random_uniform_mps
+
+from oracles import dense_local_expectation
 
 
 def test_state_round_trip(tmp_path):
@@ -100,8 +102,8 @@ def test_golden_neel_fixture(tmp_path):
     save_state(neel_state(), path)
     loaded = load_state(path)
     up = np.diag([1.0, 0.0])
-    assert abs(expect_local(loaded, up, 0) - 1.0) < 1e-14
-    assert abs(expect_local(loaded, up, 1)) < 1e-14
+    assert abs(dense_local_expectation(loaded, up, 0) - 1.0) < 1e-14
+    assert abs(dense_local_expectation(loaded, up, 1)) < 1e-14
 
 
 @pytest.mark.parametrize("kind", ["state"])

@@ -12,7 +12,6 @@ from vomps.umps import (
     _apply_right_site,
     _rotate_bonds,
     environments,
-    expect_local,
     fidelity_per_site,
     left_orthonormalize,
     mixed_canonical,
@@ -27,15 +26,11 @@ from oracles import (
     dense_environment_eigenvalue,
     dense_fidelity,
     dense_leading_eig,
-    dense_local_expectation,
     identity_mpo,
     materialize,
     random_complex,
     site_transfer,
 )
-
-Z = np.diag([1.0, -1.0]).astype(complex)
-UP_PROJECTOR = np.diag([1.0, 0.0]).astype(complex)
 
 
 def neel():
@@ -430,28 +425,6 @@ class TestFidelity:
         # a vector of another size is ignored
         assert abs(fidelity_per_site(a, a, guess=holder) - 1.0) < 1e-12
         assert holder.vector.shape == (4 * 4,)
-
-
-class TestExpectLocal:
-    def test_identity_gives_norm(self):
-        state = random_uniform_mps(4, 2, seed=50)
-        assert abs(expect_local(state, np.eye(2)) - 1.0) < 1e-12
-
-    def test_neel_occupation(self):
-        state = neel()
-        assert abs(expect_local(state, UP_PROJECTOR, 0) - 1.0) < 1e-14
-        assert abs(expect_local(state, UP_PROJECTOR, 1)) < 1e-14
-
-    @pytest.mark.parametrize("seed", range(3))
-    def test_matches_dense_density_matrix(self, seed):
-        rng = np.random.default_rng(seed)
-        state = random_uniform_mps(3, 2, seed=60 + seed)
-        h = random_complex(rng, 2, 2)
-        h = h + h.conj().T
-        got = expect_local(state, h)
-        want = dense_local_expectation(state, h)
-        assert abs(got - want) < 1e-12
-        assert abs(got.imag) < 1e-12
 
 
 class TestMpoEigenvalue:
