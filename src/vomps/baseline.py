@@ -25,7 +25,8 @@ from .umps import (
     UniformMPS,
     _normalize_targets,
     _rotate_bonds,
-    mixed_canonical,
+    _schmidt_frame,
+    left_orthonormalize,
 )
 
 
@@ -39,7 +40,11 @@ def schmidt_truncate(state: UniformMPS, new_chi):
     SVDs each bond matrix, keeps the largest singular values (descending
     order with index tie-break; a degenerate cut is warned about),
     projects the neighboring gauge tensors with the truncated isometries,
-    and re-canonicalizes.  Returns ``(state, discarded_weight)`` where the
+    and re-canonicalizes, starting the right gauge iteration from the kept
+    Schmidt values instead of the identity: the cut's right fixed point is
+    near their squares, so few sweeps remain, and a transfer spectrum
+    degenerate to rounding cannot pull the iteration to another fixed
+    point.  Returns ``(state, discarded_weight)`` where the
     weight is the total of dropped squared singular values.  Targets at or
     above the current bond dimensions reduce to the identity operation.
     """
@@ -69,5 +74,8 @@ def schmidt_truncate(state: UniformMPS, new_chi):
 
     al = [_rotate_bonds(us[n].conj().T, state.al[n], us[(n + 1) % L])
           for n in range(L)]
-    truncated = mixed_canonical(al)
-    return truncated, discarded
+    al, gauges = left_orthonormalize(al)
+    # al is gauges[k] a inv(gauges[k+1]) up to scale: its right fixed point
+    # on bond k is near gauges[k] diag(s)^2 gauges[k]^H, s kept from c[k-1]
+    seed = [gauges[k] * s_kept[(k - 1) % L] for k in range(L)]
+    return _schmidt_frame(al, seed, 1e-14), discarded

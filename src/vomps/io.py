@@ -9,6 +9,8 @@ nested arrays of ``[re, im]`` pairs in the documented index orders —
 matrices.  Floats are written in Python's shortest exact decimal form (up
 to 17 significant digits), so a round trip is bit-exact.  A state whose
 imaginary parts are all zero loads as float64, any other as complex128.
+A state must be canonical to 1e-10 (:meth:`~vomps.umps.UniformMPS.check`);
+states this package writes check to ~1e-14.
 """
 
 from __future__ import annotations
@@ -72,8 +74,8 @@ def save_state(state: UniformMPS, path: str | os.PathLike):
            "tensors": {name: [_encode(a) for a in arrays] for name, arrays
                        in zip(_SHAPES, (state.al, state.ar, state.c))}}
     with open(path, "w") as fh:
-        json.dump(doc, fh)
-        fh.write("\n")
+        # json.dumps runs the C encoder, json.dump the pure-Python one
+        fh.write(json.dumps(doc) + "\n")
 
 
 def load_state(path: str | os.PathLike) -> UniformMPS:
@@ -110,9 +112,11 @@ def load_state(path: str | os.PathLike) -> UniformMPS:
     tensors = {name: [t[..., 0] if real else t[..., 0] + 1j * t[..., 1]
                       for t in ts] for name, ts in tensors.items()}
     try:
-        return UniformMPS(al=tensors["AL"], ar=tensors["AR"], c=tensors["C"])
+        state = UniformMPS(al=tensors["AL"], ar=tensors["AR"], c=tensors["C"])
+        state.check(1e-10)
     except ValueError as exc:
         raise SchemaError(f"{path}: {exc}") from exc
+    return state
 
 
 def write_trace(path, fmt: str, seed, header, columns, rows):

@@ -550,14 +550,19 @@ def vomps_truncate(m: UniformMPS, cfg: VompsConfig,
 
 
 def epsilon_measure(candidate: UniformMPS, m: UniformMPS,
-                    mpo: MPO | None = None) -> float:
+                    mpo: MPO | None = None) -> tuple[float, float]:
     """Fixed-point residual of an arbitrary candidate state against a
     target, evaluated by a single environment/center/extraction pass (both
-    extend the unit cells to their least common multiple)."""
+    extend the unit cells to their least common multiple).
+
+    Returns ``(epsilon, abs_lambda)``: the residual and the per-site |λ| of
+    the environment solve, which without `mpo` is the candidate's
+    :func:`~vomps.umps.fidelity_per_site` with `m`.
+    """
     env = environments(candidate, m, mpo, tol=1e-13)
     cp = compute_centers(env, m, mpo)
     al, _, _ = extract_gauges(cp)
-    return error_epsilon(cp, al)
+    return error_epsilon(cp, al), float(abs(env.lam))
 
 
 # ---------------------------------------------------------------------------

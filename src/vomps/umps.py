@@ -393,7 +393,16 @@ def mixed_canonical(a, tol: float = 1e-14) -> UniformMPS:
     diagonal with descending Schmidt values.
     """
     al, _ = left_orthonormalize(a, tol=tol)
-    ar, rs = _right_gauge_from_left(al, tol=tol)
+    return _schmidt_frame(al, None, tol)
+
+
+def _schmidt_frame(al, seed, tol: float) -> UniformMPS:
+    """Mixed canonical form of a left-isometric cell `al` in its Schmidt
+    basis: the right gauge iteration, started from `seed` (the identity
+    when None; see :func:`_right_gauge_from_left`), then every bond
+    rotated so the bond matrices are diagonal with descending Schmidt
+    values."""
+    ar, rs = _right_gauge_from_left(al, seed=seed, tol=tol)
     L = len(al)
     us, vs, c = [None] * L, [None] * L, [None] * L
     for n in range(L):

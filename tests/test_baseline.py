@@ -13,13 +13,21 @@ from vomps.models import (
     trotter_layer_mpo,
     xxz_gate,
 )
+from vomps.tensor import svd
 from vomps.truncation import VompsConfig, vomps_truncate
-from vomps.umps import MPO, environments
+from vomps.umps import (
+    MPO,
+    environments,
+    fidelity_per_site,
+    mixed_canonical,
+    random_uniform_mps,
+)
 
 from oracles import (
     correlated_random_state,
     dense_product_spectrum,
     random_complex,
+    state_with_spectrum,
 )
 
 ISING = ising_mpo(IsingParams(beta=1.01 * BETA_C))
@@ -110,3 +118,55 @@ def test_rank_deficient_product_keeps_its_fidelity():
                                     mpo=odd)
     assert report.converged
     assert infidelity(result) <= local + 1e-12
+
+
+def rotated_cut(state, targets):
+    """The tensors a Schmidt cut canonicalizes: every AL projected on the
+    kept left singular vectors of the bond matrices on either side."""
+    L = state.unit_cell
+    us = [None] * L
+    for n in range(L):
+        us[(n + 1) % L] = svd(state.c[n])[0][:, :targets[(n + 1) % L]]
+    return [np.einsum("xa,apb,by->xpy", us[n].conj().T, state.al[n],
+                      us[(n + 1) % L]) for n in range(L)]
+
+
+class TestSeededCut:
+    """The cut's re-canonicalization starts its right gauge iteration from
+    the kept Schmidt values; it must land where the identity start of
+    `mixed_canonical` lands on injective inputs, and on the cut's own
+    fixed point where the transfer spectrum is degenerate to rounding."""
+
+    @pytest.mark.parametrize("state, targets", [
+        (random_uniform_mps(8, 2, seed=1), [5]),
+        (random_uniform_mps(6, 2, unit_cell=2, seed=2), [3, 5]),
+        (correlated_random_state(8, seed=3), [4]),
+        (correlated_random_state(8, seed=4).extended(2), [3, 5]),
+        (random_uniform_mps(6, [2, 3], unit_cell=2, seed=5), [4, 2]),
+    ], ids=["random-1", "random-2", "correlated-1", "correlated-2",
+            "mixed-dims-2"])
+    def test_matches_the_identity_start_on_injective_inputs(self, state,
+                                                            targets):
+        got, _ = schmidt_truncate(state, targets)
+        want = mixed_canonical(rotated_cut(state, targets))
+        assert abs(1.0 - fidelity_per_site(got, want)) <= 1e-14
+        for bond in range(state.unit_cell):
+            assert np.max(np.abs(got.schmidt_values(bond)
+                                 - want.schmidt_values(bond))) <= 1e-13
+        got.check(1e-12)
+
+    @pytest.mark.parametrize("spectrum, seed, chi", [
+        ([1, .3, .1, .01, 1e-12, 1e-13], 1, 4),
+        ([1, .6, .3, .1, 1e-8], 0, 3)])
+    def test_near_degenerate_cut_keeps_its_schmidt_values(self, spectrum,
+                                                          seed, chi):
+        # AL is diagonal up to shift weights of ~1e-16, so the cut state
+        # has the kept values as its Schmidt values; from the identity the
+        # right gauge iteration settled on another fixed point (off by
+        # 0.49 and 0.33) while the canonical-form check still passed
+        state = state_with_spectrum(spectrum, seed=seed)
+        got, _ = schmidt_truncate(state, chi)
+        kept = np.sort(spectrum)[::-1][:chi]
+        kept = kept / np.linalg.norm(kept)
+        assert np.max(np.abs(got.schmidt_values(0) - kept)) <= 1e-12
+        got.check(1e-12)

@@ -4,6 +4,7 @@ import subprocess
 import sys
 import textwrap
 
+import numpy as np
 import pytest
 
 import vomps.cli
@@ -11,7 +12,7 @@ from vomps.io import save_state
 from vomps.models import EvolutionRecord, neel_state
 from vomps.umps import random_uniform_mps
 
-from oracles import correlated_random_state
+from oracles import correlated_random_state, dense_fidelity
 
 SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
                    "src")
@@ -147,6 +148,36 @@ def test_truncate_rejects_unreadable_input(tmp_path, capsys, content):
 def test_fidelity_prints_the_value(state_file, capsys):
     assert vomps.cli.main(["fidelity", str(state_file), str(state_file)]) == 0
     assert abs(float(capsys.readouterr().out) - 1.0) < 1e-12
+
+
+def test_fidelity_of_two_states_matches_the_dense_oracle(tmp_path, capsys):
+    a, b = (correlated_random_state(4, seed=s) for s in (1, 2))
+    paths = [str(tmp_path / f"{name}.json") for name in "ab"]
+    save_state(a, paths[0])
+    save_state(b, paths[1])
+    assert vomps.cli.main(["fidelity"] + paths) == 0
+    printed = float(capsys.readouterr().out)
+    assert printed < 0.99
+    assert abs(printed - dense_fidelity(a, b)) < 1e-10
+
+
+@pytest.mark.parametrize("command", ["truncate", "fidelity"])
+def test_commands_reject_a_state_that_is_not_canonical(tmp_path, state_file,
+                                                       capsys, command):
+    # AL scaled by 1.3: loaded unchecked, truncate exited 0 with
+    # fidelities of 1.27 and fidelity of the file with itself printed 1.69
+    doc = json.loads(state_file.read_text())
+    doc["tensors"]["AL"][0] = (
+        1.3 * np.array(doc["tensors"]["AL"][0])).tolist()
+    state_file.write_text(json.dumps(doc))
+    out = tmp_path / "out"
+    argv = (["truncate", "--in", str(state_file), "--chi", "3",
+             "--out-dir", str(out)] if command == "truncate"
+            else ["fidelity", str(state_file), str(state_file)])
+    assert vomps.cli.main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "canonical residual" in err
+    assert not out.exists()
 
 
 def test_fidelity_rejects_a_bad_file(tmp_path, state_file, capsys):

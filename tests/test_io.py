@@ -6,7 +6,7 @@ import pytest
 from vomps.io import SchemaError, load_state, save_state
 from vomps.umps import mixed_canonical, random_uniform_mps
 
-from oracles import dense_local_expectation
+from oracles import correlated_random_state, dense_local_expectation
 
 
 def test_state_round_trip(tmp_path):
@@ -92,6 +92,20 @@ def test_rejects_non_finite(tmp_path):
     doc["tensors"]["C"][0][0][0][0] = 1e999
     path.write_text(json.dumps(doc).replace("Infinity", "1e999"))
     with pytest.raises(SchemaError):
+        load_state(path)
+
+
+def test_rejects_a_state_that_is_not_canonical(tmp_path):
+    # AL scaled by 1.3 keeps every shape and entry valid; only the
+    # canonical-form check sees it (1.3 ** 2 - 1 on AL's isometry)
+    path = tmp_path / "state.json"
+    save_state(correlated_random_state(6, seed=3), path)
+    doc = json.loads(path.read_text())
+    doc["tensors"]["AL"][0] = (
+        1.3 * np.array(doc["tensors"]["AL"][0])).tolist()
+    path.write_text(json.dumps(doc))
+    with pytest.raises(SchemaError,
+                       match=r"state\.json: canonical residual [0-9.]+e"):
         load_state(path)
 
 

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from vomps.baseline import schmidt_truncate
 from vomps.truncation import (
     TRACE_FORMAT,
     CenterPair,
@@ -284,7 +285,10 @@ class TestVompsTruncate:
         f_v = fidelity_per_site(state, m)
         f_b = fidelity_per_site(baseline, m)
         assert f_v >= f_b - 1e-12
-        assert report.final_epsilon < epsilon_measure(baseline, m)
+        eps_b, lam_b = epsilon_measure(baseline, m)
+        assert report.final_epsilon < eps_b
+        # the measure's |lambda| is the baseline's fidelity
+        assert abs(lam_b - f_b) < 1e-14
 
     def test_tiny_schmidt_tail_truncation(self):
         m = state_with_spectrum([1.0, 1e-8], seed=72)
@@ -563,6 +567,29 @@ class TestFitStateToBonds:
         cut = fit_state_to_bonds(m, [4], seed=1)
         ref, _ = schmidt_truncate(m, 4)
         assert abs(fidelity_per_site(cut, ref) - 1.0) < 1e-10
+
+
+@pytest.mark.parametrize("cell", [1, 2])
+def test_schmidt_cut_as_init_is_the_default_start(cell):
+    # the CLI hands its baseline to the loop as the start: the same cut
+    # the default start makes, so every iterate is the same, bit for bit;
+    # the two-site input's bond 0 lies below chi (the growth branch)
+    rng = np.random.default_rng(95)
+    if cell == 1:
+        m, chi = correlated_random_state(8, seed=95), 4
+    else:
+        m, chi = mixed_canonical([random_complex(rng, 2, 3, 6),
+                                  random_complex(rng, 6, 3, 2)]), 4
+    default = vomps_truncate(m, VompsConfig(target_chi=chi))
+    shared = vomps_truncate(m, VompsConfig(
+        target_chi=chi, init=schmidt_truncate(m, chi)[0]))
+    assert default[0].bond_dims == [chi] * (cell + 1)
+    assert default[1].converged
+    assert [r.epsilon for r in default[1].iterations] == \
+        [r.epsilon for r in shared[1].iterations]
+    for name in ("al", "ar", "c"):
+        for x, y in zip(getattr(default[0], name), getattr(shared[0], name)):
+            assert np.array_equal(x, y)
 
 
 class TestGrowBond:

@@ -11,6 +11,7 @@ from vomps.umps import (
     _apply_left_site,
     _apply_right_site,
     _rotate_bonds,
+    _schmidt_frame,
     environments,
     fidelity_per_site,
     left_orthonormalize,
@@ -219,9 +220,13 @@ class TestBondRotation:
     def test_schmidt_truncate_matches_einsum(self):
         state = random_uniform_mps(16, 2, seed=14)
         got, _ = schmidt_truncate(state, 8)
-        u = svd(state.c[0])[0][:, :8]
-        want = mixed_canonical([np.einsum("xa,apb,by->xpy", u.conj().T,
-                                          state.al[0], u)])
+        u, s, _ = svd(state.c[0])
+        u = u[:, :8]
+        # the cut's re-canonicalization: its right gauge iteration starts
+        # from the kept Schmidt values carried through the left gauge
+        al, gauges = left_orthonormalize([np.einsum(
+            "xa,apb,by->xpy", u.conj().T, state.al[0], u)])
+        want = _schmidt_frame(al, [gauges[0] @ np.diag(s[:8])], 1e-14)
         for name in ("al", "ar", "c"):
             diff = np.abs(getattr(got, name)[0] - getattr(want, name)[0])
             assert np.max(diff) < 1e-13
