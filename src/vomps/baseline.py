@@ -23,6 +23,7 @@ import numpy as np
 from .tensor import svd
 from .umps import (
     UniformMPS,
+    _check_isometric_targets,
     _normalize_targets,
     _rotate_bonds,
     _schmidt_frame,
@@ -46,10 +47,13 @@ def schmidt_truncate(state: UniformMPS, new_chi):
     degenerate to rounding cannot pull the iteration to another fixed
     point.  Returns ``(state, discarded_weight)`` where the
     weight is the total of dropped squared singular values.  Targets at or
-    above the current bond dimensions reduce to the identity operation.
+    above the current bond dimensions reduce to the identity operation; a
+    cut that leaves some site without isometric tensors raises ValueError.
     """
     L = state.unit_cell
-    targets = _normalize_targets(new_chi, L)
+    targets = [min(t, chi) for t, chi in zip(_normalize_targets(new_chi, L),
+                                             state.bond_dims)]
+    _check_isometric_targets(targets, state.phys_dims)
 
     # us[k]: truncated bond-k isometry from the svd of c[k-1]
     us = [None] * L
@@ -58,7 +62,7 @@ def schmidt_truncate(state: UniformMPS, new_chi):
     for n in range(L):
         bond = (n + 1) % L
         u, s, _ = svd(state.c[n])
-        k = min(targets[bond], len(s))
+        k = targets[bond]
         if k < len(s):
             if s[k - 1] - s[k] < 1e-12 * s[0]:
                 warnings.warn(

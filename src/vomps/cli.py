@@ -6,13 +6,16 @@ the baseline it reports and, with ``--init schmidt`` (the default), the
 start of the variational loop.  `truncate`, `evolve` and `fixedpoint`
 write a CSV trace (``trace.csv``, ``evolution.csv``, ``power.csv``;
 formats in :mod:`vomps.io`), their states as UMPS-JSON and a
-``summary.json``.  `fixedpoint` runs one power
-loop for either coupling, in real arithmetic from all spins up (the
-antiferromagnet's second site flipped) plus real noise of scale 1e-2 that
-`--seed` draws.  It reports its free energy and magnetization against
-Onsager's (``free_energy_error``, ``magnetization_error``) and the count
-of its steps whose truncation ended unconverged
-(``unconverged_truncations``, which leaves the exit code alone).
+``summary.json``.  `fixedpoint` runs the power loop
+of the ferromagnet's one-site cell A, in real arithmetic from all spins up
+plus real noise of scale 1e-2 that `--seed` draws.  The antiferromagnet is
+the flipped ferromagnet (see :mod:`vomps.models`), so ``--coupling afm``
+runs the same loop, with the same results and ``period``, and stores the
+canonical two-site cell ``[A, A[:, ::-1, :]]``.  It reports its free
+energy and magnetization against Onsager's (``free_energy_error``,
+``magnetization_error``) and the count of its steps whose truncation
+ended unconverged (``unconverged_truncations``, which leaves the exit
+code alone).
 `fidelity` prints the per-site fidelity of two stored states.
 
 Exit codes: 0 success, 1 usage or I/O failure, 2 non-convergence (outputs
@@ -33,7 +36,6 @@ from . import io as vio
 from .baseline import schmidt_truncate
 from .models import (
     BETA_C,
-    IsingParams,
     check_ed_chain,
     ed_evolve,
     ising_free_energy,
@@ -51,7 +53,12 @@ from .truncation import (
     power_method,
     vomps_truncate,
 )
-from .umps import fidelity_per_site, mixed_canonical, random_uniform_mps
+from .umps import (
+    UniformMPS,
+    fidelity_per_site,
+    mixed_canonical,
+    random_uniform_mps,
+)
 
 
 def _write_summary(path, payload):
@@ -164,34 +171,38 @@ def cmd_evolve(args) -> int:
     return 0 if ok else 2
 
 
-def _ordered_initial_state(chi, coupling, seed):
+def _ordered_initial_state(chi, seed):
     """The power method's start at bond `chi` (see the module docstring)."""
     a = 1e-2 * np.random.default_rng(seed).standard_normal((chi, 2, chi))
     a[0, 0, 0] += 1.0
-    return mixed_canonical([a] if coupling == 1 else [a, a[:, ::-1, :]])
+    return mixed_canonical([a])
 
 
 def cmd_fixedpoint(args) -> int:
     beta = args.beta_rel * BETA_C
-    coupling = 1 if args.coupling == "fm" else -1
     try:
-        params = IsingParams(beta=beta, coupling=coupling)
+        mpo = ising_mpo(beta)
         cfg = VompsConfig(target_chi=args.chi, eta=args.eta,
                           max_iter=args.max_iter, seed=args.seed)
         stop = PowerStop(tol=args.tol, max_iter=args.power_iter)
     except ValueError as exc:
         return _input_error(exc)
     os.makedirs(args.out_dir, exist_ok=True)
-    mpo = ising_mpo(params)
-    init = _ordered_initial_state(args.chi, coupling, args.seed)
-    state, report = power_method(mpo, init, cfg, stop)
+    state, report = power_method(
+        mpo, _ordered_initial_state(args.chi, args.seed), cfg, stop)
     report.write_csv(os.path.join(args.out_dir, "power.csv"),
                      header_extra=_header_lines(
                          args, ("beta_rel", "coupling", "chi", "tol", "eta")))
+    m = ising_magnetization(state, beta)
+    if args.coupling == "afm":
+        # every other spin flipped: F_odd maps the ferromagnet's fixed
+        # point onto one of the antiferromagnet's
+        al, ar = state.al[0], state.ar[0]
+        state = UniformMPS(al=[al, al[:, ::-1, :]], ar=[ar, ar[:, ::-1, :]],
+                           c=state.c * 2)
     vio.save_state(state, os.path.join(args.out_dir, "state.json"))
 
     f = ising_free_energy(abs(report.final_lambda), beta)
-    m = ising_magnetization(state, params)
     f_ref = onsager_free_energy(beta)
     m_ref = onsager_magnetization(beta)
     _write_summary(os.path.join(args.out_dir, "summary.json"), {

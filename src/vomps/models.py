@@ -1,9 +1,14 @@
 """Problem builders and independent oracles.
 
 XXZ spin-chain Trotter machinery, the Neel product state, the 2D
-classical Ising row-to-row transfer MPO (ferro and antiferro) with its
-Onsager references, and a dense exact-evolution oracle for small periodic
-chains.
+classical Ising row-to-row transfer MPO with its Onsager references, and a
+dense exact-evolution oracle for small periodic chains.
+
+Only the ferromagnet has a transfer MPO: on an even row the
+antiferromagnet's transfer matrix is ``F_even T F_odd``, with ``T`` the
+ferromagnet's and ``F_r`` the flip of the spins on the sites of parity r,
+so its fixed point is the ferromagnet's with every other spin flipped,
+with the same eigenvalue per site and the same |m|.
 """
 
 from __future__ import annotations
@@ -22,21 +27,6 @@ PAULI_Y = np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=complex)
 PAULI_Z = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
 
 BETA_C = math.log(1.0 + math.sqrt(2.0)) / 2.0
-
-
-@dataclass(frozen=True)
-class IsingParams:
-    """Inverse temperature and coupling sign of the square-lattice Ising
-    transfer matrix; +1 is ferromagnetic, -1 antiferromagnetic."""
-
-    beta: float
-    coupling: int = 1
-
-    def __post_init__(self):
-        if self.beta <= 0:
-            raise ValueError("beta must be positive")
-        if self.coupling not in (1, -1):
-            raise ValueError("coupling must be +1 (ferro) or -1 (antiferro)")
 
 
 # ---------------------------------------------------------------------------
@@ -223,76 +213,63 @@ def trotter_evolve(delta: float, dt: float, t_max: float, chi_max: int,
 # 2D classical Ising transfer matrix
 
 
-def _ising_weight_factors(p: IsingParams):
-    """Eigen-split of the bond weight matrix w(s,s') = exp(beta*J*s*s').
-
-    Returns (r, f, sign) with w_ferro = r @ r (symmetric square root) and
-    the horizontal half-weights f (f @ f.T = w_ferro).  The antiferro
-    weight has a negative eigenvalue; its real splitting reuses the ferro
-    factors with the sign matrix absorbed into single legs.
-    """
-    b = p.beta
-    lam_plus = math.exp(b) + math.exp(-b)
-    lam_minus = math.exp(b) - math.exp(-b)
-    e = np.array([[1.0, 1.0], [1.0, -1.0]]) / math.sqrt(2.0)
-    r = e @ np.diag([math.sqrt(lam_plus), math.sqrt(lam_minus)]) @ e.T
-    f = e @ np.diag([math.sqrt(lam_plus), math.sqrt(lam_minus)])
-    sign = np.diag([1.0, -1.0])
-    return r, f, sign
-
-
-def _ising_site_mpo(p: IsingParams, spin_weight: np.ndarray) -> MPO:
+def _ising_site_mpo(beta: float, spin_weight: np.ndarray) -> MPO:
     """One-site transfer MPO that sums over the site spin t with weight
-    ``spin_weight[t]`` and half-weights on every leg."""
-    r, f, sign = _ising_weight_factors(p)
-    if p.coupling == 1:
-        incoming, right = r, f
-    else:
-        incoming, right = PAULI_X.real @ r, f @ sign
-    o = np.einsum("pt,t,tq,tl,tr->lpqr", r, spin_weight, incoming, f, right)
+    ``spin_weight[t]`` and half-weights on every leg.
+
+    The bond weight matrix w(s, s') = exp(beta s s') has the eigenvectors
+    (1, +-1)/sqrt(2) with eigenvalues 2 cosh(beta) and 2 sinh(beta); the
+    vertical legs carry its symmetric square root r (r @ r = w), the
+    horizontal ones the eigen-split f (f @ f.T = w).
+    """
+    if beta <= 0:
+        raise ValueError("beta must be positive")
+    e = np.array([[1.0, 1.0], [1.0, -1.0]]) / math.sqrt(2.0)
+    f = e @ np.diag([math.sqrt(math.exp(beta) + math.exp(-beta)),
+                     math.sqrt(math.exp(beta) - math.exp(-beta))])
+    r = f @ e.T
+    o = np.einsum("pt,t,tq,tl,tr->lpqr", r, spin_weight, r, f, f)
     return MPO(o=[o])
 
 
-def ising_mpo(p: IsingParams) -> MPO:
-    """Row-to-row transfer MPO of the square-lattice Ising model (D = 2).
+def ising_mpo(beta: float) -> MPO:
+    """Row-to-row transfer MPO of the square-lattice Ising ferromagnet at
+    inverse temperature `beta` (D = 2).
 
     Physical legs live in the spin basis.  The site tensor sums over the
-    site spin t with half-weights on every leg: vertical bonds carry the
-    symmetric square root of the weight matrix, horizontal bonds its
-    eigen-split.  For the antiferromagnet the negative weight eigenvalue
-    is handled by absorbing a sign matrix into one horizontal leg and a
-    spin flip into the incoming vertical leg, keeping all tensors real.
+    site spin with half-weights on every leg, so the MPO is symmetric and
+    real.  The antiferromagnet needs no MPO of its own (see the module
+    docstring).
     """
-    return _ising_site_mpo(p, np.ones(2))
+    return _ising_site_mpo(beta, np.ones(2))
 
 
-def ising_magnetization_mpo(p: IsingParams) -> MPO:
+def ising_magnetization_mpo(beta: float) -> MPO:
     """Transfer MPO with the site spin inserted (impurity tensor)."""
-    return _ising_site_mpo(p, np.array([1.0, -1.0]))
+    return _ising_site_mpo(beta, np.array([1.0, -1.0]))
 
 
-def ising_magnetization(state: UniformMPS, p: IsingParams) -> float:
-    """Local magnetization of the 2D model at the boundary-MPS fixed point.
+def ising_magnetization(state: UniformMPS, beta: float) -> float:
+    """Local magnetization of the 2D ferromagnet at the boundary-MPS fixed
+    point `state`.
 
     Measured at site 0 as the ratio of the transfer channel with and
     without the spin impurity inserted, which is exact up to the bond
-    truncation of the state.  The bra layer is the state's image under
-    the transfer MPO, the state translated by one site.  For the
-    ferromagnet's one-site cell that is the state itself; the
-    antiferromagnet shifts its two-site cell, and with the state itself
-    as the bra its impurity ratio cancels to rounding.
+    truncation of the state.  The fixed point is its own image under the
+    transfer MPO, so it is both the bra and the ket layer.  At the
+    antiferromagnet's fixed point, the flipped ferromagnetic one, |m| is
+    the same.
     """
-    mpo = ising_mpo(p)
-    image = state.translated(1)
-    env = environments(image, state, mpo, tol=1e-12)
-    o_imp = ising_magnetization_mpo(p).o[0]
+    mpo = ising_mpo(beta)
+    env = environments(state, state, mpo, tol=1e-12)
+    o_imp = ising_magnetization_mpo(beta).o[0]
     o_reg = mpo.o[0]
-    ac_bra, ac_ket = image.ac(0), state.ac(0)
+    ac = state.ac(0)
 
     def channel(op):
-        t = np.tensordot(env.gl[0], ac_ket, axes=((2,), (0,)))
+        t = np.tensordot(env.gl[0], ac, axes=((2,), (0,)))
         t = np.tensordot(t, op, axes=((1, 2), (0, 2)))
-        t = np.tensordot(t, np.conj(ac_bra), axes=((0, 2), (0, 1)))
+        t = np.tensordot(t, np.conj(ac), axes=((0, 2), (0, 1)))
         return complex(np.tensordot(
             t, env.gr[0], axes=((0, 1, 2), (2, 1, 0))))
 

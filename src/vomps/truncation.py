@@ -34,6 +34,7 @@ from .umps import (
     OrthogonalStatesError,
     UniformMPS,
     WarmStart,
+    _check_isometric_targets,
     _normalize_targets,
     _right_gauge_from_left,
     _stacked_layers,
@@ -471,12 +472,7 @@ def vomps_truncate(m: UniformMPS, cfg: VompsConfig,
     phys_dims = (mpo.extended(work_cell // mpo.unit_cell).phys_dims_out
                  if mpo is not None else m_ext.phys_dims)
     targets = _normalize_targets(cfg.target_chi, work_cell)
-    for n in range(work_cell):
-        nxt = (n + 1) % work_cell
-        if targets[nxt] > targets[n] * phys_dims[n] or \
-                targets[n] > targets[nxt] * phys_dims[n]:
-            raise ValueError(f"targets {targets} admit no isometric tensors "
-                             f"at bond {nxt} (physical dims {phys_dims})")
+    _check_isometric_targets(targets, phys_dims)
 
     a = _initial_state(m_ext, cfg, targets, phys_dims, work_cell)
     report = TruncationReport(seed=cfg.seed)
@@ -572,14 +568,14 @@ def epsilon_measure(candidate: UniformMPS, m: UniformMPS,
 # the longest oscillation period the power method looks for
 _PERIOD_MAX = 4
 # a power step after the first truncates to this fraction of the distance
-# the previous step moved the state, sqrt(translation infidelity)
+# the previous step moved the state, sqrt(step infidelity)
 _STEP_FRACTION = 1e-2
 
 
 @dataclass(frozen=True)
 class PowerStop:
-    """Stopping rule for the MPO power method: converged when the
-    translation infidelity falls below `tol`."""
+    """Stopping rule for the MPO power method: converged when a step
+    moves the state by an infidelity below `tol`."""
 
     tol: float = 1e-10
     max_iter: int = 200
@@ -593,8 +589,9 @@ class PowerStop:
 
 @dataclass
 class PowerRecord:
-    """One power step: its translation infidelity, and the |lambda|,
-    residual and environment-solve matvecs of its truncation."""
+    """One power step: its infidelity with the previous step (see
+    :func:`power_method`), and the |lambda|, residual and
+    environment-solve matvecs of its truncation."""
 
     iteration: int
     translation_infidelity: float
@@ -625,19 +622,18 @@ def power_method(mpo: MPO, init: UniformMPS, cfg: VompsConfig,
                  stop: PowerStop = PowerStop()):
     """Repeated MPO application with variational truncation.
 
-    Each step truncates `mpo` applied to the state and measures the
-    translation infidelity: one minus the per-site fidelity between the
-    new state and the previous one translated by one site (the
-    antiferromagnetic transfer MPO maps its fixed point to that
-    translation).  The loop stops when it falls below ``stop.tol``.
+    Each step truncates `mpo` applied to the state and measures how far
+    that moved it, one minus the per-site fidelity between the new state
+    and the previous one (the record's ``translation_infidelity``: the
+    fixed point of a one-site cell is its own translation).  The loop
+    stops when it falls below ``stop.tol``.
 
     The first step is truncated to ``cfg.eta``, started from `init`: there
     is no previous step to size it against, and an `init` that is already
     the fixed point then stops after one step.  Step k >= 1 is truncated to
     ``max(cfg.eta, _STEP_FRACTION * sqrt(infidelity of step k-1))``, a
     residual matched to how far the steps still move the state, and starts
-    from the previous state translated by one site, which is where the MPO
-    is expected to take it.  At a fixed point of the power map one
+    from the previous state.  At a fixed point of the power map one
     truncation update returns the fixed point itself, so the loop
     converges to the same state as one that truncates every step to
     ``cfg.eta``.  ``report.unconverged_truncations`` counts the steps
@@ -647,10 +643,10 @@ def power_method(mpo: MPO, init: UniformMPS, cfg: VompsConfig,
     for which the last iterate matches the one p steps earlier (0 if
     none), and ``report.final_lambda`` the per-site eigenvalue of the MPO:
     the square root of that of two stacked layers with the state in both,
-    which map an antiferromagnetic fixed point back onto itself.  Each
-    step's environment solves and translation-fidelity solve start from
-    the previous step's solutions.  Steps hand on states canonical to
-    their truncation's eta; the returned state is regauged exactly.
+    a sharper variational estimate than the one-layer value.  Each step's
+    environment solves and fidelity solve start from the previous step's
+    solutions.  Steps hand on states canonical to their truncation's eta;
+    the returned state is regauged exactly.
     """
     if mpo.phys_dims_out != mpo.phys_dims_in:
         raise ValueError("power method needs a square MPO")
@@ -666,7 +662,7 @@ def power_method(mpo: MPO, init: UniformMPS, cfg: VompsConfig,
                                          guess=env_guess)
         env_guess = step.env_guess
         infidelity = max(1.0 - fidelity_per_site(
-            new_state, state.translated(1), guess=fid_guess), 0.0)
+            new_state, state, guess=fid_guess), 0.0)
         wall_ms = 1e3 * (time.perf_counter() - t0)
         report.iterations.append(PowerRecord(
             it, infidelity, abs(step.final_lambda),
@@ -677,7 +673,7 @@ def power_method(mpo: MPO, init: UniformMPS, cfg: VompsConfig,
         if infidelity < stop.tol:
             report.converged = True
             break
-        step_cfg = replace(cfg, init=state.translated(1), eta=max(
+        step_cfg = replace(cfg, init=state, eta=max(
             cfg.eta, _STEP_FRACTION * math.sqrt(infidelity)))
 
     state = _regauge(state)

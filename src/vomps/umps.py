@@ -114,14 +114,6 @@ class UniformMPS:
         """Center tensor al[n] @ c[n], indices (left, phys, right)."""
         return np.tensordot(self.al[n], self.c[n], axes=((2,), (0,)))
 
-    def translated(self, k: int = 1) -> "UniformMPS":
-        """Unit cell rolled by `k` sites (site k becomes site 0)."""
-        L = self.unit_cell
-        k %= L
-        return UniformMPS(al=self.al[k:] + self.al[:k],
-                          ar=self.ar[k:] + self.ar[:k],
-                          c=self.c[k:] + self.c[:k])
-
     def extended(self, reps: int) -> "UniformMPS":
         """Unit cell repeated `reps` times (the same physical state)."""
         return self if reps == 1 else UniformMPS(
@@ -211,6 +203,18 @@ def _normalize_targets(target_chi, L: int):
     if len(targets) != L:
         raise ValueError(f"need {L} per-bond targets, got {len(targets)}")
     return targets
+
+
+def _check_isometric_targets(targets, phys_dims) -> None:
+    """Raise ValueError unless bonds `targets` admit isometric tensors:
+    on every site n, neither bond exceeds the other times phys_dims[n]."""
+    L = len(targets)
+    for n in range(L):
+        nxt = (n + 1) % L
+        if targets[nxt] > targets[n] * phys_dims[n] or \
+                targets[n] > targets[nxt] * phys_dims[n]:
+            raise ValueError(f"targets {targets} admit no isometric tensors "
+                             f"at bond {nxt} (physical dims {phys_dims})")
 
 
 def random_uniform_mps(chi: int, d: int | Sequence[int], unit_cell: int = 1,

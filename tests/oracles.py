@@ -261,6 +261,31 @@ def trapezoid_onsager_free_energy(beta, n=256):
     return -(np.log(2.0) + np.mean(integrand) / 2.0) / beta
 
 
+def dense_ising_row_transfer(beta, coupling, n_sites):
+    """Row-to-row transfer matrix of the square-lattice Ising model with
+    coupling J = `coupling` on a periodic row of `n_sites`, from the
+    Boltzmann weights exp(beta J s s'): entry (s', s) carries the vertical
+    bonds between the rows s' and s and the horizontal bonds of the row s.
+    Basis index 0 of a site is spin +1; site 0 is the most significant."""
+    bits = np.arange(2 ** n_sites)[:, None] >> np.arange(n_sites)[::-1]
+    spins = 1 - 2 * (bits & 1)
+    vertical = spins @ spins.T
+    horizontal = np.sum(spins * np.roll(spins, -1, axis=1), axis=1)
+    return np.exp(beta * coupling * (vertical + horizontal[None, :]))
+
+
+def dense_mpo_operator(mpo, n_sites):
+    """The (out, in) matrix a one-site MPO applies to a periodic chain of
+    `n_sites`, with site 0 the most significant."""
+    o = mpo.o[0]
+    D, d = o.shape[0], o.shape[1]
+    t = np.eye(D).reshape(D, 1, 1, D)              # (left, out, in, right)
+    for _ in range(n_sites):
+        t = np.einsum("lpqm,mabr->lpaqbr", t, o)
+        t = t.reshape(D, t.shape[1] * d, t.shape[3] * d, D)
+    return np.einsum("lpql->pq", t)
+
+
 def dense_neel_quench_offsets(n_sites, delta, times):
     """1 - <(1+Z_0)/2> after evolving the Neel state |up down ...> on a
     periodic XXZ chain, by dense matrix exponentials of the full
@@ -378,17 +403,15 @@ def correlated_random_state(chi: int, d: int = 2, decay: float = 0.35,
 
 
 def reference_power_loop(mpo, init, cfg, stop):
-    """The power method with every step truncated to ``cfg.eta`` and
-    started from the untranslated state, with cold environment solves, and
-    stopped on the translation infidelity as
-    :func:`vomps.truncation.power_method` stops.  Returns the state, the
-    per-site eigenvalue of the MPO and whether it stopped within
+    """The power method with every step truncated to ``cfg.eta``, with cold
+    environment solves, and stopped on the infidelity between consecutive
+    steps as :func:`vomps.truncation.power_method` stops.  Returns the
+    state, the per-site eigenvalue of the MPO and whether it stopped within
     ``stop.max_iter`` steps."""
     state, converged = init, False
     for _ in range(stop.max_iter):
         new, _ = vomps_truncate(state, replace(cfg, init=state), mpo=mpo)
-        converged = 1.0 - fidelity_per_site(new, state.translated(1)) \
-            < stop.tol
+        converged = 1.0 - fidelity_per_site(new, state) < stop.tol
         state = new
         if converged:
             break

@@ -6,7 +6,6 @@ import pytest
 from vomps.baseline import schmidt_truncate
 from vomps.models import (
     BETA_C,
-    IsingParams,
     _layer_targets,
     ising_mpo,
     trotter_evolve,
@@ -30,7 +29,7 @@ from oracles import (
     state_with_spectrum,
 )
 
-ISING = ising_mpo(IsingParams(beta=1.01 * BETA_C))
+ISING = ising_mpo(1.01 * BETA_C)
 _rng = np.random.default_rng(3)
 # name -> (mpo, state bond dimension, whether the mpo is unitary); the dense
 # oracle works on the squared bond-0 product dimension, so the odd layer,
@@ -118,6 +117,21 @@ def test_rank_deficient_product_keeps_its_fidelity():
                                     mpo=odd)
     assert report.converged
     assert infidelity(result) <= local + 1e-12
+
+
+def test_cut_without_isometric_tensors_is_rejected():
+    # site 0 would map bond 5 into 2 * 2 = 4 dimensions; the cut and the
+    # variational truncation reject such targets by the same rule, before
+    # any gauge sweep fails on them
+    state = random_uniform_mps(6, [2, 3], unit_cell=2, seed=0)
+    message = r"targets \[5, 2\] admit no isometric tensors at bond 1 "
+    with pytest.raises(ValueError, match=message):
+        schmidt_truncate(state, [5, 2])
+    with pytest.raises(ValueError, match=message):
+        vomps_truncate(state, VompsConfig(target_chi=[5, 2]))
+    # a target above the current bond asks for no cut there
+    with pytest.raises(ValueError, match=r"targets \[6, 2\] .* at bond 1 "):
+        schmidt_truncate(state, [9, 2])
 
 
 def rotated_cut(state, targets):

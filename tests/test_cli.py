@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 import vomps.cli
-from vomps.io import save_state
+from vomps.io import load_state, save_state
 from vomps.models import EvolutionRecord, neel_state
 from vomps.umps import random_uniform_mps
 
@@ -255,19 +255,38 @@ def test_malformed_arguments_are_reported(monkeypatch, tmp_path, capsys,
 
 
 def test_antiferromagnetic_fixedpoint_checks_itself(tmp_path):
-    out = tmp_path / "out"
-    assert vomps.cli.main(["fixedpoint", "--coupling", "afm", "--chi", "4",
-                           "--beta-rel", "1.2", "--out-dir", str(out)]) == 0
-    summary = json.loads((out / "summary.json").read_text())
+    # the antiferromagnet is the ferromagnet with every other spin flipped:
+    # it runs the same loop and stores the fixed point as the flipped cell
+    summaries = {}
+    for coupling in ("fm", "afm"):
+        out = tmp_path / coupling
+        assert vomps.cli.main(["fixedpoint", "--coupling", coupling,
+                               "--chi", "4", "--beta-rel", "1.2",
+                               "--out-dir", str(out)]) == 0
+        summaries[coupling] = json.loads((out / "summary.json").read_text())
+    fm, summary = summaries["fm"], summaries["afm"]
     assert summary["converged"] is True
     assert summary["magnetization_error"] < 1e-5
     assert summary["free_energy_error"] < 1e-8
-    lines = (out / "power.csv").read_text().splitlines()
+    assert summary["free_energy"] == fm["free_energy"]
+    assert abs(summary["magnetization"]) == abs(fm["magnetization"])
+    lines = (tmp_path / "afm" / "power.csv").read_text().splitlines()
     assert lines[0] == "# format: vomps-power/3"
     header = next(line for line in lines if not line.startswith("#"))
     assert header == ("iter,translation_infidelity,abs_lambda,epsilon,"
                       "wall_ms,matvecs")
     assert len(lines) - lines.index(header) - 1 == summary["iterations"]
+
+    one, two = (load_state(str(tmp_path / c / "state.json"))
+                for c in ("fm", "afm"))
+    assert two.unit_cell == 2
+    two.check(1e-12)
+    for name in ("al", "ar"):
+        a = getattr(one, name)[0]
+        flipped = [a, a[:, ::-1, :]]
+        assert all(np.array_equal(x, y)
+                   for x, y in zip(getattr(two, name), flipped))
+    assert all(np.array_equal(c, one.c[0]) for c in two.c)
 
 
 def test_fixedpoint_counts_unconverged_truncations(tmp_path):

@@ -3,24 +3,21 @@ import math
 import numpy as np
 import pytest
 
-from vomps.cli import _ordered_initial_state
 from vomps.models import (
     BETA_C,
-    IsingParams,
     ed_evolve,
-    ising_magnetization,
     ising_mpo,
     onsager_free_energy,
-    onsager_magnetization,
     staggered_offset,
     trotter_layer_mpo,
     xxz_gate,
 )
-from vomps.truncation import PowerStop, VompsConfig, power_method
 from vomps.umps import UniformMPS, random_uniform_mps
 
 from oracles import (
+    dense_ising_row_transfer,
     dense_local_expectation,
+    dense_mpo_operator,
     dense_neel_quench_offsets,
     trapezoid_onsager_free_energy,
 )
@@ -59,26 +56,35 @@ class TestEdEvolve:
             ed_evolve(7, 0.5, [0.1])
 
 
-class TestIsingMagnetization:
-    def test_afm_matches_fm_and_onsager(self):
-        # away from beta_c the chi-4 fixed points hold m to ~2e-6; the afm
-        # one is the fm one with every other spin flipped, so the two
-        # magnetizations agree to the power method's accuracy.  1e-8 holds
-        # while the afm start is the sublattice flip of the fm one (2.6e-9);
-        # afm starts with noise of their own gave 4e-8 to 1.1e-7
-        beta = 1.2 * BETA_C
-        cfg = VompsConfig(target_chi=4, eta=1e-9, max_iter=100)
-        m = {}
-        for coupling in (1, -1):
-            params = IsingParams(beta=beta, coupling=coupling)
-            state, report = power_method(
-                ising_mpo(params), _ordered_initial_state(4, coupling, 0), cfg,
-                PowerStop())
-            assert report.converged
-            m[coupling] = abs(ising_magnetization(state, params))
-        assert abs(m[1] - m[-1]) < 1e-8
-        for value in m.values():
-            assert abs(value - onsager_magnetization(beta)) < 1e-5
+class TestIsingTransfer:
+    @pytest.mark.parametrize("n_sites", [3, 4])
+    def test_mpo_has_the_dense_transfer_spectrum(self, n_sites):
+        # the MPO splits each weight into half-weights on its legs, a
+        # similarity transform of the oracle's matrix
+        beta = 1.1 * BETA_C
+        mpo = dense_mpo_operator(ising_mpo(beta), n_sites)
+        oracle = np.sort(np.linalg.eigvals(
+            dense_ising_row_transfer(beta, 1, n_sites)).real)
+        np.testing.assert_allclose(np.linalg.eigvalsh(mpo), oracle, rtol=0,
+                                   atol=1e-12 * oracle[-1])
+
+    @pytest.mark.parametrize("n_sites", [4, 6])
+    def test_antiferromagnet_is_the_flipped_ferromagnet(self, n_sites):
+        # every bond joins sites of opposite parity, so flipping one parity
+        # in each row turns J into -J; this is why fixedpoint runs the
+        # ferromagnet for both couplings
+        beta = 1.1 * BETA_C
+
+        def flip(parity):
+            out = np.eye(1)
+            for k in range(n_sites):
+                out = np.kron(out, np.eye(2)[::-1] if k % 2 == parity
+                              else np.eye(2))
+            return out
+
+        fm = dense_ising_row_transfer(beta, 1, n_sites)
+        afm = dense_ising_row_transfer(beta, -1, n_sites)
+        np.testing.assert_array_equal(afm, flip(0) @ fm @ flip(1))
 
 
 class TestStaggeredOffset:

@@ -8,7 +8,7 @@ import pathlib
 
 SRC = pathlib.Path(__file__).resolve().parent.parent / "src" / "vomps"
 
-MAX_SETTABLE = 82
+MAX_SETTABLE = 80
 
 
 def _is_dataclass(node: ast.ClassDef) -> bool:

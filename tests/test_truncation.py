@@ -37,7 +37,6 @@ from vomps.umps import (
 )
 from vomps.models import (
     BETA_C,
-    IsingParams,
     ising_free_energy,
     ising_magnetization,
     ising_mpo,
@@ -359,9 +358,10 @@ class TestVompsTruncate:
         # the two Neel states are orthogonal: the first environment solve
         # collapses, and the start comes back unchanged
         neel = neel_state()
+        other = UniformMPS(al=neel.al[::-1], ar=neel.ar[::-1], c=neel.c[::-1])
         with pytest.warns(UserWarning, match="fidelity collapsed"):
             state, report = vomps_truncate(
-                neel, VompsConfig(target_chi=1, init=neel.translated(1)))
+                neel, VompsConfig(target_chi=1, init=other))
         assert report.orthogonal
         assert not report.converged
         assert len(report.iterations) == 0
@@ -680,9 +680,9 @@ class TestRegauge:
             return _right_gauge_from_left(al, seed=seed, tol=tol)
 
         monkeypatch.setattr(truncation, "_right_gauge_from_left", capturing)
-        mpo = ising_mpo(IsingParams(beta=1.01 * BETA_C))
+        mpo = ising_mpo(1.01 * BETA_C)
         with pytest.warns(UserWarning, match="not converged"):
-            power_method(mpo, _ordered_initial_state(8, 1, 0),
+            power_method(mpo, _ordered_initial_state(8, 0),
                          VompsConfig(target_chi=8, eta=1e-9),
                          PowerStop(max_iter=30))
         al, seed = seeded[-1]
@@ -775,8 +775,8 @@ class TestGaugeContract:
         monkeypatch.setattr(models, "vomps_truncate", truncating)
         if run == "power":
             state, report = power_method(
-                ising_mpo(IsingParams(beta=1.05 * BETA_C)),
-                _ordered_initial_state(4, 1, 0),
+                ising_mpo(1.05 * BETA_C),
+                _ordered_initial_state(4, 0),
                 VompsConfig(target_chi=4, eta=1e-9))
             assert report.converged
         else:
@@ -793,9 +793,7 @@ class TestRealArithmetic:
     """A real channel runs in float64 from its real start to its result;
     a complex one runs as it always did."""
 
-    @pytest.mark.parametrize("coupling", [1, -1])
-    def test_ordered_start_runs_the_power_method_real(self, coupling,
-                                                      monkeypatch):
+    def test_ordered_start_runs_the_power_method_real(self, monkeypatch):
         import vomps.truncation as truncation
         from vomps.cli import _ordered_initial_state
 
@@ -810,20 +808,18 @@ class TestRealArithmetic:
 
         monkeypatch.setattr(truncation, "environments", recording)
         beta = 1.2 * BETA_C
-        params = IsingParams(beta=beta, coupling=coupling)
-        init = _ordered_initial_state(4, coupling, 0)
+        init = _ordered_initial_state(4, 0)
         state, report = power_method(
-            ising_mpo(params), init, VompsConfig(target_chi=4, eta=1e-9),
+            ising_mpo(beta), init, VompsConfig(target_chi=4, eta=1e-9),
             PowerStop())
-        assert report.converged and report.period == (1 if coupling == 1
-                                                      else 2)
+        assert report.converged and report.period == 1
         for t in init.al + state.al + state.ar + state.c:
             assert t.dtype == np.float64
         # a complex per-site lambda would have turned the centers complex
         assert len(lams) > 10 and all(type(lam) is float for lam in lams)
         f = ising_free_energy(abs(report.final_lambda), beta)
         assert abs(f - onsager_free_energy(beta)) < 1e-8
-        m = abs(ising_magnetization(state, params))
+        m = abs(ising_magnetization(state, beta))
         assert abs(m - onsager_magnetization(beta)) < 1e-5
 
     def test_complex_evolution_is_unchanged(self):
@@ -890,9 +886,7 @@ class TestPowerMethod:
         assert len(report.iterations) == 1
         assert report.iterations[0].translation_infidelity <= 1e-10
 
-    @pytest.mark.parametrize("coupling", [1, -1])
-    def test_threaded_guesses_match_cold_run(self, coupling, monkeypatch,
-                                             tmp_path):
+    def test_threaded_guesses_match_cold_run(self, monkeypatch, tmp_path):
         import vomps.truncation as truncation
         from vomps.cli import _ordered_initial_state
 
@@ -913,8 +907,8 @@ class TestPowerMethod:
 
         monkeypatch.setattr(truncation, "vomps_truncate", recording)
         beta = 1.2 * BETA_C
-        mpo = ising_mpo(IsingParams(beta=beta, coupling=coupling))
-        init = _ordered_initial_state(4, coupling, 0)
+        mpo = ising_mpo(beta)
+        init = _ordered_initial_state(4, 0)
         cfg = VompsConfig(target_chi=4, eta=1e-9, max_iter=100, seed=0)
         runs, guesses = [], []
         for warm in (True, False):
@@ -948,9 +942,7 @@ class TestPowerMethod:
         assert [int(l.rsplit(",", 1)[1]) for l in lines[3:]] == [
             r.matvecs for r in warm.iterations]
 
-    @pytest.mark.parametrize("coupling", [1, -1])
-    def test_steps_truncate_to_the_last_step_from_its_translation(
-            self, coupling, monkeypatch):
+    def test_steps_start_from_the_last_step(self, monkeypatch):
         import vomps.truncation as truncation
         from vomps.cli import _ordered_initial_state
 
@@ -963,8 +955,8 @@ class TestPowerMethod:
             return result
 
         monkeypatch.setattr(truncation, "vomps_truncate", recording)
-        mpo = ising_mpo(IsingParams(beta=1.2 * BETA_C, coupling=coupling))
-        init = _ordered_initial_state(4, coupling, 0)
+        mpo = ising_mpo(1.2 * BETA_C)
+        init = _ordered_initial_state(4, 0)
         cfg = VompsConfig(target_chi=4, eta=1e-9, max_iter=100, seed=0)
         _, report = power_method(mpo, init, cfg, PowerStop(tol=1e-10))
         assert report.converged and len(calls) == len(report.iterations) > 2
@@ -976,22 +968,17 @@ class TestPowerMethod:
             assert step_cfg.eta == max(cfg.eta, 1e-2 * np.sqrt(infidelity))
             assert replace(step_cfg, init=None, eta=cfg.eta) == \
                 replace(cfg, init=None)
-            start, expected = step_cfg.init, previous.translated(1)
-            for name in ("al", "ar", "c"):
-                assert all(np.array_equal(x, y) for x, y in zip(
-                    getattr(start, name), getattr(expected, name)))
+            assert step_cfg.init is previous
         # the early steps move the state by more than 1e-7, so their
         # thresholds lie above the floor
         assert calls[1][0].eta > cfg.eta
 
-    @pytest.mark.parametrize("coupling", [1, -1])
-    def test_same_fixed_point_as_full_accuracy_steps(self, coupling):
+    def test_same_fixed_point_as_full_accuracy_steps(self):
         from vomps.cli import _ordered_initial_state
 
         beta = 1.2 * BETA_C
-        params = IsingParams(beta=beta, coupling=coupling)
-        mpo = ising_mpo(params)
-        init = _ordered_initial_state(8, coupling, 0)
+        mpo = ising_mpo(beta)
+        init = _ordered_initial_state(8, 0)
         cfg = VompsConfig(target_chi=8, eta=1e-9, max_iter=100, seed=0)
         stop = PowerStop(tol=1e-13)
         state, report = power_method(mpo, init, cfg, stop)
@@ -999,7 +986,7 @@ class TestPowerMethod:
             mpo, init, cfg, stop)
         assert report.converged and ref_converged
         assert report.unconverged_truncations == 0
-        m, m_ref = (abs(ising_magnetization(s, params)) for s in (state, ref))
+        m, m_ref = (abs(ising_magnetization(s, beta)) for s in (state, ref))
         assert abs(m - m_ref) <= 1e-9
         f = ising_free_energy(abs(report.final_lambda), beta)
         f_ref = ising_free_energy(abs(ref_lambda), beta)
