@@ -15,7 +15,11 @@ canonical two-site cell ``[A, A[:, ::-1, :]]``.  It reports its free
 energy and magnetization against Onsager's (``free_energy_error``,
 ``magnetization_error``) and the count of its steps whose truncation
 ended unconverged (``unconverged_truncations``, which leaves the exit
-code alone).
+code alone).  Its ``power.csv`` has one row per power step: the step's
+``infidelity`` with the previous state (exactly solved only on the steps
+whose estimate ``step**2 / 2`` falls below ``--tol``, else that
+estimate), the ``step`` residual of its truncation's first update, and
+that truncation's |lambda|, residual, wall time and matvecs.
 `fidelity` prints the per-site fidelity of two stored states.
 
 Exit codes: 0 success, 1 usage or I/O failure, 2 non-convergence (outputs

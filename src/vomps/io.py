@@ -23,8 +23,10 @@ import numpy as np
 from .umps import UniformMPS
 
 STATE_FORMAT = "umps-json/1"
-TRACE_FORMAT = "vomps-trace/3"
-POWER_FORMAT = "vomps-power/3"
+# a trace tag's version changes with its columns; those of TRACE_FORMAT
+# and POWER_FORMAT are the fields of `IterationRecord` and `PowerRecord`
+TRACE_FORMAT = "vomps-trace/4"
+POWER_FORMAT = "vomps-power/4"
 EVOLUTION_FORMAT = "vomps-evolution/3"
 
 

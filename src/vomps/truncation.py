@@ -97,13 +97,18 @@ class CenterPair:
 
 @dataclass
 class IterationRecord:
-    """One outer iteration: fixed-point residual, |lambda|, wall time, the
-    matvecs of its environment solves and their relative tolerance.  Once
-    the ascent has taken over, each trial of its line search is one
-    iteration."""
+    """One outer iteration: fixed-point residual, step residual, |lambda|,
+    wall time, the matvecs of its environment solves and their relative
+    tolerance.  Both residuals are ``|AC' - AL C'|`` of the updated
+    centers: `epsilon` with AL the update's own left gauge, `step` with AL
+    the left gauge of the iterate whose environments were solved, so that
+    `step` measures how far the update moved it (at a fixed point both
+    vanish).  Once the ascent has taken over, each trial of its line
+    search is one iteration."""
 
     iteration: int
     epsilon: float
+    step: float
     abs_lambda: float
     wall_ms: float
     matvecs: int
@@ -132,11 +137,11 @@ class TruncationReport:
     seed: int | None = None
     env_guess: tuple | None = None
 
-    def record(self, iteration, epsilon, abs_lambda, wall_ms, matvecs,
-               tol_inner):
+    def record(self, iteration, epsilon, step, abs_lambda, wall_ms,
+               matvecs, tol_inner):
         self.iterations.append(IterationRecord(
-            iteration, float(epsilon), float(abs_lambda), float(wall_ms),
-            int(matvecs), float(tol_inner)))
+            iteration, float(epsilon), float(step), float(abs_lambda),
+            float(wall_ms), int(matvecs), float(tol_inner)))
 
     @property
     def final_epsilon(self) -> float:
@@ -501,10 +506,12 @@ def vomps_truncate(m: UniformMPS, cfg: VompsConfig,
         report.singular_completion |= completed
         report.degenerate |= env.degenerate
         eps_prev, eps = eps, error_epsilon(cp, al)
+        step = error_epsilon(cp, a.al)
         trial, a = a, UniformMPS(al=al, ar=ar, c=cp.cp)
         guess = (env.gl[0].reshape(-1), env.gr[-1].reshape(-1))
         wall_ms = 1e3 * (time.perf_counter() - t0)
-        report.record(it, eps, abs(env.lam), wall_ms, env.matvecs, tol_inner)
+        report.record(it, eps, step, abs(env.lam), wall_ms, env.matvecs,
+                      tol_inner)
         t0 = time.perf_counter()
 
         if lam_first is None:
@@ -589,12 +596,15 @@ class PowerStop:
 
 @dataclass
 class PowerRecord:
-    """One power step: its infidelity with the previous step (see
-    :func:`power_method`), and the |lambda|, residual and
-    environment-solve matvecs of its truncation."""
+    """One power step: its infidelity with the previous step, the step
+    residual of its truncation's first update, and the |lambda|, residual
+    and environment-solve matvecs of its truncation.  `infidelity` is the
+    exact ``1 - fidelity_per_site(new, previous)`` on the steps where
+    :func:`power_method` solved it, else the estimate ``step**2 / 2``."""
 
     iteration: int
-    translation_infidelity: float
+    infidelity: float
+    step: float
     abs_lambda: float
     epsilon: float
     wall_ms: float
@@ -603,8 +613,10 @@ class PowerRecord:
 
 @dataclass
 class PowerReport:
-    """The power steps, and how many of their truncations ended
-    unconverged."""
+    """The power steps, whether an exactly solved step infidelity fell
+    below the stop's `tol`, how many of the steps' truncations ended
+    unconverged, the period of the last iterates (1 for a converged loop,
+    searched for an unconverged one) and the MPO's per-site eigenvalue."""
 
     iterations: list = field(default_factory=list)
     converged: bool = False
@@ -624,9 +636,15 @@ def power_method(mpo: MPO, init: UniformMPS, cfg: VompsConfig,
 
     Each step truncates `mpo` applied to the state and measures how far
     that moved it, one minus the per-site fidelity between the new state
-    and the previous one (the record's ``translation_infidelity``: the
-    fixed point of a one-site cell is its own translation).  The loop
-    stops when it falls below ``stop.tol``.
+    and the previous one (the record's ``infidelity``: the fixed point of a
+    one-site cell is its own translation).  The truncation starts from the
+    previous state, so the step residual of its first update, ``|AC' - AL
+    C'|`` with the previous state's AL (the record's ``step``), is the
+    tangent-space size of the move, and ``step**2 / 2`` estimates the
+    infidelity to second order.  That estimate sizes the next step's
+    threshold.  Only a step whose estimate lies below ``stop.tol`` solves
+    the exact fidelity, which replaces the estimate in its record, and
+    the loop stops when that exact value is below ``stop.tol``.
 
     The first step is truncated to ``cfg.eta``, started from `init`: there
     is no previous step to size it against, and an `init` that is already
@@ -639,14 +657,16 @@ def power_method(mpo: MPO, init: UniformMPS, cfg: VompsConfig,
     ``cfg.eta``.  ``report.unconverged_truncations`` counts the steps
     whose truncation missed its threshold.
 
-    Afterwards ``report.period`` is the smallest p up to ``_PERIOD_MAX``
-    for which the last iterate matches the one p steps earlier (0 if
-    none), and ``report.final_lambda`` the per-site eigenvalue of the MPO:
-    the square root of that of two stacked layers with the state in both,
-    a sharper variational estimate than the one-layer value.  Each step's
-    environment solves and fidelity solve start from the previous step's
-    solutions.  Steps hand on states canonical to their truncation's eta;
-    the returned state is regauged exactly.
+    A converged loop has shown period 1 through its last exact solve.  An
+    unconverged one searches ``report.period``, the smallest p up to
+    ``_PERIOD_MAX`` for which the last iterate matches the one p steps
+    earlier (0 if none).  ``report.final_lambda`` is the per-site
+    eigenvalue of the MPO: the square root of that of two stacked layers
+    with the state in both, a sharper variational estimate than the
+    one-layer value.  Each step's environment solves start from the
+    previous step's solutions, and each exact fidelity solve from the last
+    one's.  Steps hand on states canonical to their truncation's eta; the
+    returned state is regauged exactly.
     """
     if mpo.phys_dims_out != mpo.phys_dims_in:
         raise ValueError("power method needs a square MPO")
@@ -661,28 +681,34 @@ def power_method(mpo: MPO, init: UniformMPS, cfg: VompsConfig,
         new_state, step = vomps_truncate(state, step_cfg, mpo=mpo,
                                          guess=env_guess)
         env_guess = step.env_guess
-        infidelity = max(1.0 - fidelity_per_site(
-            new_state, state, guess=fid_guess), 0.0)
+        # a truncation that recorded no update is measured exactly
+        residual = step.iterations[0].step if step.iterations else 0.0
+        infidelity = residual ** 2 / 2
+        exact = infidelity < stop.tol
+        if exact:
+            infidelity = max(1.0 - fidelity_per_site(
+                new_state, state, guess=fid_guess), 0.0)
         wall_ms = 1e3 * (time.perf_counter() - t0)
         report.iterations.append(PowerRecord(
-            it, infidelity, abs(step.final_lambda),
+            it, infidelity, residual, abs(step.final_lambda),
             step.final_epsilon, wall_ms, step.matvecs))
         report.unconverged_truncations += not step.converged
         recent.append(new_state)
         state = new_state
-        if infidelity < stop.tol:
+        if exact and infidelity < stop.tol:
             report.converged = True
             break
         step_cfg = replace(cfg, init=state, eta=max(
             cfg.eta, _STEP_FRACTION * math.sqrt(infidelity)))
 
     state = _regauge(state)
-    report.period = 0
-    for p in range(1, len(recent)):
-        if 1.0 - fidelity_per_site(recent[-1], recent[-1 - p]) < \
-                10 * max(stop.tol, 1e-12):
-            report.period = p
-            break
+    if not report.converged:
+        report.period = 0
+        for p in range(1, len(recent)):
+            if 1.0 - fidelity_per_site(recent[-1], recent[-1 - p]) < \
+                    10 * max(stop.tol, 1e-12):
+                report.period = p
+                break
     report.final_lambda = complex(
         mpo_eigenvalue_per_site(state, _stacked_layers(mpo, mpo))) ** 0.5
     if not report.converged:

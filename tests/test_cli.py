@@ -130,7 +130,7 @@ def test_truncate_exit_code_and_summary(tmp_path, state_file, max_iter, code,
     assert summary["converged"] is converged
     assert 1 <= summary["iterations"] <= int(max_iter)
     assert (out / "trace.csv").read_text().startswith(
-        "# format: vomps-trace/3\n")
+        "# format: vomps-trace/4\n")
 
 
 @pytest.mark.parametrize("content", [None, '{"format": "umps-json/0"}'])
@@ -271,9 +271,9 @@ def test_antiferromagnetic_fixedpoint_checks_itself(tmp_path):
     assert summary["free_energy"] == fm["free_energy"]
     assert abs(summary["magnetization"]) == abs(fm["magnetization"])
     lines = (tmp_path / "afm" / "power.csv").read_text().splitlines()
-    assert lines[0] == "# format: vomps-power/3"
+    assert lines[0] == "# format: vomps-power/4"
     header = next(line for line in lines if not line.startswith("#"))
-    assert header == ("iter,translation_infidelity,abs_lambda,epsilon,"
+    assert header == ("iter,infidelity,step,abs_lambda,epsilon,"
                       "wall_ms,matvecs")
     assert len(lines) - lines.index(header) - 1 == summary["iterations"]
 
@@ -307,3 +307,15 @@ def test_fixedpoint_first_step_converges(tmp_path, seed):
     summary = json.loads((out / "summary.json").read_text())
     assert summary["unconverged_truncations"] == 0
     assert summary["iterations"] == 90 and summary["period"] == 1
+
+
+def test_fixedpoint_stop_step_is_kept(tmp_path):
+    # the benchmark's chi-8 run at seed 0 stops after 90 steps; sizing the
+    # steps by their residual moves neither that step nor the result
+    out = tmp_path / "out"
+    assert vomps.cli.main(["fixedpoint", "--chi", "8", "--seed", "0",
+                           "--out-dir", str(out)]) == 0
+    summary = json.loads((out / "summary.json").read_text())
+    assert summary["iterations"] == 90 and summary["period"] == 1
+    assert abs(summary["magnetization_error"]
+               - 7.140689249436338e-4) <= 1e-12

@@ -391,22 +391,24 @@ class TestVompsTruncate:
         path = tmp_path / "trace.csv"
         report.write_csv(path)
         lines = path.read_text().splitlines()
-        assert lines[0] == "# format: vomps-trace/3"
-        assert TRACE_FORMAT == "vomps-trace/3"
+        assert lines[0] == "# format: vomps-trace/4"
+        assert TRACE_FORMAT == "vomps-trace/4"
         assert "# seed: 3" in lines
         header_idx = next(i for i, l in enumerate(lines)
                           if not l.startswith("#"))
-        assert lines[header_idx] == ("iter,epsilon,abs_lambda,wall_ms,"
+        assert lines[header_idx] == ("iter,epsilon,step,abs_lambda,wall_ms,"
                                      "matvecs,tol_inner")
         rows = [l.split(",") for l in lines[header_idx + 1:]]
         assert len(rows) == len(report.iterations)
         assert float(rows[-1][1]) == report.iterations[-1].epsilon
-        assert [int(r[4]) for r in rows] == [
+        assert [float(r[2]) for r in rows] == [
+            it.step for it in report.iterations]
+        assert [int(r[5]) for r in rows] == [
             it.matvecs for it in report.iterations]
         assert all(it.matvecs > 0 for it in report.iterations)
         # the inner tolerance follows the schedule: at most 1e-5, never
         # tighter than eta / 10
-        assert [float(r[5]) for r in rows] == [
+        assert [float(r[6]) for r in rows] == [
             it.tol_inner for it in report.iterations]
         assert all(1e-11 <= it.tol_inner <= 1e-5
                    for it in report.iterations)
@@ -884,7 +886,7 @@ class TestPowerMethod:
                                      PowerStop(tol=1e-10, max_iter=5))
         assert report.converged
         assert len(report.iterations) == 1
-        assert report.iterations[0].translation_infidelity <= 1e-10
+        assert report.iterations[0].infidelity <= 1e-10
 
     def test_threaded_guesses_match_cold_run(self, monkeypatch, tmp_path):
         import vomps.truncation as truncation
@@ -936,8 +938,8 @@ class TestPowerMethod:
                 < sum(r.matvecs for r in cold.iterations))
         warm.write_csv(tmp_path / "power.csv")
         lines = (tmp_path / "power.csv").read_text().splitlines()
-        assert lines[0] == "# format: vomps-power/3"
-        assert lines[2] == ("iter,translation_infidelity,abs_lambda,epsilon,"
+        assert lines[0] == "# format: vomps-power/4"
+        assert lines[2] == ("iter,infidelity,step,abs_lambda,epsilon,"
                             "wall_ms,matvecs")
         assert [int(l.rsplit(",", 1)[1]) for l in lines[3:]] == [
             r.matvecs for r in warm.iterations]
@@ -964,7 +966,7 @@ class TestPowerMethod:
         assert calls[0][0].init is init
         for k in range(1, len(calls)):
             step_cfg, previous = calls[k][0], calls[k - 1][1]
-            infidelity = report.iterations[k - 1].translation_infidelity
+            infidelity = report.iterations[k - 1].infidelity
             assert step_cfg.eta == max(cfg.eta, 1e-2 * np.sqrt(infidelity))
             assert replace(step_cfg, init=None, eta=cfg.eta) == \
                 replace(cfg, init=None)
@@ -972,6 +974,72 @@ class TestPowerMethod:
         # the early steps move the state by more than 1e-7, so their
         # thresholds lie above the floor
         assert calls[1][0].eta > cfg.eta
+
+    def test_step_residual_estimates_the_infidelity(self, monkeypatch):
+        # each step's truncation starts from the previous state, so half the
+        # square of its first update's residual is the infidelity to second
+        # order; on this run it stays within 0.5 % of the exact value
+        import vomps.truncation as truncation
+        from vomps.cli import _ordered_initial_state
+
+        truncate = truncation.vomps_truncate
+        pairs = []
+
+        def recording(m, cfg, **kwargs):
+            new, report = truncate(m, cfg, **kwargs)
+            pairs.append((report.iterations[0].step ** 2 / 2,
+                          1 - fidelity_per_site(new, m)))
+            return new, report
+
+        monkeypatch.setattr(truncation, "vomps_truncate", recording)
+        cfg = VompsConfig(target_chi=4, eta=1e-9, max_iter=100, seed=0)
+        _, report = power_method(ising_mpo(1.2 * BETA_C),
+                                 _ordered_initial_state(4, 0), cfg,
+                                 PowerStop(tol=1e-10))
+        assert report.converged and len(pairs) == len(report.iterations) > 5
+        for (estimate, exact), record in zip(pairs, report.iterations):
+            assert 0.8 <= estimate / exact <= 1.05
+            assert record.step ** 2 / 2 == estimate
+        # the stopping step records the exact value, solved at its tolerance
+        assert abs(report.iterations[-1].infidelity - pairs[-1][1]) < 1e-12
+
+    def test_exact_fidelity_only_confirms_the_stop(self, monkeypatch):
+        # the exact fidelity is solved only on steps whose estimate is below
+        # the stop's tolerance, and a converged loop skips the period search
+        import vomps.truncation as truncation
+        from vomps.cli import _ordered_initial_state
+
+        fidelity = truncation.fidelity_per_site
+        calls = []
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return fidelity(*args, **kwargs)
+
+        monkeypatch.setattr(truncation, "fidelity_per_site", counting)
+        cfg = VompsConfig(target_chi=4, eta=1e-9, max_iter=100, seed=0)
+        _, report = power_method(ising_mpo(1.2 * BETA_C),
+                                 _ordered_initial_state(4, 0), cfg,
+                                 PowerStop(tol=1e-10))
+        assert report.converged and report.period == 1
+        assert 1 <= len(calls) <= 2 and len(calls) < len(report.iterations)
+
+    @pytest.mark.parametrize("steps, period", [(3, 0), (6, 4)])
+    def test_unconverged_loop_searches_its_period(self, steps, period):
+        # a quarter turn of every spin per step returns the product state
+        # to itself (up to sign) after four steps; each step moves it by
+        # the infidelity 1 - cos(pi/4), which the estimate gives exactly
+        t = np.pi / 4
+        turn = np.array([[np.cos(t), -np.sin(t)], [np.sin(t), np.cos(t)]])
+        up = mixed_canonical([np.array([1.0, 0.0]).reshape(1, 2, 1)])
+        with pytest.warns(UserWarning, match="not converged"):
+            _, report = power_method(MPO(o=[turn.reshape(1, 2, 2, 1)]), up,
+                                     VompsConfig(target_chi=1),
+                                     PowerStop(max_iter=steps))
+        assert not report.converged and report.period == period
+        assert len(report.iterations) == steps
+        for record in report.iterations:
+            assert abs(record.infidelity - (1 - np.cos(t))) < 1e-12
 
     def test_same_fixed_point_as_full_accuracy_steps(self):
         from vomps.cli import _ordered_initial_state
