@@ -45,12 +45,10 @@ from .umps import (
     MixedEnvironment,
     OrthogonalStatesError,
     UniformMPS,
-    WarmStart,
     environments,
     fidelity_per_site,
     left_orthonormalize,
     mixed_canonical,
-    mixed_transfer_map,
     mpo_eigenvalue_per_site,
     random_uniform_mps,
 )

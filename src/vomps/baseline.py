@@ -82,4 +82,4 @@ def schmidt_truncate(state: UniformMPS, new_chi):
     # al is gauges[k] a inv(gauges[k+1]) up to scale: its right fixed point
     # on bond k is near gauges[k] diag(s)^2 gauges[k]^H, s kept from c[k-1]
     seed = [gauges[k] * s_kept[(k - 1) % L] for k in range(L)]
-    return _schmidt_frame(al, seed, 1e-14), discarded
+    return _schmidt_frame(al, seed), discarded

@@ -100,9 +100,8 @@ def cmd_truncate(args) -> int:
     fid_v = fidelity_per_site(result, state)
     eps_b, fid_b = epsilon_measure(baseline, state)
 
-    report.write_csv(os.path.join(args.out_dir, "trace.csv"),
-                     header_extra=_header_lines(
-                         args, ("chi", "eta", "max_iter", "init")))
+    report.write_csv(os.path.join(args.out_dir, "trace.csv"), _header_lines(
+        args, ("seed", "chi", "eta", "max_iter", "init")))
     vio.save_state(result, os.path.join(args.out_dir, "vomps_state.json"))
     vio.save_state(baseline, os.path.join(args.out_dir, "baseline_state.json"))
     _write_summary(os.path.join(args.out_dir, "summary.json"), {
@@ -147,8 +146,7 @@ def cmd_evolve(args) -> int:
     extra = ["ed_reference"] if reference is not None else []
     vio.write_trace(
         os.path.join(args.out_dir, "evolution.csv"), vio.EVOLUTION_FORMAT,
-        args.seed, _header_lines(args, ("delta", "dt", "t_max", "chi",
-                                        "eta")),
+        _header_lines(args, ("seed", "delta", "dt", "t_max", "chi", "eta")),
         ["t", "staggered_offset", "epsilon_last", "truncation_infidelity",
          "chi_used"] + extra,
         [[rec.time, rec.offset, rec.epsilon, rec.infidelity, rec.chi]
@@ -194,9 +192,8 @@ def cmd_fixedpoint(args) -> int:
     os.makedirs(args.out_dir, exist_ok=True)
     state, report = power_method(
         mpo, _ordered_initial_state(args.chi, args.seed), cfg, stop)
-    report.write_csv(os.path.join(args.out_dir, "power.csv"),
-                     header_extra=_header_lines(
-                         args, ("beta_rel", "coupling", "chi", "tol", "eta")))
+    report.write_csv(os.path.join(args.out_dir, "power.csv"), _header_lines(
+        args, ("seed", "beta_rel", "coupling", "chi", "tol", "eta")))
     m = ising_magnetization(state, beta)
     if args.coupling == "afm":
         # every other spin flipped: F_odd maps the ferromagnet's fixed

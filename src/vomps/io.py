@@ -121,15 +121,13 @@ def load_state(path: str | os.PathLike) -> UniformMPS:
     return state
 
 
-def write_trace(path, fmt: str, seed, header, columns, rows):
-    """Write a CSV trace: a ``# format:`` line with the tag `fmt`, a
-    ``# seed:`` line unless `seed` is None, one ``# `` line per `header`
-    entry, the column line, then one line per row.  Strings and integers
-    are written as they are, other numbers with 17 significant digits."""
+def write_trace(path, fmt: str, header, columns, rows):
+    """Write a CSV trace: a ``# format:`` line with the tag `fmt`, one
+    ``# `` line per `header` entry (the provenance, such as ``seed: 0``),
+    the column line, then one line per row.  Strings and integers are
+    written as they are, other numbers with 17 significant digits."""
     with open(path, "w") as fh:
         fh.write(f"# format: {fmt}\n")
-        if seed is not None:
-            fh.write(f"# seed: {seed}\n")
         for line in header:
             fh.write(f"# {line}\n")
         fh.write(",".join(columns) + "\n")

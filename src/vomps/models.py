@@ -132,7 +132,7 @@ def _layer_targets(state: UniformMPS, layer: MPO, chi_max: int):
 
 
 def apply_layer(state: UniformMPS, layer: MPO, chi_max: int, guess,
-                eta: float = 1e-10, seed: int = 0):
+                eta: float, seed: int):
     """Variationally truncate `layer @ state` to at most `chi_max` in at
     most 200 iterations, initialized with the untouched state and with
     `guess` (bond-0 environment vectors, or None) for the first solve; the

@@ -33,7 +33,6 @@ from .umps import (
     MixedEnvironment,
     OrthogonalStatesError,
     UniformMPS,
-    WarmStart,
     _check_isometric_targets,
     _normalize_targets,
     _right_gauge_from_left,
@@ -134,7 +133,6 @@ class TruncationReport:
     orthogonal: bool = False
     degenerate: bool = False
     singular_completion: bool = False
-    seed: int | None = None
     env_guess: tuple | None = None
 
     def record(self, iteration, epsilon, step, abs_lambda, wall_ms,
@@ -152,18 +150,18 @@ class TruncationReport:
         """Matvecs of every environment solve of the truncation."""
         return sum(r.matvecs for r in self.iterations)
 
-    def write_csv(self, path, header_extra=()):
-        _write_records(path, TRACE_FORMAT, self.seed, header_extra,
-                       IterationRecord, self.iterations)
+    def write_csv(self, path, header):
+        _write_records(path, TRACE_FORMAT, header, IterationRecord,
+                       self.iterations)
 
 
-def _write_records(path, fmt, seed, header, record_type, records):
+def _write_records(path, fmt, header, record_type, records):
     """A trace with one column per field of `record_type`, in field order
     (the first one named ``iter``); ``wall_ms`` to the microsecond."""
     names = [f.name for f in fields(record_type)]
     rows = ([f"{v:.3f}" if name == "wall_ms" else v
              for name, v in zip(names, astuple(r))] for r in records)
-    write_trace(path, fmt, seed, header, ["iter"] + names[1:], rows)
+    write_trace(path, fmt, header, ["iter"] + names[1:], rows)
 
 
 # ---------------------------------------------------------------------------
@@ -330,7 +328,7 @@ def _regauge(state: UniformMPS) -> UniformMPS:
     """
     L = state.unit_cell
     seed = [state.c[(k - 1) % L] for k in range(L)]
-    ar, rs = _right_gauge_from_left(list(state.al), seed=seed, tol=1e-14)
+    ar, rs = _right_gauge_from_left(list(state.al), seed)
     c = [rs[(n + 1) % L] for n in range(L)]
     c = [m / np.linalg.norm(m) for m in c]
     return UniformMPS(al=state.al, ar=ar, c=c)
@@ -480,7 +478,7 @@ def vomps_truncate(m: UniformMPS, cfg: VompsConfig,
     _check_isometric_targets(targets, phys_dims)
 
     a = _initial_state(m_ext, cfg, targets, phys_dims, work_cell)
-    report = TruncationReport(seed=cfg.seed)
+    report = TruncationReport()
     eps = eps_prev = 1e-2
     lam_first = None
     env = None
@@ -623,11 +621,10 @@ class PowerReport:
     unconverged_truncations: int = 0
     period: int = 1
     final_lambda: complex = 0.0
-    seed: int | None = None
 
-    def write_csv(self, path, header_extra=()):
-        _write_records(path, POWER_FORMAT, self.seed, header_extra,
-                       PowerRecord, self.iterations)
+    def write_csv(self, path, header):
+        _write_records(path, POWER_FORMAT, header, PowerRecord,
+                       self.iterations)
 
 
 def power_method(mpo: MPO, init: UniformMPS, cfg: VompsConfig,
@@ -664,30 +661,32 @@ def power_method(mpo: MPO, init: UniformMPS, cfg: VompsConfig,
     eigenvalue of the MPO: the square root of that of two stacked layers
     with the state in both, a sharper variational estimate than the
     one-layer value.  Each step's environment solves start from the
-    previous step's solutions, and each exact fidelity solve from the last
-    one's.  Steps hand on states canonical to their truncation's eta; the
-    returned state is regauged exactly.
+    previous step's solutions.  Steps hand on states canonical to their
+    truncation's eta; the returned state is regauged exactly.  A step whose
+    truncation collapses as orthogonal is not recorded: the loop warns and
+    stops unconverged at the previous state.
     """
     if mpo.phys_dims_out != mpo.phys_dims_in:
         raise ValueError("power method needs a square MPO")
     state = init
     step_cfg = replace(cfg, init=state)
-    report = PowerReport(seed=cfg.seed)
+    report = PowerReport()
     recent = deque([state], maxlen=_PERIOD_MAX + 1)
     env_guess = None
-    fid_guess = WarmStart()
     for it in range(stop.max_iter):
         t0 = time.perf_counter()
         new_state, step = vomps_truncate(state, step_cfg, mpo=mpo,
                                          guess=env_guess)
+        if step.orthogonal:
+            warnings.warn(f"power step {it} collapsed: the MPO maps the "
+                          "state to an orthogonal one at this bond dimension")
+            break
         env_guess = step.env_guess
-        # a truncation that recorded no update is measured exactly
-        residual = step.iterations[0].step if step.iterations else 0.0
+        residual = step.iterations[0].step
         infidelity = residual ** 2 / 2
         exact = infidelity < stop.tol
         if exact:
-            infidelity = max(1.0 - fidelity_per_site(
-                new_state, state, guess=fid_guess), 0.0)
+            infidelity = max(1.0 - fidelity_per_site(new_state, state), 0.0)
         wall_ms = 1e3 * (time.perf_counter() - t0)
         report.iterations.append(PowerRecord(
             it, infidelity, residual, abs(step.final_lambda),
@@ -712,6 +711,7 @@ def power_method(mpo: MPO, init: UniformMPS, cfg: VompsConfig,
     report.final_lambda = complex(
         mpo_eigenvalue_per_site(state, _stacked_layers(mpo, mpo))) ** 0.5
     if not report.converged:
-        warnings.warn(f"power method not converged after {stop.max_iter} "
-                      f"iterations (detected period {report.period})")
+        warnings.warn(f"power method not converged after "
+                      f"{len(report.iterations)} steps (detected period "
+                      f"{report.period})")
     return state, report

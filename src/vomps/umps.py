@@ -231,6 +231,8 @@ def random_uniform_mps(chi: int, d: int | Sequence[int], unit_cell: int = 1,
 # ---------------------------------------------------------------------------
 # gauge fixing
 
+# Sweep-to-sweep change, relative to the gauge, that ends a gauge iteration
+_GAUGE_TOL = 1e-14
 # Relative accuracy of the Arnoldi refresh in the gauge iterations: enough
 # to seed the sweeps, and within reach of rounding (the refresh residuals
 # of random states at bond dimensions 8-64 come out 4e-16 to 7e-15).
@@ -259,17 +261,17 @@ _IDLE_REFRESHES = 8
 _MAX_SWEEPS = 10_000  # sweep budget of a gauge iteration
 
 
-def _settle_gauge(sweep_once, gauges, fixed_point, tol):
+def _settle_gauge(sweep_once, gauges, fixed_point):
     """Repeat `sweep_once` until the bond-0 gauge ``gauges[0]`` settles.
 
-    Converged when one sweep moves it by at most `tol` relative to its
-    norm.  A crawl (see `_CRAWL_GAIN`) means progress is gap-limited or at
-    the rounding floor: a change below the refresh's accuracy
+    Converged when one sweep moves it by at most `_GAUGE_TOL` relative to
+    its norm.  A crawl (see `_CRAWL_GAIN`) means progress is gap-limited or
+    at the rounding floor: a change below the refresh's accuracy
     ``_REFRESH_TOL`` (below ``_STALL_TOL`` if the previous checkpoint
     refreshed) is accepted, and otherwise ``gauges[0]`` jumps to
-    ``fixed_point(eig_tol)``, an Arnoldi solve of its fixed-point equation
-    to ``max(tol, _REFRESH_TOL)``, phase-fixed and kept at the current
-    norm.  The first refresh thus comes as soon as the sweeps crawl.
+    ``fixed_point()``, an Arnoldi solve of its fixed-point equation to
+    ``_REFRESH_TOL``, phase-fixed and kept at the current norm.  The first
+    refresh thus comes as soon as the sweeps crawl.
     Returns None when converged, else the last change after `_MAX_SWEEPS`
     sweeps or more than `_IDLE_REFRESHES` refreshes without progress.
     """
@@ -280,7 +282,7 @@ def _settle_gauge(sweep_once, gauges, fixed_point, tol):
         sweep_once()
         scale = np.linalg.norm(gauges[0])
         residual = np.linalg.norm(gauges[0] - old)
-        if residual <= tol * scale:
+        if residual <= _GAUGE_TOL * scale:
             return None
         changes.append(residual)
         if len(changes) <= span or (len(changes) - 1) % step:
@@ -296,7 +298,7 @@ def _settle_gauge(sweep_once, gauges, fixed_point, tol):
             if idle > _IDLE_REFRESHES:
                 return residual
             best = min(best, residual)
-            g = fixed_point(max(tol, _REFRESH_TOL))
+            g = fixed_point()
             phase = _phase_reference(g)
             gauges[0] = g * (np.conj(phase) / abs(phase)
                              * scale / np.linalg.norm(g))
@@ -305,14 +307,15 @@ def _settle_gauge(sweep_once, gauges, fixed_point, tol):
     return residual
 
 
-def left_orthonormalize(a, tol: float = 1e-14):
+def left_orthonormalize(a):
     """Gauge a unit cell of site tensors into left canonical form.
 
     Repeats positive-QR decompositions of (gauge @ a[n]) around the cell
-    until the bond-0 gauge matrix stops moving, `tol` relative to its norm
-    (see :func:`_settle_gauge`).  As soon as the sweeps crawl, the bond-0
-    gauge is refreshed by an Arnoldi solve of its fixed-point equation,
-    which keeps convergence fast for states with small transfer gaps.
+    until the bond-0 gauge matrix moves by at most `_GAUGE_TOL` relative to
+    its norm (see :func:`_settle_gauge`), which fixes the gauge to machine
+    precision.  As soon as the sweeps crawl, the bond-0 gauge is refreshed
+    by an Arnoldi solve of its fixed-point equation, which keeps
+    convergence fast for states with small transfer gaps.
     Returns ``(al, gauges)`` with ``gauges[k]`` the (unit-RMS normalized)
     transform on bond ``k`` relating the input to ``al``.  Warns and
     raises CanonicalizationError for (near-)non-injective inputs on which
@@ -322,7 +325,6 @@ def left_orthonormalize(a, tol: float = 1e-14):
     L = len(a)
     gauges = [np.eye(t.shape[0], dtype=t.dtype) for t in a]
     al = [None] * L
-    tol = max(tol, 1e-15)
 
     def sweep_once():
         for n in range(L):
@@ -334,30 +336,30 @@ def left_orthonormalize(a, tol: float = 1e-14):
             gauges[(n + 1) % L] = r / (np.linalg.norm(r)
                                        / math.sqrt(r.shape[0]))
 
-    def fixed_point(eig_tol):
+    def fixed_point():
         # the leading left fixed point of the mixed transfer between the
         # current isometric estimate and the input
         op = _cell_transfer(al, a, "left", (None,) * L)
-        res = leading_eig(op, gauges[0].reshape(-1), tol=eig_tol,
+        res = leading_eig(op, gauges[0].reshape(-1), tol=_REFRESH_TOL,
                           max_iter=600)
         return res.vector.reshape(gauges[0].shape)
 
-    residual = _settle_gauge(sweep_once, gauges, fixed_point, tol)
+    residual = _settle_gauge(sweep_once, gauges, fixed_point)
     if residual is None:
         return al, gauges
     warnings.warn("left orthonormalization did not converge "
                   f"(residual {residual:.2e}); input may be non-injective")
-    raise CanonicalizationError(f"no convergence (tol {tol:.1e})")
+    raise CanonicalizationError(f"no convergence (tol {_GAUGE_TOL:.1e})")
 
 
-def _right_gauge_from_left(al, seed=None, tol: float = 1e-14):
+def _right_gauge_from_left(al, seed):
     """Right-canonical tensors and bond gauges for a left-isometric cell.
 
     Input must already be left canonical (unit transfer eigenvalue); the
-    un-normalized RQ iteration then converges to bond gauges ``r[k]`` with
+    un-normalized RQ iteration from the bond gauges `seed` (None: the
+    normalized identity) then converges to bond gauges ``r[k]`` with
     ``al[n] r[n+1] = r[n] ar[n]`` holding exactly at the fixed point.  The
-    stopping rule (`tol` relative to ``|r[0]|``) and the Arnoldi refreshes
-    that keep small-gap inputs from stalling are those of the left case.
+    stopping rule and refreshes are those of :func:`left_orthonormalize`.
     """
     L = len(al)
     if seed is None:
@@ -375,38 +377,39 @@ def _right_gauge_from_left(al, seed=None, tol: float = 1e-14):
             ar[n] = q.reshape(chi_l, d, -1)
             rs[n] = r
 
-    def fixed_point(eig_tol):
+    def fixed_point():
         # rs[0]^T is the leading fixed point of the right mixed transfer
         # between the current ar estimate and the input
         op = _cell_transfer(ar, al, "right", (None,) * L)
-        res = leading_eig(op, rs[0].T.reshape(-1), tol=eig_tol, max_iter=600)
+        res = leading_eig(op, rs[0].T.reshape(-1), tol=_REFRESH_TOL,
+                          max_iter=600)
         return res.vector.reshape(rs[0].T.shape).T
 
-    residual = _settle_gauge(sweep_once, rs, fixed_point, max(tol, 1e-15))
+    residual = _settle_gauge(sweep_once, rs, fixed_point)
     if residual is None:
         return ar, rs
     raise CanonicalizationError(
         f"right gauge iteration stalled (residual {residual:.2e})")
 
 
-def mixed_canonical(a, tol: float = 1e-14) -> UniformMPS:
+def mixed_canonical(a) -> UniformMPS:
     """Bring a unit cell of site tensors into mixed canonical form.
 
     Left-orthonormalizes, derives the right gauge from the resulting
     isometric family, and rotates every bond so the bond matrices are
     diagonal with descending Schmidt values.
     """
-    al, _ = left_orthonormalize(a, tol=tol)
-    return _schmidt_frame(al, None, tol)
+    al, _ = left_orthonormalize(a)
+    return _schmidt_frame(al, None)
 
 
-def _schmidt_frame(al, seed, tol: float) -> UniformMPS:
+def _schmidt_frame(al, seed) -> UniformMPS:
     """Mixed canonical form of a left-isometric cell `al` in its Schmidt
     basis: the right gauge iteration, started from `seed` (the identity
     when None; see :func:`_right_gauge_from_left`), then every bond
     rotated so the bond matrices are diagonal with descending Schmidt
     values."""
-    ar, rs = _right_gauge_from_left(al, seed=seed, tol=tol)
+    ar, rs = _right_gauge_from_left(al, seed)
     L = len(al)
     us, vs, c = [None] * L, [None] * L, [None] * L
     for n in range(L):
@@ -435,7 +438,7 @@ def _rotate_bonds(x, a, y):
 # mixed transfer matrices and their fixed points
 
 
-def _apply_left_site(v, topc, bot, op=None):
+def _apply_left_site(v, topc, bot, op):
     """One site of the left mixed transfer: v has axes (bra, mpo, ket).
 
     `topc` is the conjugated top tensor, so that callers conjugate once per
@@ -455,7 +458,7 @@ def _apply_left_site(v, topc, bot, op=None):
     return (t @ bot.reshape(c * q, d)).reshape(b, n, d)
 
 
-def _apply_right_site(v, topc, bot, op=None):
+def _apply_right_site(v, topc, bot, op):
     """One site of the right mixed transfer: v has axes (bra, mpo, ket),
     `topc` and `op` as in :func:`_apply_left_site`."""
     a, p, b = topc.shape
@@ -494,24 +497,6 @@ def _bond_shape(tops, bots, ops):
     per-site tensors; a plain channel (None operators) has mpo bond 1."""
     return (tops[0].shape[0], 1 if ops[0] is None else ops[0].shape[0],
             bots[0].shape[0])
-
-
-def mixed_transfer_map(top: UniformMPS, bottom: UniformMPS, side: str,
-                       mpo: MPO | None = None) -> LinearMap:
-    """Unit-cell mixed transfer matrix as a matrix-free linear map.
-
-    The map acts on bond-0 vectors with axes (top bond, mpo bond, bottom
-    bond), top layer conjugated and mpo bond 1 without `mpo`; ``side``
-    selects left-to-right action on left-canonical tensors or the mirrored
-    right action.  Unit cells are extended to their least common multiple
-    first.
-    """
-    if side not in ("left", "right"):
-        raise ValueError("side must be 'left' or 'right'")
-    top, bottom, ops = _cell_tensors(top, bottom, mpo)
-    if side == "left":
-        return _cell_transfer(top.al, bottom.al, side, ops)
-    return _cell_transfer(top.ar, bottom.ar, side, ops)
 
 
 def _cell_transfer(tops, bots, side, ops) -> LinearMap:
@@ -667,47 +652,30 @@ def environments(top: UniformMPS, bottom: UniformMPS, mpo: MPO | None = None,
 # scalar quantities
 
 
-@dataclass
-class WarmStart:
-    """Start vector handed from one eigensolve to the next related one.
-
-    A solve that takes it starts from `vector` when that fits its map and
-    stores its own solution back, so one instance passed to a sequence of
-    nearby solves warm-starts each from the last.
-    """
-
-    vector: np.ndarray | None = None
-
-
 def _leading_per_site(top: UniformMPS, bottom: UniformMPS,
-                      mpo: MPO | None, tol: float, guess):
-    """Leading eigenpair of the left unit-cell channel, started from
-    `guess` when it fits, and the channel's unit-cell length."""
+                      mpo: MPO | None, tol: float):
+    """Leading eigenpair of the left unit-cell channel, started from the
+    default guess, and the channel's unit-cell length."""
     top, bottom, ops = _cell_tensors(top, bottom, mpo)
-    start = _fitting_guess(guess, top.al, bottom.al, ops)
-    res = leading_eig(_cell_transfer(top.al, bottom.al, "left", ops), start,
+    res = leading_eig(_cell_transfer(top.al, bottom.al, "left", ops),
+                      _fitting_guess(None, top.al, bottom.al, ops),
                       tol=tol, max_iter=20_000)
     return res, len(ops)
 
 
-def fidelity_per_site(a: UniformMPS, b: UniformMPS,
-                      guess: WarmStart | None = None) -> float:
+def fidelity_per_site(a: UniformMPS, b: UniformMPS) -> float:
     """Per-site overlap magnitude |lambda| of two normalized states.
 
     This is the modulus of the leading mixed-transfer eigenvalue; it lies
     in [0, 1] for canonical states and equals 1 exactly when the states
-    agree up to gauge.  `guess` warm-starts the eigensolve and receives
-    its eigenvector (see :class:`WarmStart`).
+    agree up to gauge.  The eigensolve starts cold, from the default guess.
     """
-    res, L = _leading_per_site(a, b, None, 1e-13,
-                               guess.vector if guess is not None else None)
-    if guess is not None:
-        guess.vector = res.vector
+    res, L = _leading_per_site(a, b, None, 1e-13)
     return float(abs(res.value) ** (1.0 / L))
 
 
 def mpo_eigenvalue_per_site(state: UniformMPS, mpo: MPO) -> complex:
     """Per-site leading eigenvalue of the MPO channel with the state in
     both layers (principal branch of the unit-cell root)."""
-    res, L = _leading_per_site(state, state, mpo, 1e-12, None)
+    res, L = _leading_per_site(state, state, mpo, 1e-12)
     return complex(res.value) ** (1.0 / L)

@@ -15,6 +15,8 @@ from vomps.truncation import vomps_truncate
 from vomps.umps import (
     MPO,
     UniformMPS,
+    _cell_tensors,
+    _cell_transfer,
     _stacked_layers,
     fidelity_per_site,
     mixed_canonical,
@@ -417,3 +419,15 @@ def reference_power_loop(mpo, init, cfg, stop):
             break
     lam = complex(mpo_eigenvalue_per_site(state, _stacked_layers(mpo, mpo)))
     return state, lam ** 0.5, converged
+
+
+def transfer_map(top, bottom, side, mpo=None):
+    """The package's matrix-free unit-cell mixed transfer map of `top`
+    over `bottom` (through `mpo` if given), on bond-0 vectors (top bond,
+    mpo bond, bottom bond): left-canonical tensors for ``side == "left"``,
+    right-canonical ones for ``"right"``, both states extended to the
+    channel's common unit cell."""
+    top, bottom, ops = _cell_tensors(top, bottom, mpo)
+    if side == "left":
+        return _cell_transfer(top.al, bottom.al, side, ops)
+    return _cell_transfer(top.ar, bottom.ar, side, ops)

@@ -7,7 +7,6 @@ from vomps.umps import (
     MPO,
     OrthogonalStatesError,
     UniformMPS,
-    WarmStart,
     _apply_left_site,
     _apply_right_site,
     _rotate_bonds,
@@ -16,7 +15,6 @@ from vomps.umps import (
     fidelity_per_site,
     left_orthonormalize,
     mixed_canonical,
-    mixed_transfer_map,
     mpo_eigenvalue_per_site,
     random_uniform_mps,
 )
@@ -31,6 +29,7 @@ from oracles import (
     materialize,
     random_complex,
     site_transfer,
+    transfer_map,
 )
 
 
@@ -232,7 +231,7 @@ class TestBondRotation:
         # from the kept Schmidt values carried through the left gauge
         al, gauges = left_orthonormalize([np.einsum(
             "xa,apb,by->xpy", u.conj().T, state.al[0], u)])
-        want = _schmidt_frame(al, [gauges[0] @ np.diag(s[:8])], 1e-14)
+        want = _schmidt_frame(al, [gauges[0] @ np.diag(s[:8])])
         for name in ("al", "ar", "c"):
             diff = np.abs(getattr(got, name)[0] - getattr(want, name)[0])
             assert np.max(diff) < 1e-13
@@ -241,17 +240,17 @@ class TestBondRotation:
 class TestTransferMap:
     def test_canonical_identity_fixed_point(self):
         state = random_uniform_mps(4, 2, seed=1)
-        op = mixed_transfer_map(state, state, "left")
+        op = transfer_map(state, state, "left")
         v = np.eye(4, dtype=complex).reshape(-1)
         np.testing.assert_allclose(op(v), v, atol=1e-12)
-        opr = mixed_transfer_map(state, state, "right")
+        opr = transfer_map(state, state, "right")
         np.testing.assert_allclose(opr(v), v, atol=1e-12)
 
     def test_matches_dense_materialization(self):
         top = random_uniform_mps(2, 2, seed=2)
         bot = random_uniform_mps(2, 2, seed=3)
         for side in ("left", "right"):
-            got = materialize(mixed_transfer_map(top, bot, side))
+            got = materialize(transfer_map(top, bot, side))
             want = dense_cell_matrix(top, bot, side=side)
             assert np.max(np.abs(got - want)) < 1e-13
 
@@ -261,16 +260,16 @@ class TestTransferMap:
         bot = random_uniform_mps(3, 2, seed=6)
         mpo = random_mpo(rng, 2, 2)
         for side in ("left", "right"):
-            got = materialize(mixed_transfer_map(top, bot, side, mpo))
+            got = materialize(transfer_map(top, bot, side, mpo))
             want = dense_cell_matrix(top, bot, mpo, side=side)
             assert np.max(np.abs(got - want)) < 1e-12
 
     def test_identity_mpo_equals_plain(self):
         top = random_uniform_mps(3, 2, seed=7)
         bot = random_uniform_mps(2, 2, seed=8)
-        plain = materialize(mixed_transfer_map(top, bot, "left"))
-        dressed = materialize(mixed_transfer_map(top, bot, "left",
-                                                 identity_mpo(2)))
+        plain = materialize(transfer_map(top, bot, "left"))
+        dressed = materialize(transfer_map(top, bot, "left",
+                                           identity_mpo(2)))
         assert np.max(np.abs(plain - dressed)) < 1e-13
         # a plain channel's bond vectors are the identity MPO's, unit mpo
         # bond included
@@ -285,7 +284,7 @@ class TestTransferMap:
     def test_unit_cell_lcm_extension(self):
         a = random_uniform_mps(2, 2, unit_cell=1, seed=9)
         b = random_uniform_mps(2, 2, unit_cell=2, seed=10)
-        got = materialize(mixed_transfer_map(a, b, "left"))
+        got = materialize(transfer_map(a, b, "left"))
         want = dense_cell_matrix(a, b)
         assert np.max(np.abs(got - want)) < 1e-12
 
@@ -293,7 +292,7 @@ class TestTransferMap:
         a = random_uniform_mps(2, 2, seed=1)
         b = random_uniform_mps(2, 3, seed=1)
         with pytest.raises(ValueError, match="physical"):
-            mixed_transfer_map(a, b, "left")
+            transfer_map(a, b, "left")
 
 
 class TestEnvironments:
@@ -408,32 +407,6 @@ class TestFidelity:
         rotated = gauge_rotated(state, rng)
         rotated.check(1e-10)
         assert abs(fidelity_per_site(state, rotated) - 1.0) < 1e-10
-
-
-    def test_warm_start_reuses_solution(self, monkeypatch):
-        import vomps.umps as umps
-
-        a = random_uniform_mps(4, 2, seed=64)
-        b = random_uniform_mps(3, 2, seed=65)
-        cold = fidelity_per_site(a, b)
-        matvecs = []
-        solve = umps.leading_eig
-
-        def counted(*args, **kwargs):
-            res = solve(*args, **kwargs)
-            matvecs.append(res.iterations)
-            return res
-
-        monkeypatch.setattr(umps, "leading_eig", counted)
-        holder = WarmStart()
-        first = fidelity_per_site(a, b, guess=holder)
-        assert holder.vector.shape == (4 * 3,)
-        second = fidelity_per_site(a, b, guess=holder)
-        assert abs(first - cold) < 1e-12 and abs(second - cold) < 1e-12
-        assert matvecs[1] <= 2 < matvecs[0]
-        # a vector of another size is ignored
-        assert abs(fidelity_per_site(a, a, guess=holder) - 1.0) < 1e-12
-        assert holder.vector.shape == (4 * 4,)
 
 
 class TestMpoEigenvalue:
