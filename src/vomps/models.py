@@ -166,6 +166,7 @@ def trotter_evolve(delta: float, dt: float, t_max: float, chi_max: int,
     closing truncation of E_h phi_N gives the returned state, regauged
     exactly once.
 
+    `t_max` must be a whole number of steps `dt`, to 1e-9 relative.
     Returns that state and one :class:`EvolutionRecord` per step
     (including the t=0 row); a record's `converged` is true when its
     step's truncation converged, and the last record's epsilon, loss and
@@ -175,6 +176,10 @@ def trotter_evolve(delta: float, dt: float, t_max: float, chi_max: int,
         raise ValueError("dt must be positive")
     if t_max < 0:
         raise ValueError("t_max must be non-negative")
+    steps = round(t_max / dt)
+    if abs(t_max / dt - steps) > 1e-9 * t_max / dt:
+        raise ValueError(f"t_max {t_max} is not a whole number of steps "
+                         f"dt {dt}")
     half_gate = xxz_gate(delta, dt / 2)
     full_gate = xxz_gate(delta, dt)
     half_even = trotter_layer_mpo(half_gate, "even")
@@ -186,7 +191,6 @@ def trotter_evolve(delta: float, dt: float, t_max: float, chi_max: int,
     records = [EvolutionRecord(time=0.0, offset=staggered_offset(
         state, np.eye(4)), epsilon=0.0, infidelity=0.0, chi=1)]
     guess = None
-    steps = int(round(t_max / dt))
     for k in range(steps):
         layer = first if k == 0 else later
         new, report = apply_layer(state, layer, chi_max, guess, eta=eta,

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -174,7 +174,8 @@ def leading_eig(op: LinearMap, guess: np.ndarray, tol: float = 1e-12,
     Krylov space is (numerically) invariant.  The lowest-residual pair seen is
     returned, with ``iterations`` the number of matvecs applied.
     Deterministic for a fixed guess.  The basis is real while the guess and
-    images are, and turns complex at a non-real dominant Ritz value.  A
+    images are, and turns complex at a non-real dominant Ritz value; a real
+    basis is its own conjugate, so only a complex one is kept twice.  A
     relative gap below `tol` between the top two Ritz magnitudes (``gap <
     tol * |value|``; so a complex-conjugate pair) is reported through the
     `degenerate` flag; a pair accepted at Krylov size 1 has no second Ritz
@@ -192,73 +193,80 @@ def leading_eig(op: LinearMap, guess: np.ndarray, tol: float = 1e-12,
     v /= nv
 
     m = min(subspace, n)
+    matvec = op.matvec
     nmv = 0
-    best = None
+    best = None  # (value, vector, residual, converged, degenerate)
     ax = None  # the image of the last vector mapped
     # the basis and its conjugate, each row written as the vector is added
     q = np.empty((m + 1, n), dtype=v.dtype)
-    q_h = np.empty_like(q)
+    q_h = q if q.dtype == float else np.empty_like(q)
 
     while True:
         h = np.zeros((m + 1, m), dtype=q.dtype)
         tested = []  # (Krylov size, Ritz residual estimate) this cycle
         for j in range(m):
             if j or ax is None:  # a restart has its vector's image
-                ax = np.asarray(op.matvec(q[j] if j else v)).reshape(n)
+                ax = np.asarray(matvec(q[j] if j else v)).reshape(n)
                 nmv += 1
             w = ax
             if w.dtype != q.dtype:  # complex images of a real basis
                 q, q_h, h = (t.astype(w.dtype) for t in (q, q_h, h))
             if j == 0:
-                q[0], q_h[0] = v, v.conj()
+                q[0] = v
+                if q_h is not q:
+                    q_h[0] = v.conj()
             w_norm = math.sqrt(np.vdot(w, w).real)
-            # block classical Gram-Schmidt, two passes (CGS2)
-            for _ in range(2):
-                c = q_h[:j + 1] @ w
-                h[:j + 1, j] += c
-                w -= c @ q[:j + 1]
+            # block classical Gram-Schmidt, two passes (CGS2); h's column
+            # starts at 0, so writing the passes' summed coefficients once
+            # equals adding each pass's in turn
+            c = q_h[:j + 1] @ w
+            w -= c @ q[:j + 1]
+            dc = q_h[:j + 1] @ w
+            w -= dc @ q[:j + 1]
+            h[:j + 1, j] = c + dc
             beta = math.sqrt(np.vdot(w, w).real)
             h[j + 1, j] = beta
             k = j + 1
             invariant = beta <= 1e-14 * w_norm
             if not invariant:
-                q[k] = w / beta
-                q_h[k] = q[k].conj()
-            may_pass = k in _CHECKPOINTS
-            if may_pass and len(tested) >= 2:
-                (k0, r0), (k1, r1) = tested[-2:]
-                rate = min(r1 / r0, 1.0) ** (1.0 / (k1 - k0))
-                target = _SKIP_SLACK * tol * abs(lam)
-                may_pass = r1 * rate ** (k - k1) <= target
-            if invariant or k == m or may_pass:
-                # geev gives a 1x1 matrix's entry and the vector [1]
-                # exactly, unless LAPACK rescales a tiny or huge entry
-                if k == 1 and 1e-100 < abs(h[0, 0]) < 1e100:
-                    theta, y = h[0, :1], np.ones((1, 1), dtype=h.dtype)
-                else:
-                    theta, y = np.linalg.eig(h[:k, :k])
-                order = np.argsort(-np.abs(theta))
-                lam = theta[order[0]]
-                estimate = abs(beta * y[k - 1, order[0]])
-                if invariant or k == m or estimate <= tol * abs(lam):
-                    break
-                tested.append((k, estimate))
+                np.divide(w, beta, out=q[k])
+                if q_h is not q:
+                    np.conjugate(q[k], out=q_h[k])
+            full = invariant or k == m
+            if not full:
+                if k not in _CHECKPOINTS:
+                    continue
+                if len(tested) >= 2:
+                    (k0, r0), (k1, r1) = tested[-2:]
+                    rate = min(r1 / r0, 1.0) ** (1.0 / (k1 - k0))
+                    if r1 * rate ** (k - k1) > _SKIP_SLACK * tol * abs(lam):
+                        continue
+            # geev gives a 1x1 matrix's entry and the vector [1]
+            # exactly, unless LAPACK rescales a tiny or huge entry
+            if k == 1 and 1e-100 < abs(h[0, 0]) < 1e100:
+                theta, y = h[0, :1], np.ones((1, 1), dtype=h.dtype)
+            else:
+                theta, y = np.linalg.eig(h[:k, :k])
+            order = np.argsort(-np.abs(theta))
+            lam = theta[order[0]]
+            estimate = abs(beta * y[k - 1, order[0]])
+            if full or estimate <= tol * abs(lam):
+                break
+            tested.append((k, estimate))
 
         if lam.imag == 0 and q.dtype == float:  # a real pair stays real
             lam, y = lam.real, y.real
         x = y[:, order[0]] @ q[:k]
         x /= np.linalg.norm(x)
-        ax = np.asarray(op.matvec(x)).reshape(n)
+        ax = np.asarray(matvec(x)).reshape(n)
         nmv += 1
         residual = float(np.linalg.norm(ax - lam * x))
         converged = residual <= tol * abs(lam)
         gap = (np.abs(lam) - np.abs(theta[order[1]]) if k >= 2 else np.inf)
 
-        if best is None or residual < best.residual:
-            best = EigResult(value=lam.item(), vector=x, residual=residual,
-                             converged=converged,
-                             degenerate=bool(gap < tol * np.abs(lam)))
+        if best is None or residual < best[2]:
+            best = (lam, x, residual, converged, bool(gap < tol * np.abs(lam)))
         # an invariant Krylov space admits no further progress
         if converged or nmv >= max_iter or invariant:
-            return replace(best, iterations=nmv)
+            return EigResult(best[0].item(), *best[1:], iterations=nmv)
         v = x

@@ -34,6 +34,7 @@ from .umps import (
     OrthogonalStatesError,
     UniformMPS,
     _check_isometric_targets,
+    _dot_last,
     _normalize_targets,
     _right_gauge_from_left,
     _stacked_layers,
@@ -182,8 +183,9 @@ def compute_centers(env: MixedEnvironment, source: UniformMPS,
     source = source.extended(L // source.unit_cell)
     acp, cp = [], []
     for n, raw_ac in enumerate(_raw_centers(env, source, mpo)):
-        t = np.tensordot(env.gl[(n + 1) % L], source.c[n], axes=((2,), (0,)))
-        raw_c = np.tensordot(t, env.gr[n], axes=((1, 2), (1, 2)))
+        gl, gr = env.gl[(n + 1) % L], env.gr[n]  # both on bond n+1
+        raw_c = np.dot(_dot_last(gl, source.c[n]).reshape(len(gl), -1),
+                       gr.transpose(1, 2, 0).reshape(-1, len(gr)))
 
         scale = max(np.linalg.norm(env.gl[n]) * np.linalg.norm(env.gr[n]), 1.0)
         if (np.linalg.norm(raw_ac) < 1e-14 * scale
@@ -204,9 +206,16 @@ def _raw_centers(env: MixedEnvironment, source: UniformMPS,
     ops = (mpo.extended(L // mpo.unit_cell).o if mpo is not None
            else [np.eye(d).reshape(1, d, d, 1) for d in source.phys_dims])
     for n in range(L):
-        t = np.tensordot(env.gl[n], source.ac(n), axes=((2,), (0,)))
-        t = np.tensordot(t, ops[n], axes=((1, 2), (0, 2)))
-        yield np.tensordot(t, env.gr[n], axes=((1, 3), (2, 1))) / env.lam
+        (a, m, _), (_, q, p, k), (b, _, r) = (env.gl[n].shape, ops[n].shape,
+                                              env.gr[n].shape)
+        t = _dot_last(env.gl[n], source.ac(n).reshape(-1, p * r))  # (a, m, pr)
+        t = np.dot(t.reshape(a, m, p, r).transpose(0, 3, 1, 2)
+                   .reshape(a * r, m * p),
+                   ops[n].transpose(0, 2, 1, 3).reshape(m * p, q * k))
+        t = np.dot(t.reshape(a, r, q, k).transpose(0, 2, 1, 3)
+                   .reshape(a * q, r * k),
+                   env.gr[n].transpose(2, 1, 0).reshape(r * k, b))
+        yield t.reshape(a, q, b) / env.lam
 
 
 def extract_gauges(cp: CenterPair):
@@ -253,7 +262,7 @@ def error_epsilon(cp: CenterPair, al) -> float:
     maximized over the unit cell."""
     eps = 0.0
     for n in range(len(cp.acp)):
-        recomposed = np.tensordot(al[n], cp.cp[n], axes=((2,), (0,)))
+        recomposed = _dot_last(al[n], cp.cp[n])
         eps = max(eps, float(np.linalg.norm(cp.acp[n] - recomposed)))
     return eps
 
@@ -373,7 +382,7 @@ def _fidelity_gradient(env: MixedEnvironment, source: UniformMPS,
     arXiv:2007.03638)."""
     L = a.unit_cell
     raw = _raw_centers(env, source, mpo)
-    return _tangent(a.al, [-np.tensordot(t, c.conj(), axes=((2,), (1,))) / L
+    return _tangent(a.al, [-_dot_last(t, c.conj().T) / L
                            for t, c in zip(raw, a.c)])
 
 
@@ -545,7 +554,7 @@ def vomps_truncate(m: UniformMPS, cfg: VompsConfig,
     # _regauge keeps AL but turns each bond matrix C' into C' u: carry the
     # bra leg of the bond-0 right environment through the same unitary
     u0 = polar(a.c[-1].conj().T @ result.c[-1])
-    gr = np.tensordot(u0.T, env.gr[-1], axes=((1,), (0,)))
+    gr = np.dot(u0.T, env.gr[-1].reshape(u0.shape[0], -1))
     report.env_guess = (env.gl[0].reshape(-1), gr.reshape(-1))
     return result, report
 

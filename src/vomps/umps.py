@@ -57,9 +57,16 @@ def _freeze(a) -> np.ndarray:
     return a
 
 
+def _dot_last(t, m) -> np.ndarray:
+    """`t` contracted over its last axis with the rows of the matrix `m`,
+    as ``np.tensordot(t, m, 1)`` computes it: one matrix product."""
+    return np.dot(t.reshape(-1, t.shape[-1]), m).reshape(
+        t.shape[:-1] + m.shape[1:])
+
+
 def _check_finite(arrays, what: str):
     for i, a in enumerate(arrays):
-        if not np.all(np.isfinite(a)):
+        if not np.isfinite(a).all():
             raise ValueError(f"non-finite entries in {what}[{i}]")
 
 
@@ -112,7 +119,7 @@ class UniformMPS:
 
     def ac(self, n: int) -> np.ndarray:
         """Center tensor al[n] @ c[n], indices (left, phys, right)."""
-        return np.tensordot(self.al[n], self.c[n], axes=((2,), (0,)))
+        return _dot_last(self.al[n], self.c[n])
 
     def extended(self, reps: int) -> "UniformMPS":
         """Unit cell repeated `reps` times (the same physical state)."""
@@ -136,8 +143,7 @@ class UniformMPS:
             mr = self.ar[n].reshape(chi_l, d * chi_r)
             worst = max(worst, np.linalg.norm(
                 mr @ mr.conj().T - np.eye(chi_l)))
-            gauge = np.tensordot(self.c[(n - 1) % L], self.ar[n],
-                                 axes=((1,), (0,)))
+            gauge = np.dot(self.c[(n - 1) % L], mr).reshape(chi_l, d, chi_r)
             worst = max(worst, np.linalg.norm(self.ac(n) - gauge))
             worst = max(worst, abs(np.linalg.norm(self.c[n]) - 1.0))
         if worst > tol:
@@ -187,10 +193,11 @@ def _stacked_layers(upper: MPO, lower: MPO) -> MPO:
     into one MPO whose bonds are grouped (upper, lower)."""
     tensors = []
     for a, b in zip(upper.o, lower.o):
-        t = np.tensordot(a, b, axes=((2,), (1,)))  # (l,p,r, l2,q,r2)
-        t = t.transpose(0, 3, 1, 4, 2, 5)
-        tensors.append(t.reshape(a.shape[0] * b.shape[0], a.shape[1],
-                                 b.shape[2], a.shape[3] * b.shape[3]))
+        (la, p, s, ra), (lb, _, q, rb) = a.shape, b.shape
+        t = np.dot(a.transpose(0, 1, 3, 2).reshape(la * p * ra, s),
+                   b.transpose(1, 0, 2, 3).reshape(s, lb * q * rb))
+        t = t.reshape(la, p, ra, lb, q, rb).transpose(0, 3, 1, 4, 2, 5)
+        tensors.append(t.reshape(la * lb, p, q, ra * rb))
     return MPO(o=tensors)
 
 
@@ -561,9 +568,10 @@ def _phase_reference(g: np.ndarray):
 
 def _bond_pairing(gl, gr, c_top, c_bot):
     """Close gl (bond k) against gr (same bond) through the bond matrices."""
-    t = np.tensordot(np.conj(c_top), gl, axes=((0,), (0,)))  # (bra', m, ket)
-    t = np.tensordot(t, c_bot, axes=((2,), (0,)))           # (bra', m, ket')
-    return np.tensordot(t, gr, axes=((0, 1, 2), (0, 1, 2))).item()
+    a, m, c = gl.shape
+    t = np.dot(np.conj(c_top).T, gl.reshape(a, m * c))  # (bra', m ket)
+    t = np.dot(t.reshape(-1, c), c_bot)                  # (bra' m, ket')
+    return np.dot(t.reshape(1, -1), gr.reshape(-1, 1)).item()
 
 
 def _fitting_guess(guess, tops, bots, ops) -> np.ndarray:

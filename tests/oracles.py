@@ -431,3 +431,93 @@ def transfer_map(top, bottom, side, mpo=None):
     if side == "left":
         return _cell_transfer(top.al, bottom.al, side, ops)
     return _cell_transfer(top.ar, bottom.ar, side, ops)
+
+
+# ---------------------------------------------------------------------------
+# the package's contractions written with np.tensordot: the package builds
+# the one matrix product each of these computes, so they agree bit for bit
+
+
+def tensordot_ac(state, n):
+    """Center tensor al[n] c[n] of :meth:`UniformMPS.ac`."""
+    return np.tensordot(state.al[n], state.c[n], axes=((2,), (0,)))
+
+
+def tensordot_check(state):
+    """The largest canonical-form residual of :meth:`UniformMPS.check`."""
+    L = state.unit_cell
+    worst = 0.0
+    for n in range(L):
+        chi_l, d, chi_r = state.al[n].shape
+        ml = state.al[n].reshape(chi_l * d, chi_r)
+        worst = max(worst, np.linalg.norm(ml.conj().T @ ml - np.eye(chi_r)))
+        mr = state.ar[n].reshape(chi_l, d * chi_r)
+        worst = max(worst, np.linalg.norm(mr @ mr.conj().T - np.eye(chi_l)))
+        gauge = np.tensordot(state.c[(n - 1) % L], state.ar[n],
+                             axes=((1,), (0,)))
+        worst = max(worst, np.linalg.norm(tensordot_ac(state, n) - gauge))
+        worst = max(worst, abs(np.linalg.norm(state.c[n]) - 1.0))
+    return worst
+
+
+def tensordot_stacked_layers(upper, lower):
+    """Fused site tensors of :func:`vomps.umps._stacked_layers`."""
+    tensors = []
+    for a, b in zip(upper.o, lower.o):
+        t = np.tensordot(a, b, axes=((2,), (1,))).transpose(0, 3, 1, 4, 2, 5)
+        tensors.append(t.reshape(a.shape[0] * b.shape[0], a.shape[1],
+                                 b.shape[2], a.shape[3] * b.shape[3]))
+    return tensors
+
+
+def tensordot_bond_pairing(gl, gr, c_top, c_bot):
+    """gl closed against gr through the bond matrices, as
+    :func:`vomps.umps._bond_pairing`."""
+    t = np.tensordot(np.conj(c_top), gl, axes=((0,), (0,)))
+    t = np.tensordot(t, c_bot, axes=((2,), (0,)))
+    return np.tensordot(t, gr, axes=((0, 1, 2), (0, 1, 2))).item()
+
+
+def tensordot_raw_centers(env, source, mpo):
+    """Unnormalized centers of :func:`vomps.truncation._raw_centers`."""
+    L = len(env.gl)
+    ops = (mpo.extended(L // mpo.unit_cell).o if mpo is not None
+           else [np.eye(d).reshape(1, d, d, 1) for d in source.phys_dims])
+    out = []
+    for n in range(L):
+        t = np.tensordot(env.gl[n], tensordot_ac(source, n),
+                         axes=((2,), (0,)))
+        t = np.tensordot(t, ops[n], axes=((1, 2), (0, 2)))
+        out.append(np.tensordot(t, env.gr[n], axes=((1, 3), (2, 1)))
+                   / env.lam)
+    return out
+
+
+def tensordot_centers(env, source, mpo):
+    """``(acp, cp)`` of :func:`vomps.truncation.compute_centers`."""
+    L = len(env.gl)
+    source = source.extended(L // source.unit_cell)
+    acp, cp = [], []
+    for n, raw_ac in enumerate(tensordot_raw_centers(env, source, mpo)):
+        t = np.tensordot(env.gl[(n + 1) % L], source.c[n], axes=((2,), (0,)))
+        raw_c = np.tensordot(t, env.gr[n], axes=((1, 2), (1, 2)))
+        acp.append(raw_ac / np.linalg.norm(raw_ac))
+        cp.append(raw_c / np.linalg.norm(raw_c))
+    return acp, cp
+
+
+def tensordot_fidelity_gradient(env, source, mpo, a):
+    """Euclidean gradient of :func:`vomps.truncation._fidelity_gradient`
+    before its tangent projection."""
+    raw = tensordot_raw_centers(env, source, mpo)
+    return [-np.tensordot(t, c.conj(), axes=((2,), (1,))) / a.unit_cell
+            for t, c in zip(raw, a.c)]
+
+
+def tensordot_error_epsilon(cp, al):
+    """Fixed-point residual of :func:`vomps.truncation.error_epsilon`."""
+    eps = 0.0
+    for n in range(len(cp.acp)):
+        recomposed = np.tensordot(al[n], cp.cp[n], axes=((2,), (0,)))
+        eps = max(eps, float(np.linalg.norm(cp.acp[n] - recomposed)))
+    return eps

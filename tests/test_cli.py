@@ -228,12 +228,14 @@ SHORT_EVOLVE = ["evolve", "--chi", "4", "--t-max", "0.1"]
     ["evolve", "--chi", "0"],
     ["evolve", "--dt", "0"],
     ["evolve", "--t-max", "-1"],
+    ["evolve", "--chi", "4", "--t-max", "0.1", "--dt", "0.03"],
     ["fixedpoint", "--chi", "0"],
     ["fixedpoint", "--beta-rel", "0"],
     ["fixedpoint", "--chi", "4", "--beta-rel", "1.2", "--power-iter", "0"],
     ["fixedpoint", "--tol", "-1", "--power-iter", "3"],
 ], ids=["evolve-oracle-ed:abc", "evolve-oracle-ed:7", "evolve-oracle-foo",
         "evolve-chi-0", "evolve-dt-0", "evolve-t-max-negative",
+        "evolve-t-max-not-whole-steps",
         "fixedpoint-chi-0", "fixedpoint-beta-rel-0",
         "fixedpoint-power-iter-0", "fixedpoint-tol-negative"])
 def test_malformed_arguments_are_reported(monkeypatch, tmp_path, capsys,

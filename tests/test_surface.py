@@ -83,3 +83,18 @@ def test_exports_are_used_by_the_package():
             used |= _references(ast.parse(path.read_text()))
     assert not exported - used, (
         f"exported but unused in the package: {sorted(exported - used)}")
+
+
+def test_iteration_modules_call_no_tensordot():
+    # every contraction of the truncation loop is the one matrix product
+    # that tensordot would build, without its per-call dispatch; models.py
+    # contracts once per step or run and may keep it
+    for name in ("umps.py", "truncation.py"):
+        calls = [node.lineno
+                 for node in ast.walk(ast.parse((SRC / name).read_text()))
+                 if isinstance(node, ast.Call)
+                 and (isinstance(node.func, ast.Attribute)
+                      and node.func.attr == "tensordot"
+                      or isinstance(node.func, ast.Name)
+                      and node.func.id == "tensordot")]
+        assert not calls, f"{name} calls tensordot on lines {calls}"

@@ -854,13 +854,28 @@ class TestRealArithmetic:
         m = abs(ising_magnetization(state, beta))
         assert abs(m - onsager_magnetization(beta)) < 1e-5
 
-    def test_complex_evolution_is_unchanged(self):
+    def test_complex_evolution_is_unchanged(self, monkeypatch):
         # the XXZ quench stays complex128, and its offsets stay within 1e-9
         # of those of the all-complex implementation that truncated after
         # each of three layers per step (chi 12 to t 1.0); one truncation
-        # per step moved them by up to 3.7e-10
+        # per step moved them by up to 3.7e-10.  Its eigensolves take 650
+        # matvecs: a change of complex rounding (the diagonal sum of
+        # umps._phase_reference as np.trace) took them to 670 while the
+        # offsets moved only 3.4e-11
+        import vomps.umps as umps
+
+        solve = umps.leading_eig
+        matvecs = []
+
+        def counting(*args, **kwargs):
+            res = solve(*args, **kwargs)
+            matvecs.append(res.iterations)
+            return res
+
+        monkeypatch.setattr(umps, "leading_eig", counting)
         state, records = trotter_evolve(delta=0.5, dt=0.05, t_max=1.0,
                                         chi_max=12)
+        assert sum(matvecs) == 650
         for t in state.al + state.ar + state.c:
             assert t.dtype == np.complex128
         reference = [float.fromhex(h) for h in _XXZ_CHI12_OFFSETS]
