@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .tensor import svd
-from .truncation import VompsConfig, _regauge, vomps_truncate
+from .truncation import VompsConfig, _raw_centers, _regauge, vomps_truncate
 from .umps import MPO, UniformMPS, _stacked_layers, environments
 
 PAULI_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
@@ -260,24 +260,17 @@ def ising_magnetization(state: UniformMPS, beta: float) -> float:
     Measured at site 0 as the ratio of the transfer channel with and
     without the spin impurity inserted, which is exact up to the bond
     truncation of the state.  The fixed point is its own image under the
-    transfer MPO, so it is both the bra and the ket layer.  At the
-    antiferromagnet's fixed point, the flipped ferromagnetic one, |m| is
-    the same.
+    transfer MPO, so it is both the bra and the ket layer: each channel is
+    the raw center of :func:`~vomps.truncation.compute_centers` (the shared
+    gl -- AC -- O -- gr contraction) closed against AC.  At the
+    antiferromagnet's fixed point, |m| is the same.
     """
     mpo = ising_mpo(beta)
     env = environments(state, state, mpo, tol=1e-12)
-    o_imp = ising_magnetization_mpo(beta).o[0]
-    o_reg = mpo.o[0]
     ac = state.ac(0)
-
-    def channel(op):
-        t = np.tensordot(env.gl[0], ac, axes=((2,), (0,)))
-        t = np.tensordot(t, op, axes=((1, 2), (0, 2)))
-        t = np.tensordot(t, np.conj(ac), axes=((0, 2), (0, 1)))
-        return complex(np.tensordot(
-            t, env.gr[0], axes=((0, 1, 2), (2, 1, 0))))
-
-    return float(np.real(channel(o_imp) / channel(o_reg)))
+    imp, reg = (np.vdot(ac, next(_raw_centers(env, state, o)))
+                for o in (ising_magnetization_mpo(beta), mpo))
+    return float(np.real(imp / reg))
 
 
 def ising_free_energy(lam_per_site: complex, beta: float) -> float:

@@ -2,10 +2,11 @@
 
 The driver :func:`vomps_truncate` approximates a given state (optionally
 with an MPO applied to it) by a state of smaller bond dimension.  Each
-iteration solves the mixed-transfer fixed-point equations for the current
-trial state, forms updated center tensors from the environments, extracts
-new isometric gauge tensors through polar decompositions, and measures
-convergence as the norm of the residual of the center fixed-point
+iteration is one tangent-space update, :func:`_update` (which
+:func:`epsilon_measure` takes once): it solves the mixed-transfer
+fixed-point equations for the trial state, forms updated center tensors
+from the environments, extracts isometric gauge tensors through polar
+decompositions, and measures the residual of the center fixed-point
 relation.  The polar extraction is exact at a fixed point ``AC = AL C``
 and otherwise leaves a residual within sqrt(2) of the best isometry (see
 :func:`extract_gauges`).  The fixed points of this iteration are exactly
@@ -136,12 +137,6 @@ class TruncationReport:
     singular_completion: bool = False
     env_guess: tuple | None = None
 
-    def record(self, iteration, epsilon, step, abs_lambda, wall_ms,
-               matvecs, tol_inner):
-        self.iterations.append(IterationRecord(
-            iteration, float(epsilon), float(step), float(abs_lambda),
-            float(wall_ms), int(matvecs), float(tol_inner)))
-
     @property
     def final_epsilon(self) -> float:
         return self.iterations[-1].epsilon if self.iterations else math.inf
@@ -174,10 +169,11 @@ def compute_centers(env: MixedEnvironment, source: UniformMPS,
     """Updated center tensors from converged environments.
 
     ``acp[n]`` contracts gl[n] -- center tensor of the source through the
-    MPO tensor (the identity for a plain source) -- gr[n], divided by the
-    per-site eigenvalue; ``cp[n]`` contracts gl[n+1] -- source bond
-    matrix -- gr[n], with MPO bonds passed straight through.  Both are
-    returned unit-normalized.
+    MPO tensor (skipped for a plain source) -- gr[n], divided by the
+    per-site eigenvalue, in the one contraction that
+    :func:`~vomps.models.ising_magnetization` also reads; ``cp[n]``
+    contracts gl[n+1] -- source bond matrix -- gr[n], with MPO bonds
+    passed straight through.  Both are returned unit-normalized.
     """
     L = len(env.gl)
     source = source.extended(L // source.unit_cell)
@@ -201,21 +197,24 @@ def _raw_centers(env: MixedEnvironment, source: UniformMPS,
                  mpo: MPO | None):
     """Per site, gl[n] -- source center tensor through the MPO tensor --
     gr[n] divided by the per-site eigenvalue, not normalized (`source`
-    already spans the environments' cell)."""
+    already spans the environments' cell).  A plain channel (`mpo` None,
+    mpo bonds 1) skips the operator product."""
     L = len(env.gl)
-    ops = (mpo.extended(L // mpo.unit_cell).o if mpo is not None
-           else [np.eye(d).reshape(1, d, d, 1) for d in source.phys_dims])
+    ops = mpo.extended(L // mpo.unit_cell).o if mpo is not None else None
     for n in range(L):
-        (a, m, _), (_, q, p, k), (b, _, r) = (env.gl[n].shape, ops[n].shape,
-                                              env.gr[n].shape)
-        t = _dot_last(env.gl[n], source.ac(n).reshape(-1, p * r))  # (a, m, pr)
-        t = np.dot(t.reshape(a, m, p, r).transpose(0, 3, 1, 2)
-                   .reshape(a * r, m * p),
-                   ops[n].transpose(0, 2, 1, 3).reshape(m * p, q * k))
-        t = np.dot(t.reshape(a, r, q, k).transpose(0, 2, 1, 3)
-                   .reshape(a * q, r * k),
-                   env.gr[n].transpose(2, 1, 0).reshape(r * k, b))
-        yield t.reshape(a, q, b) / env.lam
+        ac = source.ac(n)
+        (a, m, _), (_, p, r), b = env.gl[n].shape, ac.shape, len(env.gr[n])
+        t = _dot_last(env.gl[n], ac.reshape(-1, p * r))  # (a, m, pr)
+        if ops is not None:
+            _, q, _, k = ops[n].shape
+            t = np.dot(t.reshape(a, m, p, r).transpose(0, 3, 1, 2)
+                       .reshape(a * r, m * p),
+                       ops[n].transpose(0, 2, 1, 3).reshape(m * p, q * k))
+            # (a, q, r, k): the operator's output leg is the physical one
+            t, p = t.reshape(a, r, q, k).transpose(0, 2, 1, 3), q
+        t = np.dot(t.reshape(a * p, -1),
+                   env.gr[n].transpose(2, 1, 0).reshape(-1, b))
+        yield t.reshape(a, p, b) / env.lam
 
 
 def extract_gauges(cp: CenterPair):
@@ -265,6 +264,22 @@ def error_epsilon(cp: CenterPair, al) -> float:
         recomposed = _dot_last(al[n], cp.cp[n])
         eps = max(eps, float(np.linalg.norm(cp.acp[n] - recomposed)))
     return eps
+
+
+def _update(a: UniformMPS, source: UniformMPS, mpo: MPO | None,
+            tol: float, guess):
+    """One tangent-space update of the trial `a` towards `source` (through
+    `mpo`): environments solved to `tol` from `guess`, the centers AC' and
+    C', and the gauges AL' and AR' they give.  Returns ``(env, updated
+    state, completed, epsilon, step)``, with `completed` as in
+    :func:`extract_gauges` and the residuals ``|AC' - AL C'|`` for the
+    update's AL (`epsilon`) and the trial's (`step`)."""
+    env = environments(a, source, mpo, tol=tol, guess=guess)
+    cp = compute_centers(env, source, mpo)
+    al, ar, completed = extract_gauges(cp)
+    step = error_epsilon(cp, a.extended(len(al) // a.unit_cell).al)
+    return (env, UniformMPS(al=al, ar=ar, c=cp.cp), completed,
+            error_epsilon(cp, al), step)
 
 
 # ---------------------------------------------------------------------------
@@ -462,18 +477,17 @@ def vomps_truncate(m: UniformMPS, cfg: VompsConfig,
     """Variationally approximate `m` (or `mpo` applied to `m`) at the
     target bond dimensions.
 
-    Returns ``(state, report)``.  The loop alternates environment solves,
-    center updates, and gauge extraction until the fixed-point residual
-    drops below ``cfg.eta``; each environment solve starts from the
-    previous iteration's solution.  If the residual falls less than
-    tenfold over `_STALL_WINDOW` iterations, the trials come from
-    :class:`_Ascent` instead, starting at the update regauged.  `guess`
-    may carry bond-0 environment vectors ``(left, right)`` for the first
-    solve, such as the ``report.env_guess`` of a truncation of a nearby
-    problem.  The loop solves no environments after it stops:
+    Returns ``(state, report)``.  The loop repeats :func:`_update` until
+    the fixed-point residual drops below ``cfg.eta``; each environment
+    solve starts from the previous iteration's solution.  If the residual
+    falls less than tenfold over `_STALL_WINDOW` iterations, the trials
+    come from :class:`_Ascent` instead, starting at the update regauged.
+    `guess` may carry bond-0 environment vectors ``(left, right)`` for the
+    first solve, such as the ``report.env_guess`` of a truncation of a
+    nearby problem.  The loop solves no environments after it stops:
     ``report.final_lambda`` and ``report.env_guess`` come from its last
-    solve (see :class:`TruncationReport`).  A converged result is the
-    loop's last iterate if that passes :meth:`UniformMPS.check` at
+    recorded solve (see :class:`TruncationReport`).  A converged result is
+    the loop's last iterate if that passes :meth:`UniformMPS.check` at
     ``cfg.eta`` (the residual bounds ``AL' C'`` only), else, like an
     unconverged one, it is regauged exactly, keeping AL'.  Non-convergence
     returns the last iterate, flagged in the report; a collapsing fidelity
@@ -504,21 +518,19 @@ def vomps_truncate(m: UniformMPS, cfg: VompsConfig,
         # two digits ahead of it, but no tighter than eta / 10
         tol_inner = max(min(1e-5, eps_next / 100.0), cfg.eta / 10, 1e-14)
         try:
-            env = environments(a, m_ext, mpo, tol=tol_inner, guess=guess)
-            cp = compute_centers(env, m_ext, mpo)
+            env, update, completed, residual, step = _update(
+                a, m_ext, mpo, tol_inner, guess)
         except OrthogonalStatesError:
             report.orthogonal = True
             break
-        al, ar, completed = extract_gauges(cp)
         report.singular_completion |= completed
         report.degenerate |= env.degenerate
-        eps_prev, eps = eps, error_epsilon(cp, al)
-        step = error_epsilon(cp, a.al)
-        trial, a = a, UniformMPS(al=al, ar=ar, c=cp.cp)
+        eps_prev, eps = eps, residual
+        trial, a = a, update
         guess = (env.gl[0].reshape(-1), env.gr[-1].reshape(-1))
-        wall_ms = 1e3 * (time.perf_counter() - t0)
-        report.record(it, eps, step, abs(env.lam), wall_ms, env.matvecs,
-                      tol_inner)
+        report.iterations.append(IterationRecord(
+            it, eps, step, abs(env.lam), 1e3 * (time.perf_counter() - t0),
+            env.matvecs, tol_inner))
         t0 = time.perf_counter()
 
         if lam_first is None:
@@ -559,20 +571,18 @@ def vomps_truncate(m: UniformMPS, cfg: VompsConfig,
     return result, report
 
 
-def epsilon_measure(candidate: UniformMPS, m: UniformMPS,
-                    mpo: MPO | None = None) -> tuple[float, float]:
+def epsilon_measure(candidate: UniformMPS,
+                    m: UniformMPS) -> tuple[float, float]:
     """Fixed-point residual of an arbitrary candidate state against a
-    target, evaluated by a single environment/center/extraction pass (both
-    extend the unit cells to their least common multiple).
+    target, evaluated by a single :func:`_update` (both extend the unit
+    cells to their least common multiple).
 
     Returns ``(epsilon, abs_lambda)``: the residual and the per-site |λ| of
-    the environment solve, which without `mpo` is the candidate's
+    the environment solve, the candidate's
     :func:`~vomps.umps.fidelity_per_site` with `m`.
     """
-    env = environments(candidate, m, mpo, tol=1e-13)
-    cp = compute_centers(env, m, mpo)
-    al, _, _ = extract_gauges(cp)
-    return error_epsilon(cp, al), float(abs(env.lam))
+    env, _, _, eps, _ = _update(candidate, m, None, 1e-13, None)
+    return eps, float(abs(env.lam))
 
 
 # ---------------------------------------------------------------------------

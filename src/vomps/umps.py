@@ -126,11 +126,6 @@ class UniformMPS:
         return self if reps == 1 else UniformMPS(
             al=self.al * reps, ar=self.ar * reps, c=self.c * reps)
 
-    def schmidt_values(self, bond: int) -> np.ndarray:
-        """Singular values of the bond matrix on bond `bond` (descending)."""
-        L = self.unit_cell
-        return svd(self.c[(bond - 1) % L])[1]
-
     def check(self, tol: float = 1e-10) -> float:
         """Largest canonical-form residual; raises GaugeError above `tol`."""
         L = self.unit_cell

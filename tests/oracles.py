@@ -11,6 +11,8 @@ from dataclasses import replace
 
 import numpy as np
 
+from vomps.models import ising_magnetization_mpo, ising_mpo
+from vomps.tensor import svd
 from vomps.truncation import vomps_truncate
 from vomps.umps import (
     MPO,
@@ -18,6 +20,7 @@ from vomps.umps import (
     _cell_tensors,
     _cell_transfer,
     _stacked_layers,
+    environments,
     fidelity_per_site,
     mixed_canonical,
     mpo_eigenvalue_per_site,
@@ -382,6 +385,12 @@ def state_with_spectrum(spectrum, seed: int = 0) -> UniformMPS:
     return UniformMPS(al=[al], ar=[ar], c=[np.diag(s).astype(complex)])
 
 
+def schmidt_values(state, bond: int) -> np.ndarray:
+    """Singular values of the bond matrix on bond `bond` of `state`
+    (descending); bond n is left of site n."""
+    return svd(state.c[(bond - 1) % state.unit_cell])[1]
+
+
 def correlated_random_state(chi: int, d: int = 2, decay: float = 0.35,
                             seed: int = 0) -> UniformMPS:
     """Random injective state with a slowly decaying entanglement spectrum.
@@ -396,7 +405,7 @@ def correlated_random_state(chi: int, d: int = 2, decay: float = 0.35,
     target /= np.linalg.norm(target)
     state = random_uniform_mps(chi, d, seed=seed)
     for _ in range(6):
-        current = state.schmidt_values(0)
+        current = schmidt_values(state, 0)
         # half-step in log space: the spectrum responds superlinearly to
         # bond tilts, so a full correction overshoots
         correction = np.clip(target / current, 1e-4, 1e4) ** 0.5
@@ -521,3 +530,22 @@ def tensordot_error_epsilon(cp, al):
         recomposed = np.tensordot(al[n], cp.cp[n], axes=((2,), (0,)))
         eps = max(eps, float(np.linalg.norm(cp.acp[n] - recomposed)))
     return eps
+
+
+def tensordot_magnetization(state, beta):
+    """The magnetization of :func:`vomps.models.ising_magnetization`, each
+    channel closed by its own four tensordots rather than through the raw
+    centers of the truncation."""
+    mpo = ising_mpo(beta)
+    env = environments(state, state, mpo, tol=1e-12)
+    ac = state.ac(0)
+
+    def channel(op):
+        t = np.tensordot(env.gl[0], ac, axes=((2,), (0,)))
+        t = np.tensordot(t, op, axes=((1, 2), (0, 2)))
+        t = np.tensordot(t, np.conj(ac), axes=((0, 2), (0, 1)))
+        return complex(np.tensordot(
+            t, env.gr[0], axes=((0, 1, 2), (2, 1, 0))))
+
+    imp = channel(ising_magnetization_mpo(beta).o[0])
+    return float(np.real(imp / channel(mpo.o[0])))

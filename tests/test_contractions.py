@@ -3,17 +3,24 @@
 Each contraction is written as the one matrix product tensordot builds
 (the same transposes and reshapes, then one ``np.dot``), so it must agree
 with the tensordot form bit for bit: real and complex, over a one- and a
-two-site cell, through a plain and an MPO channel."""
+two-site cell, through a plain and an MPO channel.  The magnetization
+closes the truncation's raw centers instead of its own four tensordots,
+which reorders the sums, so it agrees to rounding."""
 
 import numpy as np
 import pytest
 
+from vomps.cli import _ordered_initial_state
+from vomps.models import BETA_C, ising_magnetization, ising_mpo
 from vomps.truncation import (
     CenterPair,
+    PowerStop,
+    VompsConfig,
     _fidelity_gradient,
     _tangent,
     compute_centers,
     error_epsilon,
+    power_method,
 )
 from vomps.umps import (
     MPO,
@@ -31,6 +38,7 @@ from oracles import (
     tensordot_check,
     tensordot_error_epsilon,
     tensordot_fidelity_gradient,
+    tensordot_magnetization,
     tensordot_stacked_layers,
 )
 
@@ -143,3 +151,17 @@ def test_stacked_layers(dtype):
     fused = _stacked_layers(upper, lower).o
     assert all(map(np.array_equal, fused,
                    tensordot_stacked_layers(upper, lower)))
+
+
+@pytest.mark.parametrize("beta_rel", [1.01, 1.05])
+def test_ising_magnetization(beta_rel):
+    # the power method's real fixed point at chi 8, as `vomps fixedpoint`
+    # computes it
+    beta = beta_rel * BETA_C
+    state, report = power_method(
+        ising_mpo(beta), _ordered_initial_state(8, 0),
+        VompsConfig(target_chi=8, eta=1e-9), PowerStop(tol=1e-10))
+    assert report.converged
+    assert all(t.dtype == np.float64 for t in state.al + state.c)
+    m = ising_magnetization(state, beta)
+    assert abs(m - tensordot_magnetization(state, beta)) <= 1e-14 * abs(m)

@@ -13,7 +13,7 @@ import vomps
 
 SRC = pathlib.Path(__file__).resolve().parent.parent / "src" / "vomps"
 
-MAX_SETTABLE = 65
+MAX_SETTABLE = 64
 
 
 def _is_dataclass(node: ast.ClassDef) -> bool:
@@ -98,3 +98,19 @@ def test_iteration_modules_call_no_tensordot():
                       or isinstance(node.func, ast.Name)
                       and node.func.id == "tensordot")]
         assert not calls, f"{name} calls tensordot on lines {calls}"
+
+
+def test_update_step_is_written_once():
+    # the tangent-space update (environments, centers, gauges) exists once,
+    # as truncation._update, which every loop and measurement calls
+    step = ("environments", "compute_centers", "extract_gauges")
+    callers = {}
+    tree = ast.parse((SRC / "truncation.py").read_text())
+    for fn in ast.walk(tree):
+        if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            for node in ast.walk(fn):
+                if (isinstance(node, ast.Call)
+                        and isinstance(node.func, ast.Name)
+                        and node.func.id in step):
+                    callers.setdefault(node.func.id, set()).add(fn.name)
+    assert callers == {name: {"_update"} for name in step}, callers

@@ -56,6 +56,7 @@ from oracles import (
     matrix_modulus,
     random_complex,
     reference_power_loop,
+    schmidt_values,
     state_with_spectrum,
     transfer_map,
 )
@@ -224,8 +225,9 @@ class TestExtractGauges:
 
         def capturing(*args, **kwargs):
             state, report = apply_layer(*args, **kwargs)
-            ratios.append(min(s[-1] / s[0] for s in map(
-                state.schmidt_values, range(state.unit_cell))))
+            ratios.append(min(s[-1] / s[0] for s in (
+                schmidt_values(state, bond)
+                for bond in range(state.unit_cell))))
             return state, report
 
         monkeypatch.setattr(models, "apply_layer", capturing)
@@ -288,6 +290,15 @@ class TestVompsTruncate:
         assert report.final_epsilon < eps_b
         # the measure's |lambda| is the baseline's fidelity
         assert abs(lam_b - f_b) < 1e-14
+
+    def test_measure_extends_the_candidate_cell(self):
+        # a one-site candidate against a two-site target is measured as
+        # its two-site repetition, on the cells' common cell
+        m = random_uniform_mps(4, 2, unit_cell=2, seed=73)
+        candidate = random_uniform_mps(3, 2, seed=74)
+        eps, lam = epsilon_measure(candidate, m)
+        assert (eps, lam) == epsilon_measure(candidate.extended(2), m)
+        assert abs(lam - fidelity_per_site(candidate, m)) < 1e-12
 
     def test_tiny_schmidt_tail_truncation(self):
         m = state_with_spectrum([1.0, 1e-8], seed=72)

@@ -28,6 +28,7 @@ from oracles import (
     identity_mpo,
     materialize,
     random_complex,
+    schmidt_values,
     site_transfer,
     transfer_map,
 )
@@ -427,7 +428,7 @@ class TestMpoEigenvalue:
 class TestStateBasics:
     def test_schmidt_values_descending_unit_norm(self):
         state = random_uniform_mps(5, 2, seed=80)
-        s = state.schmidt_values(0)
+        s = schmidt_values(state, 0)
         assert np.all(np.diff(s) <= 1e-14)
         assert abs(np.linalg.norm(s) - 1.0) < 1e-12
 
