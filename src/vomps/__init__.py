@@ -22,7 +22,6 @@ from .baseline import schmidt_truncate
 from .io import load_state, save_state
 from .tensor import (
     EigResult,
-    LinearMap,
     leading_eig,
     polar,
     qr_positive,

@@ -5,12 +5,11 @@ largest Schmidt values, the standard local approach the variational
 optimizer is benchmarked against.  The local truncation of an MPO-MPS
 product is the same cut applied to the product written in canonical form
 at its full bonds chi*D (Orus and Vidal, PRB 78, 155117 (2008)), which
-:func:`vomps.truncation.vomps_truncate` gives exactly when its targets are
-those bonds clamped to representable ranks::
+:func:`vomps.truncation.vomps_truncate` gives exactly when its target is
+at least those bonds (it caps every target at the channel's bond)::
 
-    full = models._layer_targets(m, mpo, chi * D)
-    product, _ = vomps_truncate(m, VompsConfig(target_chi=full, eta=1e-12),
-                                mpo=mpo)
+    product, _ = vomps_truncate(m, VompsConfig(target_chi=chi * D,
+                                               eta=1e-12), mpo=mpo)
     local, discarded = schmidt_truncate(product, new_chi)
 """
 
@@ -23,8 +22,7 @@ import numpy as np
 from .tensor import svd
 from .umps import (
     UniformMPS,
-    _check_isometric_targets,
-    _normalize_targets,
+    _bond_targets,
     _rotate_bonds,
     _schmidt_frame,
     left_orthonormalize,
@@ -46,14 +44,14 @@ def schmidt_truncate(state: UniformMPS, new_chi):
     near their squares, so few sweeps remain, and a transfer spectrum
     degenerate to rounding cannot pull the iteration to another fixed
     point.  Returns ``(state, discarded_weight)`` where the
-    weight is the total of dropped squared singular values.  Targets at or
-    above the current bond dimensions reduce to the identity operation; a
-    cut that leaves some site without isometric tensors raises ValueError.
+    weight is the total of dropped squared singular values.  A target is an
+    upper bound, capped at the state's bond (see
+    :func:`~vomps.umps._bond_targets`), so targets at or above the current
+    bond dimensions reduce to the identity operation; a cut that leaves
+    some site without isometric tensors raises ValueError.
     """
     L = state.unit_cell
-    targets = [min(t, chi) for t, chi in zip(_normalize_targets(new_chi, L),
-                                             state.bond_dims)]
-    _check_isometric_targets(targets, state.phys_dims)
+    targets = _bond_targets(new_chi, state.bond_dims[:L], state.phys_dims)
 
     # us[k]: truncated bond-k isometry from the svd of c[k-1]
     us = [None] * L

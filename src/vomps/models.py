@@ -111,34 +111,15 @@ class EvolutionRecord:
     converged: bool = True
 
 
-def _layer_targets(state: UniformMPS, layer: MPO, chi_max: int):
-    L = math.lcm(state.unit_cell, layer.unit_cell)
-    ext = layer.extended(L // layer.unit_cell)
-    chis = state.extended(L // state.unit_cell).bond_dims[:L]
-    dms = ext.bond_dims[:L]
-    phys = ext.phys_dims_out
-    targets = [min(chi_max, c * d) for c, d in zip(chis, dms)]
-    # clamp to representable Schmidt ranks (neighbors cap each bond)
-    changed = True
-    while changed:
-        changed = False
-        for k in range(L):
-            cap = min(targets[(k - 1) % L] * phys[(k - 1) % L],
-                      targets[(k + 1) % L] * phys[k])
-            if targets[k] > cap:
-                targets[k] = cap
-                changed = True
-    return targets
-
-
 def apply_layer(state: UniformMPS, layer: MPO, chi_max: int, guess,
                 eta: float, seed: int):
     """Variationally truncate `layer @ state` to at most `chi_max` in at
     most 200 iterations, initialized with the untouched state and with
-    `guess` (bond-0 environment vectors, or None) for the first solve; the
-    result is mixed-canonical to `eta` only (see :func:`vomps_truncate`)."""
-    cfg = VompsConfig(target_chi=_layer_targets(state, layer, chi_max),
-                      eta=eta, max_iter=200, seed=seed)
+    `guess` (bond-0 environment vectors, or None) for the first solve.
+    `chi_max` is an upper bound: each bond is capped at the bond the
+    product can hold, the state's times the layer's (see
+    :func:`vomps_truncate`).  The result is mixed-canonical to `eta` only."""
+    cfg = VompsConfig(target_chi=chi_max, eta=eta, max_iter=200, seed=seed)
     return vomps_truncate(state, cfg, mpo=layer, guess=guess)
 
 

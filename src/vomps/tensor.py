@@ -13,7 +13,6 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 
@@ -124,17 +123,6 @@ def polar(m: np.ndarray):
 
 
 @dataclass(frozen=True)
-class LinearMap:
-    """Matrix-free linear operator on vectors of length `dim`."""
-
-    dim: int
-    matvec: Callable[[np.ndarray], np.ndarray]
-
-    def __call__(self, v: np.ndarray) -> np.ndarray:
-        return self.matvec(v)
-
-
-@dataclass(frozen=True)
 class EigResult:
     """Leading eigenpair: value, unit-norm vector, true residual |Av - lv|;
     `converged` means ``residual <= tol * |value|``."""
@@ -143,8 +131,8 @@ class EigResult:
     vector: np.ndarray
     residual: float
     converged: bool
-    degenerate: bool = False
-    iterations: int = 0
+    degenerate: bool
+    iterations: int
 
 
 # Krylov sizes at which the dominant Ritz pair may be tested before the
@@ -157,9 +145,10 @@ _CHECKPOINTS = (1, 4, 8, 12, 16)
 _SKIP_SLACK = 300.0
 
 
-def leading_eig(op: LinearMap, guess: np.ndarray, tol: float = 1e-12,
+def leading_eig(matvec, guess: np.ndarray, tol: float = 1e-12,
                 max_iter: int = 4000, subspace: int = 20) -> EigResult:
-    """Leading (largest |value|) eigenpair via restarted Arnoldi iteration.
+    """Leading (largest |value|) eigenpair of the linear map `matvec` on
+    flat vectors of the size of `guess`, via restarted Arnoldi iteration.
 
     Grows a Krylov subspace of up to `subspace` vectors from the current
     vector, orthogonalized by two-pass block classical Gram-Schmidt
@@ -181,19 +170,16 @@ def leading_eig(op: LinearMap, guess: np.ndarray, tol: float = 1e-12,
     `degenerate` flag; a pair accepted at Krylov size 1 has no second Ritz
     value and is never flagged.
     """
-    n = op.dim
-    if n < 1:
-        raise ValueError("empty domain")
     if tol <= 0:
         raise ValueError("tol must be positive")
-    v = _float_array(guess).reshape(n).copy()
+    v = _float_array(guess).reshape(-1).copy()
+    n = v.size
     nv = np.linalg.norm(v)
     if nv == 0 or not np.isfinite(nv):
         raise ValueError("guess must be a nonzero finite vector")
     v /= nv
 
     m = min(subspace, n)
-    matvec = op.matvec
     nmv = 0
     best = None  # (value, vector, residual, converged, degenerate)
     ax = None  # the image of the last vector mapped

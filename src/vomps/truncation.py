@@ -21,7 +21,7 @@ import math
 import time
 import warnings
 from collections import deque
-from dataclasses import astuple, dataclass, field, fields, replace
+from dataclasses import dataclass, field, fields, replace
 from typing import Sequence
 
 import numpy as np
@@ -34,7 +34,7 @@ from .umps import (
     MixedEnvironment,
     OrthogonalStatesError,
     UniformMPS,
-    _check_isometric_targets,
+    _bond_targets,
     _dot_last,
     _normalize_targets,
     _right_gauge_from_left,
@@ -50,11 +50,14 @@ class VompsConfig:
     """Knobs of the variational truncation loop.
 
     `target_chi` is a single bond dimension or one per bond of the working
-    unit cell; `eta` is the convergence threshold on the fixed-point
-    residual (in :func:`power_method`, the first step's threshold and the
-    floor of the later steps'); `init` is the starting state, None for the
-    input state itself.  A start whose bonds differ from the targets is
-    fitted to them by :func:`fit_state_to_bonds` with `seed`.
+    unit cell, an upper bound: each bond is capped at the bond the channel
+    can hold (the source's bond times the MPO's), so a target above it
+    asks for no truncation there.  `eta` is the convergence threshold on
+    the fixed-point residual (in :func:`power_method`, the first step's
+    threshold and the floor of the later steps'); `init` is the starting
+    state, None for the input state itself.  A start whose bonds differ
+    from the targets is fitted to them by :func:`fit_state_to_bonds` with
+    `seed`.
     """
 
     target_chi: int | Sequence[int]
@@ -155,8 +158,8 @@ def _write_records(path, fmt, header, record_type, records):
     """A trace with one column per field of `record_type`, in field order
     (the first one named ``iter``); ``wall_ms`` to the microsecond."""
     names = [f.name for f in fields(record_type)]
-    rows = ([f"{v:.3f}" if name == "wall_ms" else v
-             for name, v in zip(names, astuple(r))] for r in records)
+    rows = ([f"{getattr(r, name):.3f}" if name == "wall_ms"
+             else getattr(r, name) for name in names] for r in records)
     write_trace(path, fmt, header, ["iter"] + names[1:], rows)
 
 
@@ -475,7 +478,9 @@ class _Ascent:
 def vomps_truncate(m: UniformMPS, cfg: VompsConfig,
                    mpo: MPO | None = None, guess=None):
     """Variationally approximate `m` (or `mpo` applied to `m`) at the
-    target bond dimensions.
+    target bond dimensions, each capped at the channel's bond (the bond of
+    `m` times that of `mpo`) and at the ranks isometric tensors can carry
+    (see :func:`~vomps.umps._bond_targets`).
 
     Returns ``(state, report)``.  The loop repeats :func:`_update` until
     the fixed-point residual drops below ``cfg.eta``; each environment
@@ -495,10 +500,12 @@ def vomps_truncate(m: UniformMPS, cfg: VompsConfig,
     """
     work_cell = math.lcm(m.unit_cell, mpo.unit_cell if mpo else 1)
     m_ext = m.extended(work_cell // m.unit_cell)
-    phys_dims = (mpo.extended(work_cell // mpo.unit_cell).phys_dims_out
-                 if mpo is not None else m_ext.phys_dims)
-    targets = _normalize_targets(cfg.target_chi, work_cell)
-    _check_isometric_targets(targets, phys_dims)
+    ranks, phys_dims = m_ext.bond_dims[:work_cell], m_ext.phys_dims
+    if mpo is not None:
+        mpo_ext = mpo.extended(work_cell // mpo.unit_cell)
+        ranks = [c * d for c, d in zip(ranks, mpo_ext.bond_dims)]
+        phys_dims = mpo_ext.phys_dims_out
+    targets = _bond_targets(cfg.target_chi, ranks, phys_dims)
 
     a = _initial_state(m_ext, cfg, targets, phys_dims, work_cell)
     report = TruncationReport()

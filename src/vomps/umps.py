@@ -30,7 +30,6 @@ from typing import Sequence
 import numpy as np
 
 from .tensor import (
-    LinearMap,
     _float_array,
     leading_eig,
     qr_positive,
@@ -217,6 +216,33 @@ def _check_isometric_targets(targets, phys_dims) -> None:
                 targets[n] > targets[nxt] * phys_dims[n]:
             raise ValueError(f"targets {targets} admit no isometric tensors "
                              f"at bond {nxt} (physical dims {phys_dims})")
+
+
+def _bond_targets(requested, ranks, phys_dims):
+    """The bonds that a truncation to `requested` (one dimension or one
+    per bond) keeps, on a channel whose bonds hold at most `ranks` over
+    sites of physical dimensions `phys_dims`.
+
+    A target is an upper bound: each requested bond is capped at its rank,
+    after the ranks are lowered to the ranks that isometric tensors can
+    carry (a bond exceeds neither neighbor times the physical dimension
+    between them).  Raises ValueError when the capped targets admit no
+    isometric tensors."""
+    L = len(ranks)
+    ranks = list(ranks)
+    changed = True
+    while changed:
+        changed = False
+        for k in range(L):
+            cap = min(ranks[(k - 1) % L] * phys_dims[(k - 1) % L],
+                      ranks[(k + 1) % L] * phys_dims[k])
+            if ranks[k] > cap:
+                ranks[k] = cap
+                changed = True
+    targets = [min(t, r) for t, r in
+               zip(_normalize_targets(requested, L), ranks)]
+    _check_isometric_targets(targets, phys_dims)
+    return targets
 
 
 def random_uniform_mps(chi: int, d: int | Sequence[int], unit_cell: int = 1,
@@ -501,9 +527,9 @@ def _bond_shape(tops, bots, ops):
             bots[0].shape[0])
 
 
-def _cell_transfer(tops, bots, side, ops) -> LinearMap:
+def _cell_transfer(tops, bots, side, ops):
     """Mixed transfer through the given per-site tensors (`ops` None at
-    every site of a plain channel), as a linear map on bond-0 vectors
+    every site of a plain channel), as a matvec on flat bond-0 vectors
     (top bond, mpo bond, bottom bond); bond 0 is both left of site 0 and,
     cyclically, right of the last site.  The top tensors are conjugated
     once here, not on every application."""
@@ -519,7 +545,7 @@ def _cell_transfer(tops, bots, side, ops) -> LinearMap:
             v = apply_site(v, topc, bot, op)
         return v.reshape(dim)
 
-    return LinearMap(dim=dim, matvec=matvec)
+    return matvec
 
 
 @dataclass(frozen=True)

@@ -39,11 +39,11 @@ def identity_mpo(phys_dims) -> MPO:
     return MPO(o=[np.eye(d).reshape(1, d, d, 1) for d in phys_dims])
 
 
-def materialize(op) -> np.ndarray:
-    """Dense matrix of a :class:`vomps.tensor.LinearMap`; only sensible
-    for small dims."""
-    eye = np.eye(op.dim, dtype=complex)
-    return np.column_stack([op.matvec(eye[:, k]) for k in range(op.dim)])
+def materialize(matvec, dim) -> np.ndarray:
+    """Dense matrix of the linear map `matvec` on vectors of length `dim`;
+    only sensible for small dims."""
+    eye = np.eye(dim, dtype=complex)
+    return np.column_stack([matvec(eye[:, k]) for k in range(dim)])
 
 
 def _site_operator(op, bot):
@@ -428,6 +428,29 @@ def reference_power_loop(mpo, init, cfg, stop):
             break
     lam = complex(mpo_eigenvalue_per_site(state, _stacked_layers(mpo, mpo)))
     return state, lam ** 0.5, converged
+
+
+def layer_targets(state, layer, chi_max):
+    """The bonds of `layer @ state` truncated to `chi_max`: min(chi_max,
+    chi * D) per bond of the common cell, then each bond clamped to its
+    neighbors' bonds times the physical dimension between them until
+    none changes.  The reference for the cap of ``umps._bond_targets``
+    on MPO channels."""
+    L = math.lcm(state.unit_cell, layer.unit_cell)
+    ext = layer.extended(L // layer.unit_cell)
+    chis = state.extended(L // state.unit_cell).bond_dims[:L]
+    phys = ext.phys_dims_out
+    targets = [min(chi_max, c * d) for c, d in zip(chis, ext.bond_dims)]
+    changed = True
+    while changed:
+        changed = False
+        for k in range(L):
+            cap = min(targets[(k - 1) % L] * phys[(k - 1) % L],
+                      targets[(k + 1) % L] * phys[k])
+            if targets[k] > cap:
+                targets[k] = cap
+                changed = True
+    return targets
 
 
 def transfer_map(top, bottom, side, mpo=None):

@@ -6,7 +6,6 @@ import pytest
 from vomps.baseline import schmidt_truncate
 from vomps.models import (
     BETA_C,
-    _layer_targets,
     ising_mpo,
     trotter_evolve,
     trotter_layer_mpo,
@@ -46,11 +45,10 @@ PRODUCTS = {
 
 def full_product(m, mpo):
     """The product ``mpo @ m`` in canonical form at its full bonds chi*D
-    (clamped to representable ranks): VOMPS without truncation."""
+    (capped at representable ranks): VOMPS without truncation."""
     chi_max = max(m.bond_dims) * max(mpo.bond_dims)
-    full = _layer_targets(m, mpo, chi_max)
     product, report = vomps_truncate(
-        m, VompsConfig(target_chi=full, eta=1e-12), mpo=mpo)
+        m, VompsConfig(target_chi=chi_max, eta=1e-12), mpo=mpo)
     assert report.converged
     return product
 

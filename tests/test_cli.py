@@ -210,6 +210,19 @@ def test_truncate_random_start_on_mixed_physical_dims(tmp_path):
     assert summary["fidelity_vomps"] >= summary["fidelity_baseline"]
 
 
+def test_truncate_above_the_input_bond_keeps_it(tmp_path):
+    # --chi is an upper bound: padded to chi 12 with zero Schmidt values,
+    # this chi-4 state made the exact regauge raise CanonicalizationError
+    path = tmp_path / "chi4.json"
+    save_state(random_uniform_mps(4, 2, seed=0), str(path))
+    out = tmp_path / "out"
+    assert vomps.cli.main(["truncate", "--in", str(path), "--chi", "12",
+                           "--out-dir", str(out)]) == 0
+    summary = json.loads((out / "summary.json").read_text())
+    assert summary["fidelity_vomps"] >= 1 - 1e-12
+    assert load_state(str(out / "vomps_state.json")).bond_dims == [4, 4]
+
+
 def test_truncate_rejects_a_zero_bond(tmp_path, state_file, capsys):
     out = tmp_path / "out"
     assert vomps.cli.main(["truncate", "--in", str(state_file), "--chi", "0",

@@ -13,7 +13,7 @@ import vomps
 
 SRC = pathlib.Path(__file__).resolve().parent.parent / "src" / "vomps"
 
-MAX_SETTABLE = 64
+MAX_SETTABLE = 62
 
 
 def _is_dataclass(node: ast.ClassDef) -> bool:
@@ -98,6 +98,40 @@ def test_iteration_modules_call_no_tensordot():
                       or isinstance(node.func, ast.Name)
                       and node.func.id == "tensordot")]
         assert not calls, f"{name} calls tensordot on lines {calls}"
+
+
+def _function(module: str, name: str) -> ast.FunctionDef:
+    tree = ast.parse((SRC / module).read_text())
+    (fn,) = [node for node in ast.walk(tree)
+             if isinstance(node, ast.FunctionDef) and node.name == name]
+    return fn
+
+
+def test_bond_targets_are_decided_once():
+    # a target is an upper bound, capped by one rule: both truncations
+    # take their targets from umps._bond_targets, and nothing else checks
+    # that targets admit isometric tensors
+    for module, name in (("truncation.py", "vomps_truncate"),
+                         ("baseline.py", "schmidt_truncate")):
+        assigned = [node for node in ast.walk(_function(module, name))
+                    if isinstance(node, ast.Assign)
+                    and isinstance(node.value, ast.Call)
+                    and isinstance(node.value.func, ast.Name)
+                    and node.value.func.id == "_bond_targets"
+                    and [t.id for t in node.targets
+                         if isinstance(t, ast.Name)] == ["targets"]]
+        assert assigned, f"{name} does not take its targets from " \
+            "_bond_targets"
+    _function("umps.py", "_bond_targets")
+    callers = set()
+    for path in sorted(SRC.glob("*.py")):
+        for fn in ast.walk(ast.parse(path.read_text())):
+            if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                callers |= {(path.name, fn.name) for node in ast.walk(fn)
+                            if isinstance(node, ast.Call)
+                            and isinstance(node.func, ast.Name)
+                            and node.func.id == "_check_isometric_targets"}
+    assert callers == {("umps.py", "_bond_targets")}, callers
 
 
 def test_update_step_is_written_once():

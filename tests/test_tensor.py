@@ -4,7 +4,6 @@ from hypothesis import given, settings, strategies as st
 
 from vomps.tensor import (
     EigResult,
-    LinearMap,
     RankDeficiencyWarning,
     leading_eig,
     polar,
@@ -166,7 +165,7 @@ class TestPolar:
 
 def dense_map(m):
     m = np.asarray(m, dtype=complex)
-    return LinearMap(dim=m.shape[0], matvec=lambda v: m @ v)
+    return lambda v: m @ v
 
 
 def counting_map(m):
@@ -178,7 +177,7 @@ def counting_map(m):
         calls.append(1)
         return m @ v
 
-    return LinearMap(dim=m.shape[0], matvec=matvec), calls
+    return matvec, calls
 
 
 class TestLeadingEig:
@@ -265,8 +264,8 @@ class TestLeadingEig:
             seen.append(v.dtype)
             return m @ v
 
-        res = leading_eig(LinearMap(dim=30, matvec=matvec),
-                          guess=rng.random(30), tol=1e-12, subspace=6)
+        res = leading_eig(matvec, guess=rng.random(30), tol=1e-12,
+                          subspace=6)
         assert set(seen) == {np.dtype(float)} and len(seen) > 7
         assert isinstance(res.value, float)
         assert res.vector.dtype == np.float64 and res.converged
@@ -284,8 +283,8 @@ class TestLeadingEig:
                                     [np.sin(0.7), np.cos(0.7)]])
         s = np.eye(n) + 0.3 * rng.standard_normal((n, n)) / np.sqrt(n)
         m = s @ d @ np.linalg.inv(s)
-        res = leading_eig(LinearMap(dim=n, matvec=lambda v: m @ v),
-                          guess=rng.standard_normal(n), tol=1e-10)
+        res = leading_eig(lambda v: m @ v, guess=rng.standard_normal(n),
+                          tol=1e-10)
         pair = 0.8 * np.exp(0.7j)
         assert min(abs(res.value - pair), abs(res.value - np.conj(pair))) \
             < 1e-9
@@ -305,8 +304,7 @@ class TestLeadingEig:
             inputs.append(v.copy())
             return m @ v
 
-        res = leading_eig(LinearMap(dim=60, matvec=matvec),
-                          guess=random_complex(rng, 60), tol=1e-11,
+        res = leading_eig(matvec, guess=random_complex(rng, 60), tol=1e-11,
                           subspace=4)
         assert res.converged and res.iterations == len(inputs) > 10
         assert not any(np.array_equal(a, b)

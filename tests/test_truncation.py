@@ -53,6 +53,7 @@ from oracles import (
     dense_centers,
     dense_fidelity,
     identity_mpo,
+    layer_targets,
     matrix_modulus,
     random_complex,
     reference_power_loop,
@@ -74,7 +75,7 @@ def guess_residuals(result, m, mpo, env_guess):
     transfers of `result` over `m`."""
     out = []
     for side, v in zip(("left", "right"), env_guess):
-        w = transfer_map(result, m, side, mpo).matvec(v)
+        w = transfer_map(result, m, side, mpo)(v)
         theta = np.vdot(v, w) / np.vdot(v, v)
         out.append(np.linalg.norm(w - theta * v) / np.linalg.norm(w))
     return out
@@ -530,6 +531,24 @@ def test_report_lambda_is_the_result_fidelity_after_one_update():
     assert abs(abs(report.final_lambda) - fidelity_per_site(state, m)) < 1e-9
 
 
+_ITEM_1 = ("ROADMAP item 1: on a bond of dimension 1 the residual epsilon "
+           "vanishes identically, so the loop stops after one update "
+           "whatever the state")
+
+
+@pytest.mark.xfail(strict=True, reason=_ITEM_1)
+@pytest.mark.parametrize("chi, seed", [(2, 6), (4, 8), (4, 19)])
+def test_chi1_cut_is_no_worse_than_schmidt(chi, seed):
+    # from the Schmidt cut, (2, 6) stops after 1 iteration as converged at
+    # fidelity 0.49397 against the cut's 0.70397; (4, 8) ends at 0.84919
+    # against 0.85013 and (4, 19) at 0.76183 against 0.76957
+    m = correlated_random_state(chi, seed=seed)
+    state, report = vomps_truncate(m, VompsConfig(target_chi=1, eta=1e-10,
+                                                  seed=0))
+    cut, _ = schmidt_truncate(m, 1)
+    assert fidelity_per_site(state, m) >= fidelity_per_site(cut, m) - 1e-12
+
+
 def test_two_site_cut_that_crawls_converges():
     # a draw of test_report_comes_from_the_last_solve (seed 92927, chi 4 ->
     # 3, two-site cell): the plain update's epsilon falls ~2.7 % per
@@ -616,17 +635,19 @@ class TestFitStateToBonds:
 def test_schmidt_cut_as_init_is_the_default_start(cell):
     # the CLI hands its baseline to the loop as the start: the same cut
     # the default start makes, so every iterate is the same, bit for bit;
-    # the two-site input's bond 0 lies below chi (the growth branch)
+    # the two-site input's bond 0 lies below chi and is kept (a target is
+    # an upper bound)
     rng = np.random.default_rng(95)
     if cell == 1:
-        m, chi = correlated_random_state(8, seed=95), 4
+        m, chi, bonds = correlated_random_state(8, seed=95), 4, [4, 4]
     else:
-        m, chi = mixed_canonical([random_complex(rng, 2, 3, 6),
-                                  random_complex(rng, 6, 3, 2)]), 4
+        m, chi, bonds = mixed_canonical([random_complex(rng, 2, 3, 6),
+                                         random_complex(rng, 6, 3, 2)]), \
+            4, [2, 4, 2]
     default = vomps_truncate(m, VompsConfig(target_chi=chi))
     shared = vomps_truncate(m, VompsConfig(
         target_chi=chi, init=schmidt_truncate(m, chi)[0]))
-    assert default[0].bond_dims == [chi] * (cell + 1)
+    assert default[0].bond_dims == bonds
     assert default[1].converged
     assert [r.epsilon for r in default[1].iterations] == \
         [r.epsilon for r in shared[1].iterations]
@@ -636,8 +657,10 @@ def test_schmidt_cut_as_init_is_the_default_start(cell):
 
 
 class TestGrowBond:
-    """Truncations to a target above the input's bond: the default Schmidt
-    start pads the input's tensors up to it."""
+    """Targets above the input's bond.  Through an MPO the bonds grow up
+    to the product's: the default Schmidt start pads the input's tensors
+    to the targets.  A plain channel keeps the input's bonds, so a padded
+    input is needed to run at larger ones."""
 
     def test_identity_mpo_same_chi(self):
         m = random_uniform_mps(4, 2, seed=100)
@@ -657,12 +680,16 @@ class TestGrowBond:
         assert abs(env_grown.lam) >= abs(env_seed.lam) - 1e-12
 
     def test_eightfold_growth_converges(self):
-        # chi 4 -> 32: random padding re-canonicalized by mixed_canonical
-        # stalled here and raised CanonicalizationError
+        # chi 4 padded to 32: random padding re-canonicalized by
+        # mixed_canonical stalled here and raised CanonicalizationError
         m = correlated_random_state(4, seed=0)
-        grown, report = vomps_truncate(m, VompsConfig(target_chi=32))
+        padded = fit_state_to_bonds(m, [32], seed=0)
+        grown, report = vomps_truncate(padded, VompsConfig(target_chi=32))
         assert report.converged and grown.bond_dims == [32, 32]
         assert fidelity_per_site(grown, m) > 1 - 1e-12
+        # a request of 32 on the chi-4 input itself keeps its bond
+        kept, report = vomps_truncate(m, VompsConfig(target_chi=32))
+        assert report.converged and kept.bond_dims == [4, 4]
 
     def test_chi64_merged_steps_converge(self):
         # the third step pads bonds 16 -> 64; the padded state's gauge
@@ -671,6 +698,83 @@ class TestGrowBond:
                                     chi_max=64)
         assert len(records) == 4 and all(r.converged for r in records)
         assert records[-1].chi == 64
+
+
+class TestBondTargets:
+    """A target is an upper bound, capped at the bond the channel holds:
+    the input's on a plain channel, the input's times the MPO's through
+    one."""
+
+    @pytest.mark.parametrize("state, requests", [
+        (correlated_random_state(8, seed=96), [4, 8, 12, [12]]),
+        # physical dims [2, 3], bonds [3, 6]
+        (mixed_canonical([random_complex(np.random.default_rng(97), 3, 2, 6),
+                          random_complex(np.random.default_rng(98), 6, 3, 3)]),
+         [2, 4, 6, 9, [2, 4], [9, 4], [1, 2], [3, 9]]),
+    ], ids=["one-site-chi8", "two-site-mixed-dims"])
+    def test_truncations_keep_equal_bonds(self, state, requests):
+        for request in requests:
+            cut, _ = schmidt_truncate(state, request)
+            result, report = vomps_truncate(state, VompsConfig(
+                target_chi=request))
+            assert report.converged
+            assert result.bond_dims == cut.bond_dims, request
+            assert all(c <= s for c, s in zip(cut.bond_dims,
+                                                state.bond_dims))
+
+    @pytest.mark.parametrize("name, chi_max", [
+        ("ising", 12), ("ising", 64), ("even", 4), ("even", 64),
+        ("odd", 5), ("odd", 64)])
+    def test_layer_caps_match_the_clamped_product(self, name, chi_max):
+        # against the clamped product rule, stated apart in the oracles
+        if name == "ising":
+            state, layer = correlated_random_state(8, seed=1), ising_mpo(
+                1.01 * BETA_C)
+        else:
+            state = random_uniform_mps(3, 2, unit_cell=2, seed=99)
+            layer = trotter_layer_mpo(xxz_gate(0.5, 0.05), name)
+        want = layer_targets(state, layer, chi_max)
+        result, _ = vomps_truncate(state, VompsConfig(target_chi=chi_max),
+                                   mpo=layer)
+        assert result.bond_dims == want + want[:1]
+
+
+class TestReportFlags:
+    def test_singular_completion_is_reported(self):
+        # the padded bonds carry zero Schmidt values, so the bond matrices
+        # are singular and their polar factors completed
+        m = random_uniform_mps(4, 2, seed=0)
+        padded = fit_state_to_bonds(m, [12], seed=1)
+        _, report = vomps_truncate(padded, VompsConfig(target_chi=12))
+        assert report.singular_completion
+        _, report = vomps_truncate(m, VompsConfig(target_chi=3))
+        assert not report.singular_completion
+
+    def test_flagged_environment_solve_is_reported(self, monkeypatch):
+        # the conjugating right solve of
+        # test_right_solve_on_the_conjugate_is_flagged, in the loop's
+        # first iteration (the start is at the target bonds, so nothing
+        # solves before it)
+        import dataclasses
+        import vomps.umps as umps
+
+        top = random_uniform_mps(3, 2, seed=35)
+        bot = random_uniform_mps(3, 2, seed=36)
+        cfg = VompsConfig(target_chi=3, init=top, max_iter=1)
+        _, report = vomps_truncate(bot, cfg)
+        assert not report.degenerate
+        solve, calls = umps.leading_eig, []
+
+        def conjugating_right(*args, **kwargs):
+            res = solve(*args, **kwargs)
+            calls.append(res)
+            if len(calls) == 2:  # environments solves left, then right
+                res = dataclasses.replace(res, value=np.conj(res.value))
+            return res
+
+        monkeypatch.setattr(umps, "leading_eig", conjugating_right)
+        _, report = vomps_truncate(bot, cfg)
+        assert report.degenerate and len(report.iterations) == 1
 
 
 class TestRegauge:

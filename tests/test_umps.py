@@ -251,8 +251,8 @@ class TestTransferMap:
         top = random_uniform_mps(2, 2, seed=2)
         bot = random_uniform_mps(2, 2, seed=3)
         for side in ("left", "right"):
-            got = materialize(transfer_map(top, bot, side))
             want = dense_cell_matrix(top, bot, side=side)
+            got = materialize(transfer_map(top, bot, side), len(want))
             assert np.max(np.abs(got - want)) < 1e-13
 
     def test_matches_dense_with_mpo(self):
@@ -261,16 +261,16 @@ class TestTransferMap:
         bot = random_uniform_mps(3, 2, seed=6)
         mpo = random_mpo(rng, 2, 2)
         for side in ("left", "right"):
-            got = materialize(transfer_map(top, bot, side, mpo))
             want = dense_cell_matrix(top, bot, mpo, side=side)
+            got = materialize(transfer_map(top, bot, side, mpo), len(want))
             assert np.max(np.abs(got - want)) < 1e-12
 
     def test_identity_mpo_equals_plain(self):
         top = random_uniform_mps(3, 2, seed=7)
         bot = random_uniform_mps(2, 2, seed=8)
-        plain = materialize(transfer_map(top, bot, "left"))
+        plain = materialize(transfer_map(top, bot, "left"), 3 * 2)
         dressed = materialize(transfer_map(top, bot, "left",
-                                           identity_mpo(2)))
+                                           identity_mpo(2)), 3 * 2)
         assert np.max(np.abs(plain - dressed)) < 1e-13
         # a plain channel's bond vectors are the identity MPO's, unit mpo
         # bond included
@@ -285,8 +285,8 @@ class TestTransferMap:
     def test_unit_cell_lcm_extension(self):
         a = random_uniform_mps(2, 2, unit_cell=1, seed=9)
         b = random_uniform_mps(2, 2, unit_cell=2, seed=10)
-        got = materialize(transfer_map(a, b, "left"))
         want = dense_cell_matrix(a, b)
+        got = materialize(transfer_map(a, b, "left"), len(want))
         assert np.max(np.abs(got - want)) < 1e-12
 
     def test_dimension_mismatch(self):
