@@ -116,8 +116,8 @@ def cmd_truncate(args) -> int:
         "baseline_discarded_weight": discarded,
         "abs_lambda": abs(report.final_lambda),
     })
-    print(f"truncate: chi {max(state.bond_dims)} -> {args.chi}; "
-          f"fidelity vomps={fid_v:.12f} baseline={fid_b:.12f}; "
+    print(f"truncate: chi {max(state.bond_dims)} -> {max(result.bond_dims)}"
+          f"; fidelity vomps={fid_v:.12f} baseline={fid_b:.12f}; "
           f"epsilon vomps={report.final_epsilon:.3e} baseline={eps_b:.3e}")
     return 0 if report.converged else 2
 

@@ -135,6 +135,7 @@ class EigResult:
     iterations: int
 
 
+_SUBSPACE = 20  # the largest Krylov subspace; the iteration restarts there
 # Krylov sizes at which the dominant Ritz pair may be tested before the
 # subspace is full; at size 1 the estimate is the start vector's own
 # residual, so a guess that is already an eigenvector costs two matvecs.
@@ -146,11 +147,11 @@ _SKIP_SLACK = 300.0
 
 
 def leading_eig(matvec, guess: np.ndarray, tol: float = 1e-12,
-                max_iter: int = 4000, subspace: int = 20) -> EigResult:
+                max_iter: int = 4000) -> EigResult:
     """Leading (largest |value|) eigenpair of the linear map `matvec` on
     flat vectors of the size of `guess`, via restarted Arnoldi iteration.
 
-    Grows a Krylov subspace of up to `subspace` vectors from the current
+    Grows a Krylov subspace of up to ``_SUBSPACE`` vectors from the current
     vector, orthogonalized by two-pass block classical Gram-Schmidt
     (CGS2).  It tests the Ritz residual estimate ``|h[k, k-1] y[k-1]|`` of
     the dominant Ritz pair at Krylov sizes 1 and 4, and at 8, 12 and 16
@@ -179,7 +180,7 @@ def leading_eig(matvec, guess: np.ndarray, tol: float = 1e-12,
         raise ValueError("guess must be a nonzero finite vector")
     v /= nv
 
-    m = min(subspace, n)
+    m = min(_SUBSPACE, n)
     nmv = 0
     best = None  # (value, vector, residual, converged, degenerate)
     ax = None  # the image of the last vector mapped

@@ -691,6 +691,11 @@ def power_method(mpo: MPO, init: UniformMPS, cfg: VompsConfig,
     truncation's eta; the returned state is regauged exactly.  A step whose
     truncation collapses as orthogonal is not recorded: the loop warns and
     stops unconverged at the previous state.
+
+    `init` should be ordered, as ``vomps fixedpoint``'s is: the loop has no
+    defence against a random real start.  At beta = 1.01 beta_c, chi 8 and
+    eta 1e-9 a step's regauge raises CanonicalizationError from the draws
+    ``default_rng(s).standard_normal((8, 2, 8))``, up slice doubled, s = 2, 3.
     """
     if mpo.phys_dims_out != mpo.phys_dims_in:
         raise ValueError("power method needs a square MPO")

@@ -21,7 +21,7 @@ SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
 def _fake_evolution(converged):
     def trotter_evolve(**kwargs):
         records = [EvolutionRecord(time=0.0, offset=0.0, epsilon=0.0,
-                                   infidelity=0.0, chi=1),
+                                   infidelity=0.0, chi=1, converged=True),
                    EvolutionRecord(time=0.05, offset=0.0, epsilon=1e-14,
                                    infidelity=0.0, chi=1,
                                    converged=converged)]
@@ -210,7 +210,7 @@ def test_truncate_random_start_on_mixed_physical_dims(tmp_path):
     assert summary["fidelity_vomps"] >= summary["fidelity_baseline"]
 
 
-def test_truncate_above_the_input_bond_keeps_it(tmp_path):
+def test_truncate_above_the_input_bond_keeps_it(tmp_path, capsys):
     # --chi is an upper bound: padded to chi 12 with zero Schmidt values,
     # this chi-4 state made the exact regauge raise CanonicalizationError
     path = tmp_path / "chi4.json"
@@ -218,6 +218,7 @@ def test_truncate_above_the_input_bond_keeps_it(tmp_path):
     out = tmp_path / "out"
     assert vomps.cli.main(["truncate", "--in", str(path), "--chi", "12",
                            "--out-dir", str(out)]) == 0
+    assert "chi 4 -> 4;" in capsys.readouterr().out
     summary = json.loads((out / "summary.json").read_text())
     assert summary["fidelity_vomps"] >= 1 - 1e-12
     assert load_state(str(out / "vomps_state.json")).bond_dims == [4, 4]

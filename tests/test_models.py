@@ -44,16 +44,21 @@ class TestOnsagerFreeEnergy:
 
 
 class TestEdEvolve:
-    def test_matches_dense_expm(self):
+    # Delta away from 0.5 pins the ZZ diagonal; on the two-site ring both
+    # bonds join sites 0 and 1, so their flip entries must be summed
+    @pytest.mark.parametrize("n_sites, delta",
+                             [(8, 0.5), (8, -0.7), (8, 2.0), (2, 0.5)])
+    def test_matches_dense_expm(self, n_sites, delta):
         times = [0.7, 0.0, 0.25, 1.0, 0.25]
-        offsets = ed_evolve(8, 0.5, times)
-        dense = dense_neel_quench_offsets(8, 0.5, times)
+        offsets = ed_evolve(n_sites, delta, times)
+        dense = dense_neel_quench_offsets(n_sites, delta, times)
         assert offsets[1] == 0.0
         np.testing.assert_allclose(offsets, dense, rtol=0, atol=1e-12)
 
-    def test_rejects_odd_chain(self):
+    @pytest.mark.parametrize("n_sites", [7, 0, 22])
+    def test_rejects_odd_chain(self, n_sites):
         with pytest.raises(ValueError, match="even"):
-            ed_evolve(7, 0.5, [0.1])
+            ed_evolve(n_sites, 0.5, [0.1])
 
 
 class TestIsingTransfer:

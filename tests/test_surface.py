@@ -13,7 +13,7 @@ import vomps
 
 SRC = pathlib.Path(__file__).resolve().parent.parent / "src" / "vomps"
 
-MAX_SETTABLE = 62
+MAX_SETTABLE = 60
 
 
 def _is_dataclass(node: ast.ClassDef) -> bool:

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import vomps.tensor
 from vomps.tensor import (
     EigResult,
     RankDeficiencyWarning,
@@ -239,7 +240,8 @@ class TestLeadingEig:
         assert not res.degenerate
         assert abs(res.value - 1e-12) < 1e-24
 
-    def test_restarts_on_clustered_non_normal_map(self):
+    def test_restarts_on_clustered_non_normal_map(self, monkeypatch):
+        monkeypatch.setattr(vomps.tensor, "_SUBSPACE", 8)
         rng = np.random.default_rng(7)
         n = 200
         lam = 0.5 + 0.05 * random_complex(rng, n)
@@ -248,14 +250,15 @@ class TestLeadingEig:
         m = s @ np.diag(lam) @ np.linalg.inv(s)
         tol = 1e-10
         res = leading_eig(dense_map(m), guess=random_complex(rng, n),
-                          tol=tol, subspace=8)
+                          tol=tol)
         assert res.iterations > 3 * (8 + 1)  # several restart cycles
         assert res.converged and res.residual <= tol
         evals = np.linalg.eigvals(m)
         assert abs(res.value - evals[np.argmax(np.abs(evals))]) < 1e-8
         assert np.linalg.norm(m @ res.vector - res.value * res.vector) <= tol
 
-    def test_real_map_keeps_a_real_basis(self):
+    def test_real_map_keeps_a_real_basis(self, monkeypatch):
+        monkeypatch.setattr(vomps.tensor, "_SUBSPACE", 6)
         rng = np.random.default_rng(31)
         m = rng.random((30, 30))  # Perron: a real, positive leading value
         seen = []
@@ -264,8 +267,7 @@ class TestLeadingEig:
             seen.append(v.dtype)
             return m @ v
 
-        res = leading_eig(matvec, guess=rng.random(30), tol=1e-12,
-                          subspace=6)
+        res = leading_eig(matvec, guess=rng.random(30), tol=1e-12)
         assert set(seen) == {np.dtype(float)} and len(seen) > 7
         assert isinstance(res.value, float)
         assert res.vector.dtype == np.float64 and res.converged
@@ -293,7 +295,8 @@ class TestLeadingEig:
         assert np.linalg.norm(m @ res.vector - res.value * res.vector) \
             <= 1e-10 * abs(res.value)
 
-    def test_restart_reuses_its_start_vectors_image(self):
+    def test_restart_reuses_its_start_vectors_image(self, monkeypatch):
+        monkeypatch.setattr(vomps.tensor, "_SUBSPACE", 4)
         # the residual's matvec of a restart vector is the first column of
         # the next cycle, so no vector is mapped twice in a row
         rng = np.random.default_rng(33)
@@ -304,17 +307,17 @@ class TestLeadingEig:
             inputs.append(v.copy())
             return m @ v
 
-        res = leading_eig(matvec, guess=random_complex(rng, 60), tol=1e-11,
-                          subspace=4)
+        res = leading_eig(matvec, guess=random_complex(rng, 60), tol=1e-11)
         assert res.converged and res.iterations == len(inputs) > 10
         assert not any(np.array_equal(a, b)
                        for a, b in zip(inputs, inputs[1:]))
 
-    def test_unconverged_flag(self):
+    def test_unconverged_flag(self, monkeypatch):
+        monkeypatch.setattr(vomps.tensor, "_SUBSPACE", 4)
         rng = np.random.default_rng(1)
         m = random_complex(rng, 40, 40)
         res = leading_eig(dense_map(m), guess=random_complex(rng, 40),
-                          tol=1e-30, max_iter=8, subspace=4)
+                          tol=1e-30, max_iter=8)
         assert not res.converged
         assert res.residual > 0
 
@@ -369,12 +372,12 @@ class TestLeadingEig:
         np.testing.assert_allclose(np.abs(res.vector), [1.0, 0.0, 0.0])
 
     @pytest.mark.parametrize("subspace", [4, 20])
-    def test_iterations_count_every_matvec(self, subspace):
+    def test_iterations_count_every_matvec(self, monkeypatch, subspace):
+        monkeypatch.setattr(vomps.tensor, "_SUBSPACE", subspace)
         rng = np.random.default_rng(22)
         m = random_complex(rng, 60, 60)
         op, calls = counting_map(m)
-        res = leading_eig(op, guess=random_complex(rng, 60), tol=1e-11,
-                          subspace=subspace)
+        res = leading_eig(op, guess=random_complex(rng, 60), tol=1e-11)
         assert res.iterations == len(calls)
         assert res.converged
 
