@@ -30,6 +30,7 @@ package applies it before numpy is imported).
 """
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -141,9 +142,8 @@ def cmd_evolve(args) -> int:
     except ValueError as exc:
         return _input_error(exc)
     os.makedirs(args.out_dir, exist_ok=True)
-    reference = None
-    if sites is not None:
-        reference = ed_evolve(sites, args.delta, [r.time for r in records])
+    reference = (None if sites is None else
+                 ed_evolve(sites, args.delta, [r.time for r in records]))
 
     extra = ["ed_reference"] if reference is not None else []
     vio.write_trace(
@@ -237,6 +237,7 @@ def cmd_fidelity(args) -> int:
     return 0
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="vomps",
@@ -293,9 +294,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = build_parser().parse_args(argv)
     except SystemExit as exc:
         return 1 if exc.code not in (0, None) else 0
     with warnings.catch_warnings():

@@ -321,6 +321,45 @@ def dense_neel_quench_offsets(n_sites, delta, times):
     return np.array(offsets)
 
 
+def sparse_neel_quench_offsets(n_sites, delta, times):
+    """The Neel quench offsets of :func:`dense_neel_quench_offsets` on the
+    state's S^z = 0 sector only, propagated by scipy's `expm_multiply`
+    from each requested time to the next (in sorted order), for chains too
+    long for the dense oracle."""
+    import scipy.sparse
+    import scipy.sparse.linalg
+
+    states = np.arange(1 << n_sites, dtype=np.int64)
+    down = sum((states >> i) & 1 for i in range(n_sites))
+    sector = states[down == n_sites // 2]
+    dim = len(sector)
+    diag, rows, cols = np.zeros(dim), [np.arange(dim)], [np.arange(dim)]
+    for i in range(n_sites):
+        j = (i + 1) % n_sites
+        z_i, z_j = (1.0 - 2.0 * ((sector >> k) & 1) for k in (i, j))
+        diag += 0.25 * delta * z_i * z_j
+        src = np.flatnonzero(z_i != z_j)
+        rows.append(np.searchsorted(sector, sector[src] ^ (1 << i | 1 << j)))
+        cols.append(src)
+    rows, cols = np.concatenate(rows), np.concatenate(cols)
+    vals = np.concatenate([diag, np.full(len(rows) - dim, 0.5)])
+    h = scipy.sparse.csr_matrix((vals, (rows, cols)), shape=(dim, dim))
+    neel_bits = sum(1 << i for i in range(1, n_sites, 2))
+    psi = (sector == neel_bits).astype(complex)
+    up0 = 1.0 - (sector & 1)
+
+    times = np.asarray(list(times), dtype=float)
+    offsets = np.empty_like(times)
+    t_cur = 0.0
+    for idx in np.argsort(times):
+        if times[idx] > t_cur:
+            psi = scipy.sparse.linalg.expm_multiply(
+                -1j * (times[idx] - t_cur) * h, psi)
+            t_cur = times[idx]
+        offsets[idx] = 1.0 - float(np.real(np.vdot(psi, up0 * psi)))
+    return offsets
+
+
 def dense_product_spectrum(state, mpo):
     """Norm per site and bond-0 Schmidt values of the product ``mpo @
     state``, from the dense transfer matrix of the product with itself

@@ -65,9 +65,9 @@ def test_umps_threads_set_before_numpy_import():
     assert out.stdout.strip() == "1"
 
 
-def test_cli_runs_without_scipy_until_the_exact_oracle(tmp_path):
-    # a fresh interpreter: the power method, truncation and fidelity import
-    # no scipy module; only the exact-diagonalization oracle loads it
+def test_cli_runs_without_scipy(tmp_path):
+    # a fresh interpreter: the power method, truncation, fidelity and the
+    # exact-diagonalization oracle import no scipy module
     probe = textwrap.dedent("""
         import sys
         from vomps.cli import main
@@ -78,10 +78,10 @@ def test_cli_runs_without_scipy_until_the_exact_oracle(tmp_path):
         assert main(["truncate", "--in", state, "--chi", "2",
                      "--out-dir", out + "/tr"]) == 0
         assert main(["fidelity", state, out + "/tr/vomps_state.json"]) == 0
-        print("scipy modules:", sorted(
-            m for m in sys.modules if m == "scipy" or m.startswith("scipy.")))
         assert main(["evolve", "--chi", "4", "--t-max", "0.1",
                      "--oracle", "ed:6", "--out-dir", out + "/ev"]) == 0
+        print("scipy modules:", sorted(
+            m for m in sys.modules if m == "scipy" or m.startswith("scipy.")))
         """)
     env = dict(os.environ, UMPS_THREADS="1")
     env["PYTHONPATH"] = os.pathsep.join(
@@ -90,6 +90,11 @@ def test_cli_runs_without_scipy_until_the_exact_oracle(tmp_path):
                             env=env, capture_output=True, text=True)
     assert result.returncode == 0, result.stderr
     assert "scipy modules: []" in result.stdout.splitlines()
+
+
+def test_parser_is_built_once_per_process():
+    # a caller may run `main` many times in one process
+    assert vomps.cli.build_parser() is vomps.cli.build_parser()
 
 
 def test_evolution_trace_has_its_own_format(tmp_path):

@@ -19,6 +19,7 @@ from oracles import (
     dense_local_expectation,
     dense_mpo_operator,
     dense_neel_quench_offsets,
+    sparse_neel_quench_offsets,
     trapezoid_onsager_free_energy,
 )
 
@@ -45,20 +46,37 @@ class TestOnsagerFreeEnergy:
 
 class TestEdEvolve:
     # Delta away from 0.5 pins the ZZ diagonal; on the two-site ring both
-    # bonds join sites 0 and 1, so their flip entries must be summed
+    # bonds join sites 0 and 1, so their flip entries must be summed; t 10
+    # takes the Chebyshev expansion far past its degree on evolve's grid
     @pytest.mark.parametrize("n_sites, delta",
                              [(8, 0.5), (8, -0.7), (8, 2.0), (2, 0.5)])
     def test_matches_dense_expm(self, n_sites, delta):
-        times = [0.7, 0.0, 0.25, 1.0, 0.25]
+        times = [0.7, 0.0, 0.25, 1.0, 0.25, 10.0, 4.5]
         offsets = ed_evolve(n_sites, delta, times)
         dense = dense_neel_quench_offsets(n_sites, delta, times)
         assert offsets[1] == 0.0
         np.testing.assert_allclose(offsets, dense, rtol=0, atol=1e-12)
 
+    @pytest.mark.parametrize("n_sites", [12, 16])
+    @pytest.mark.parametrize("delta", [0.5, -0.7, 2.0])
+    def test_matches_sparse_propagation_on_the_evolve_grid(self, n_sites,
+                                                           delta):
+        # the times `evolve --t-max 1.0` asks for, dt 0.05
+        times = [0.0] + [(k + 1) * 0.05 for k in range(20)]
+        np.testing.assert_allclose(
+            ed_evolve(n_sites, delta, times),
+            sparse_neel_quench_offsets(n_sites, delta, times),
+            rtol=0, atol=1e-12)
+
     @pytest.mark.parametrize("n_sites", [7, 0, 22])
     def test_rejects_odd_chain(self, n_sites):
         with pytest.raises(ValueError, match="even"):
             ed_evolve(n_sites, 0.5, [0.1])
+
+    @pytest.mark.parametrize("bad", [-0.5, math.nan, math.inf])
+    def test_rejects_negative_or_non_finite_times(self, bad):
+        with pytest.raises(ValueError, match="finite non-negative"):
+            ed_evolve(8, 0.5, [bad, 0.5])
 
 
 class TestIsingTransfer:
