@@ -7,8 +7,8 @@ start of the variational loop.  ``--chi`` is an upper bound: a bond
 already at or below it is not cut, so ``--chi`` above the input's bonds
 keeps them.  `truncate`, `evolve` and `fixedpoint`
 write a CSV trace (``trace.csv``, ``evolution.csv``, ``power.csv``;
-formats in :mod:`vomps.io`), their states as UMPS-JSON and a
-``summary.json``.  `fixedpoint` runs the power loop
+formats in :mod:`vomps.io`) headed by every argument of the run, their
+states as UMPS-JSON and a ``summary.json``.  `fixedpoint` runs the power loop
 of the ferromagnet's one-site cell A, in real arithmetic from all spins up
 plus real noise of scale 1e-2 that `--seed` draws.  The antiferromagnet is
 the flipped ferromagnet (see :mod:`vomps.models`), so ``--coupling afm``
@@ -17,11 +17,12 @@ canonical two-site cell ``[A, A[:, ::-1, :]]``.  It reports its free
 energy and magnetization against Onsager's (``free_energy_error``,
 ``magnetization_error``) and the count of its steps whose truncation
 ended unconverged (``unconverged_truncations``, which leaves the exit
-code alone).  Its ``power.csv`` has one row per power step: the step's
-``infidelity`` with the previous state (exactly solved only on the steps
-whose estimate ``step**2 / 2`` falls below ``--tol``, else that
-estimate), the ``step`` residual of its truncation's first update, and
-that truncation's |lambda|, residual, wall time and matvecs.
+code alone).  Its ``power.csv`` has one row per power step, the fields of
+:class:`~vomps.truncation.PowerRecord`: the step's ``infidelity`` with
+the previous state (exactly solved only on the steps whose estimate
+``step**2 / 2`` falls below ``--tol``, else that estimate), the ``step``
+residual of its truncation's first update, and that truncation's
+``abs_lambda``, residual ``epsilon``, ``wall_ms`` and ``matvecs``.
 `fidelity` prints the per-site fidelity of two stored states.
 
 Exit codes: 0 success, 1 usage or I/O failure, 2 non-convergence (outputs
@@ -31,7 +32,6 @@ package applies it before numpy is imported).
 
 import argparse
 import functools
-import json
 import os
 import sys
 import warnings
@@ -43,6 +43,7 @@ from . import io as vio
 from .baseline import schmidt_truncate
 from .models import (
     BETA_C,
+    EvolutionRecord,
     check_ed_chain,
     ed_evolve,
     ising_free_energy,
@@ -53,6 +54,8 @@ from .models import (
     trotter_evolve,
 )
 from .truncation import (
+    IterationRecord,
+    PowerRecord,
     PowerStop,
     VompsConfig,
     _regauge,
@@ -66,16 +69,6 @@ from .umps import (
     mixed_canonical,
     random_uniform_mps,
 )
-
-
-def _write_summary(path, payload):
-    with open(path, "w") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-
-
-def _header_lines(args, keys):
-    return [f"{k}: {getattr(args, k)}" for k in keys]
 
 
 def _input_error(exc) -> int:
@@ -103,11 +96,11 @@ def cmd_truncate(args) -> int:
     fid_v = fidelity_per_site(result, state)
     eps_b, fid_b = epsilon_measure(baseline, state)
 
-    report.write_csv(os.path.join(args.out_dir, "trace.csv"), _header_lines(
-        args, ("seed", "chi", "eta", "max_iter", "init")))
+    vio.write_trace(os.path.join(args.out_dir, "trace.csv"), vio.TRACE_FORMAT,
+                    vars(args), IterationRecord, report.iterations)
     vio.save_state(result, os.path.join(args.out_dir, "vomps_state.json"))
     vio.save_state(baseline, os.path.join(args.out_dir, "baseline_state.json"))
-    _write_summary(os.path.join(args.out_dir, "summary.json"), {
+    vio.write_summary(os.path.join(args.out_dir, "summary.json"), {
         "converged": report.converged,
         "iterations": len(report.iterations),
         "final_epsilon": report.final_epsilon,
@@ -144,16 +137,9 @@ def cmd_evolve(args) -> int:
     os.makedirs(args.out_dir, exist_ok=True)
     reference = (None if sites is None else
                  ed_evolve(sites, args.delta, [r.time for r in records]))
-
-    extra = ["ed_reference"] if reference is not None else []
-    vio.write_trace(
-        os.path.join(args.out_dir, "evolution.csv"), vio.EVOLUTION_FORMAT,
-        _header_lines(args, ("seed", "delta", "dt", "t_max", "chi", "eta")),
-        ["t", "staggered_offset", "epsilon_last", "truncation_infidelity",
-         "chi_used"] + extra,
-        [[rec.time, rec.offset, rec.epsilon, rec.infidelity, rec.chi]
-         + ([reference[k]] if extra else []) for k, rec in enumerate(records)])
-
+    vio.write_trace(os.path.join(args.out_dir, "evolution.csv"),
+                    vio.EVOLUTION_FORMAT, vars(args), EvolutionRecord, records,
+                    ed_reference=reference)
     vio.save_state(state, os.path.join(args.out_dir, "final_state.json"))
     payload = {
         "steps": len(records) - 1,
@@ -165,7 +151,7 @@ def cmd_evolve(args) -> int:
     if reference is not None:
         payload["max_ed_deviation"] = float(np.max(np.abs(
             np.array([r.offset for r in records]) - reference)))
-    _write_summary(os.path.join(args.out_dir, "summary.json"), payload)
+    vio.write_summary(os.path.join(args.out_dir, "summary.json"), payload)
     print(f"evolve: {len(records) - 1} steps to t={args.t_max}, "
           f"final offset {records[-1].offset:.6f}"
           + (f", max ED deviation {payload['max_ed_deviation']:.2e}"
@@ -193,8 +179,8 @@ def cmd_fixedpoint(args) -> int:
     os.makedirs(args.out_dir, exist_ok=True)
     state, report = power_method(
         mpo, _ordered_initial_state(args.chi, args.seed), cfg, stop)
-    report.write_csv(os.path.join(args.out_dir, "power.csv"), _header_lines(
-        args, ("seed", "beta_rel", "coupling", "chi", "tol", "eta")))
+    vio.write_trace(os.path.join(args.out_dir, "power.csv"), vio.POWER_FORMAT,
+                    vars(args), PowerRecord, report.iterations)
     m = ising_magnetization(state, beta)
     if args.coupling == "afm":
         # every other spin flipped: F_odd maps the ferromagnet's fixed
@@ -207,7 +193,7 @@ def cmd_fixedpoint(args) -> int:
     f = ising_free_energy(abs(report.final_lambda), beta)
     f_ref = onsager_free_energy(beta)
     m_ref = onsager_magnetization(beta)
-    _write_summary(os.path.join(args.out_dir, "summary.json"), {
+    vio.write_summary(os.path.join(args.out_dir, "summary.json"), {
         "beta": beta,
         "coupling": args.coupling,
         "converged": report.converged,
@@ -298,9 +284,11 @@ def main(argv=None) -> int:
         args = build_parser().parse_args(argv)
     except SystemExit as exc:
         return 1 if exc.code not in (0, None) else 0
+    # the rest of `args` is the run's provenance, its trace's header
+    handler = vars(args).pop("func")
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
-        return args.func(args)
+        return handler(args)
 
 
 if __name__ == "__main__":

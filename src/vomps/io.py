@@ -1,4 +1,14 @@
-"""On-disk formats: UMPS-JSON v1 for states, and the CSV traces.
+"""On-disk formats; no other module opens a file.
+
+States are UMPS-JSON v1 (:func:`save_state`, :func:`load_state`).  A CLI
+command writes its results as ``summary.json`` (:func:`write_summary`)
+and its run as a CSV trace of one row per record (:func:`write_trace`):
+``trace.csv`` (``vomps-trace/5``) of `truncate`'s
+:class:`~vomps.truncation.IterationRecord` list, ``power.csv``
+(``vomps-power/5``) of `fixedpoint`'s :class:`~vomps.truncation.PowerRecord`
+list and ``evolution.csv`` (``vomps-evolution/4``) of `evolve`'s
+:class:`~vomps.models.EvolutionRecord` list, with ``ed_reference`` last
+when ``--oracle`` is given.
 
 A state is a plain text JSON document: a ``format`` tag, a positive
 ``unit_cell`` L, the per-site ``physical_dims`` (length L), cyclic
@@ -15,6 +25,7 @@ states this package writes check to ~1e-14.
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import os
 
@@ -23,11 +34,10 @@ import numpy as np
 from .umps import UniformMPS
 
 STATE_FORMAT = "umps-json/1"
-# a trace tag's version changes with its columns; those of TRACE_FORMAT
-# and POWER_FORMAT are the fields of `IterationRecord` and `PowerRecord`
-TRACE_FORMAT = "vomps-trace/4"
-POWER_FORMAT = "vomps-power/4"
-EVOLUTION_FORMAT = "vomps-evolution/3"
+# a trace tag's version changes with its columns, the fields of its record
+TRACE_FORMAT = "vomps-trace/5"
+POWER_FORMAT = "vomps-power/5"
+EVOLUTION_FORMAT = "vomps-evolution/4"
 
 
 class SchemaError(ValueError):
@@ -121,17 +131,31 @@ def load_state(path: str | os.PathLike) -> UniformMPS:
     return state
 
 
-def write_trace(path, fmt: str, header, columns, rows):
-    """Write a CSV trace: a ``# format:`` line with the tag `fmt`, one
-    ``# `` line per `header` entry (the provenance, such as ``seed: 0``),
-    the column line, then one line per row.  Strings and integers are
-    written as they are, other numbers with 17 significant digits."""
+def write_trace(path, fmt: str, provenance, record_type, records, **extra):
+    """Write `records`, instances of the dataclass `record_type`, as a CSV
+    trace: a ``# format:`` line with the tag `fmt`, one ``# key: value``
+    line per `provenance` entry (the run's arguments), the column line,
+    then one line per record.  The columns are the record's fields in
+    order, then each `extra` keyword whose value is not None, a sequence
+    of one value per record.  Strings, bools and integers are written as
+    Python prints them, other numbers with 17 significant digits, so a
+    float reads back exactly."""
+    names = [f.name for f in dataclasses.fields(record_type)]
+    extra = {name: values for name, values in extra.items()
+             if values is not None}
     with open(path, "w") as fh:
         fh.write(f"# format: {fmt}\n")
-        for line in header:
-            fh.write(f"# {line}\n")
-        fh.write(",".join(columns) + "\n")
-        for row in rows:
-            fh.write(",".join(v if isinstance(v, str)
-                              else str(v) if isinstance(v, int)
+        for key, value in provenance.items():
+            fh.write(f"# {key}: {value}\n")
+        fh.write(",".join(names + list(extra)) + "\n")
+        for record, *more in zip(records, *extra.values(), strict=True):
+            row = [getattr(record, name) for name in names] + more
+            fh.write(",".join(str(v) if isinstance(v, (str, int))
                               else f"{v:.17g}" for v in row) + "\n")
+
+
+def write_summary(path, payload: dict):
+    """Write a command's results as an indented JSON object, keys sorted."""
+    with open(path, "w") as fh:
+        json.dump(payload, fh, indent=2, sort_keys=True)
+        fh.write("\n")

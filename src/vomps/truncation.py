@@ -21,13 +21,12 @@ import math
 import time
 import warnings
 from collections import deque
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, field, replace
 from typing import Sequence
 
 import numpy as np
 
 from .baseline import schmidt_truncate
-from .io import POWER_FORMAT, TRACE_FORMAT, write_trace
 from .tensor import polar, svd
 from .umps import (
     MPO,
@@ -72,10 +71,7 @@ class VompsConfig:
                              f"got {self.init!r}")
         if self.eta <= 0:
             raise ValueError("eta must be positive")
-        chis = ([self.target_chi] if isinstance(self.target_chi, int)
-                else list(self.target_chi))
-        if any(int(c) < 1 for c in chis):
-            raise ValueError("target_chi entries must be >= 1")
+        _normalize_targets(self.target_chi, None)
         if self.max_iter < 1:
             raise ValueError("max_iter must be >= 1")
 
@@ -148,19 +144,6 @@ class TruncationReport:
     def matvecs(self) -> int:
         """Matvecs of every environment solve of the truncation."""
         return sum(r.matvecs for r in self.iterations)
-
-    def write_csv(self, path, header):
-        _write_records(path, TRACE_FORMAT, header, IterationRecord,
-                       self.iterations)
-
-
-def _write_records(path, fmt, header, record_type, records):
-    """A trace with one column per field of `record_type`, in field order
-    (the first one named ``iter``); ``wall_ms`` to the microsecond."""
-    names = [f.name for f in fields(record_type)]
-    rows = ([f"{getattr(r, name):.3f}" if name == "wall_ms"
-             else getattr(r, name) for name in names] for r in records)
-    write_trace(path, fmt, header, ["iter"] + names[1:], rows)
 
 
 # ---------------------------------------------------------------------------
@@ -647,10 +630,6 @@ class PowerReport:
     unconverged_truncations: int = 0
     period: int = 1
     final_lambda: complex = 0.0
-
-    def write_csv(self, path, header):
-        _write_records(path, POWER_FORMAT, header, PowerRecord,
-                       self.iterations)
 
 
 def power_method(mpo: MPO, init: UniformMPS, cfg: VompsConfig,

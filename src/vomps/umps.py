@@ -23,6 +23,7 @@ construction and every operation returns new values.
 from __future__ import annotations
 
 import math
+import operator
 import warnings
 from dataclasses import dataclass
 from typing import Sequence
@@ -195,15 +196,19 @@ def _stacked_layers(upper: MPO, lower: MPO) -> MPO:
     return MPO(o=tensors)
 
 
-def _normalize_targets(target_chi, L: int):
+def _normalize_targets(target_chi, L: int | None):
     """Per-bond (or per-site) dimensions of an L-site cell from one
-    dimension or L."""
-    if isinstance(target_chi, int):
-        return [target_chi] * L
-    targets = [int(c) for c in target_chi]
-    if len(targets) != L:
+    dimension or L (any number when L is None).  A dimension is an integer
+    >= 1, numpy integers included: a bool, a float or a string raises
+    ValueError."""
+    targets = ([target_chi] * (L or 1) if np.ndim(target_chi) == 0
+               else list(target_chi))
+    if any(isinstance(t, (bool, np.bool_)) or not hasattr(t, "__index__")
+           or t < 1 for t in targets):
+        raise ValueError(f"dimensions must be integers >= 1: {target_chi!r}")
+    if L is not None and len(targets) != L:
         raise ValueError(f"need {L} per-bond targets, got {len(targets)}")
-    return targets
+    return [operator.index(t) for t in targets]
 
 
 def _check_isometric_targets(targets, phys_dims) -> None:

@@ -102,12 +102,39 @@ def test_evolution_trace_has_its_own_format(tmp_path):
     assert vomps.cli.main(["evolve", "--chi", "4", "--t-max", "0.1",
                            "--oracle", "ed:6", "--out-dir", str(out)]) == 0
     lines = (out / "evolution.csv").read_text().splitlines()
-    assert lines[0] == "# format: vomps-evolution/3"
+    assert lines[0] == "# format: vomps-evolution/4"
     assert "# seed: 0" in lines
     header = next(line for line in lines if not line.startswith("#"))
-    assert header == ("t,staggered_offset,epsilon_last,truncation_infidelity,"
-                      "chi_used,ed_reference")
+    assert header == ("time,offset,epsilon,infidelity,chi,converged,"
+                      "ed_reference")
     assert len(lines) - lines.index(header) - 1 == 3
+
+
+@pytest.mark.parametrize("argv, trace", [
+    (["truncate", "--in", "STATE", "--chi", "3", "--eta", "1e-09",
+      "--max-iter", "50", "--init", "random", "--seed", "1"], "trace.csv"),
+    (["evolve", "--delta", "0.4", "--dt", "0.05", "--t-max", "0.1",
+      "--chi", "4", "--eta", "1e-09", "--seed", "1", "--oracle", "ed:6"],
+     "evolution.csv"),
+    (["fixedpoint", "--beta-rel", "1.2", "--coupling", "afm", "--chi", "4",
+      "--tol", "1e-09", "--eta", "1e-08", "--max-iter", "50",
+      "--power-iter", "300", "--seed", "1"], "power.csv"),
+], ids=["truncate", "evolve", "fixedpoint"])
+def test_trace_header_names_every_argument(tmp_path, state_file, argv,
+                                           trace):
+    # every argument that can change a run is its trace's provenance; the
+    # floats above are spelled as Python prints them
+    argv = [str(state_file) if a == "STATE" else a for a in argv]
+    argv += ["--out-dir", str(tmp_path / "out")]
+    assert vomps.cli.main(argv) == 0
+    lines = (tmp_path / "out" / trace).read_text().splitlines()
+    header = {line[2:] for line in lines[1:] if line.startswith("# ")}
+    given = {arg[2:].replace("-", "_"): value
+             for arg, value in zip(argv, argv[1:]) if arg.startswith("--")}
+    given["infile"] = given.pop("in", None)
+    assert {f"{key}: {value}" for key, value in given.items()
+            if value is not None} <= header
+    assert f"command: {argv[0]}" in header
 
 
 TRUNCATE_KEYS = {"abs_lambda", "baseline_discarded_weight",
@@ -135,7 +162,7 @@ def test_truncate_exit_code_and_summary(tmp_path, state_file, max_iter, code,
     assert summary["converged"] is converged
     assert 1 <= summary["iterations"] <= int(max_iter)
     assert (out / "trace.csv").read_text().startswith(
-        "# format: vomps-trace/4\n")
+        "# format: vomps-trace/5\n")
 
 
 @pytest.mark.parametrize("content", [None, '{"format": "umps-json/0"}'])
@@ -292,9 +319,9 @@ def test_antiferromagnetic_fixedpoint_checks_itself(tmp_path):
     assert summary["free_energy"] == fm["free_energy"]
     assert abs(summary["magnetization"]) == abs(fm["magnetization"])
     lines = (tmp_path / "afm" / "power.csv").read_text().splitlines()
-    assert lines[0] == "# format: vomps-power/4"
+    assert lines[0] == "# format: vomps-power/5"
     header = next(line for line in lines if not line.startswith("#"))
-    assert header == ("iter,infidelity,step,abs_lambda,epsilon,"
+    assert header == ("iteration,infidelity,step,abs_lambda,epsilon,"
                       "wall_ms,matvecs")
     assert len(lines) - lines.index(header) - 1 == summary["iterations"]
 

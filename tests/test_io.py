@@ -1,9 +1,34 @@
+import dataclasses
 import json
 
 import numpy as np
 import pytest
 
-from vomps.io import SchemaError, load_state, save_state
+from vomps.cli import _ordered_initial_state
+from vomps.io import (
+    EVOLUTION_FORMAT,
+    POWER_FORMAT,
+    TRACE_FORMAT,
+    SchemaError,
+    load_state,
+    save_state,
+    write_trace,
+)
+from vomps.models import (
+    BETA_C,
+    EvolutionRecord,
+    ed_evolve,
+    ising_mpo,
+    trotter_evolve,
+)
+from vomps.truncation import (
+    IterationRecord,
+    PowerRecord,
+    PowerStop,
+    VompsConfig,
+    power_method,
+    vomps_truncate,
+)
 from vomps.umps import mixed_canonical, random_uniform_mps
 
 from oracles import correlated_random_state, dense_local_expectation
@@ -136,3 +161,64 @@ def test_both_formats_share_the_schema_checks(tmp_path, kind):
         path.write_text(json.dumps(doc))
         with pytest.raises(SchemaError, match=where):
             load_state(path)
+
+
+def _truncation_trace():
+    _, report = vomps_truncate(correlated_random_state(8, seed=80),
+                               VompsConfig(target_chi=4, seed=3))
+    return TRACE_FORMAT, IterationRecord, report.iterations, {}
+
+
+def _power_trace():
+    _, report = power_method(ising_mpo(1.2 * BETA_C),
+                             _ordered_initial_state(4, 0),
+                             VompsConfig(target_chi=4, eta=1e-9),
+                             PowerStop(tol=1e-9))
+    return POWER_FORMAT, PowerRecord, report.iterations, {}
+
+
+def _evolution_trace():
+    _, records = trotter_evolve(delta=0.5, dt=0.05, t_max=0.1, chi_max=4)
+    reference = ed_evolve(6, 0.5, [r.time for r in records])
+    return (EVOLUTION_FORMAT, EvolutionRecord, records,
+            {"ed_reference": reference})
+
+
+@pytest.mark.parametrize("make", [_truncation_trace, _power_trace,
+                                  _evolution_trace],
+                         ids=["trace", "power", "evolution"])
+def test_trace_round_trips(tmp_path, make):
+    # a trace is its record list: the columns are the record's fields
+    # (then the named extras), one row per record, and each cell reads
+    # back as the value it was written from
+    fmt, record_type, records, extra = make()
+    assert len(records) > 1
+    path = tmp_path / "trace.csv"
+    write_trace(path, fmt, {"seed": 0, "chi": 4}, record_type, records,
+                **extra)
+    lines = path.read_text().splitlines()
+    assert lines[:3] == [f"# format: {fmt}", "# seed: 0", "# chi: 4"]
+    names = [f.name for f in dataclasses.fields(record_type)]
+    assert lines[3].split(",") == names + list(extra)
+    rows = [line.split(",") for line in lines[4:]]
+    assert len(rows) == len(records)
+    for k, (row, record) in enumerate(zip(rows, records)):
+        values = [getattr(record, name) for name in names]
+        values += [column[k] for column in extra.values()]
+        assert len(row) == len(values)
+        for cell, value in zip(row, values):
+            if isinstance(value, bool):
+                assert cell == str(value)
+            elif isinstance(value, int):
+                assert int(cell) == value
+            else:
+                assert float(cell) == value
+
+
+def test_a_trace_without_records_has_its_columns(tmp_path):
+    path = tmp_path / "trace.csv"
+    write_trace(path, TRACE_FORMAT, {}, IterationRecord, [],
+                ed_reference=None)
+    assert path.read_text().splitlines() == [
+        f"# format: {TRACE_FORMAT}",
+        "iteration,epsilon,step,abs_lambda,wall_ms,matvecs,tol_inner"]

@@ -148,3 +148,40 @@ def test_update_step_is_written_once():
                         and node.func.id in step):
                     callers.setdefault(node.func.id, set()).add(fn.name)
     assert callers == {name: {"_update"} for name in step}, callers
+
+
+def _imports_io(node) -> bool:
+    """Whether an import statement takes anything from ``vomps.io``."""
+    if isinstance(node, ast.Import):
+        return any(alias.name == "vomps.io" for alias in node.names)
+    if not isinstance(node, ast.ImportFrom):
+        return False
+    package = "vomps" if node.level else None
+    module = ".".join(filter(None, [package, node.module]))
+    return module == "vomps.io" or module == "vomps" and any(
+        alias.name == "io" for alias in node.names)
+
+
+def test_only_io_opens_files():
+    # every on-disk format is written and read by io.py
+    for path in sorted(SRC.glob("*.py")):
+        if path.name == "io.py":
+            continue
+        opens = [node.lineno
+                 for node in ast.walk(ast.parse(path.read_text()))
+                 if isinstance(node, ast.Call)
+                 and (isinstance(node.func, ast.Name)
+                      and node.func.id == "open"
+                      or isinstance(node.func, ast.Attribute)
+                      and node.func.attr == "open")]
+        assert not opens, f"{path.name} opens files on lines {opens}"
+
+
+def test_numerical_modules_do_not_import_io():
+    # the formats sit above the numerics: only cli and the package's
+    # exports reach io
+    for name in ("tensor", "umps", "baseline", "truncation", "models"):
+        tree = ast.parse((SRC / f"{name}.py").read_text())
+        imports = [node.lineno for node in ast.walk(tree)
+                   if _imports_io(node)]
+        assert not imports, f"{name}.py imports io on lines {imports}"

@@ -5,9 +5,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from vomps.baseline import schmidt_truncate
+from vomps.io import POWER_FORMAT, TRACE_FORMAT, write_trace
 from vomps.truncation import (
-    TRACE_FORMAT,
     CenterPair,
+    IterationRecord,
+    PowerRecord,
     PowerStop,
     VompsConfig,
     _dot,
@@ -401,15 +403,16 @@ class TestVompsTruncate:
         _, report = vomps_truncate(
             m, VompsConfig(target_chi=4, eta=1e-10, seed=3))
         path = tmp_path / "trace.csv"
-        report.write_csv(path, ["seed: 3"])
+        write_trace(path, TRACE_FORMAT, {"seed": 3}, IterationRecord,
+                    report.iterations)
         lines = path.read_text().splitlines()
-        assert lines[0] == "# format: vomps-trace/4"
-        assert TRACE_FORMAT == "vomps-trace/4"
+        assert lines[0] == "# format: vomps-trace/5"
+        assert TRACE_FORMAT == "vomps-trace/5"
         assert "# seed: 3" in lines
         header_idx = next(i for i, l in enumerate(lines)
                           if not l.startswith("#"))
-        assert lines[header_idx] == ("iter,epsilon,step,abs_lambda,wall_ms,"
-                                     "matvecs,tol_inner")
+        assert lines[header_idx] == ("iteration,epsilon,step,abs_lambda,"
+                                     "wall_ms,matvecs,tol_inner")
         rows = [l.split(",") for l in lines[header_idx + 1:]]
         assert len(rows) == len(report.iterations)
         assert float(rows[-1][1]) == report.iterations[-1].epsilon
@@ -737,6 +740,27 @@ class TestBondTargets:
         result, _ = vomps_truncate(state, VompsConfig(target_chi=chi_max),
                                    mpo=layer)
         assert result.bond_dims == want + want[:1]
+
+    @pytest.mark.parametrize("request_", [
+        3.7, [2.5, 2], True, [True, 2], np.True_, "12", "3", 0, [3, 0]],
+        ids=repr)
+    def test_a_target_is_an_integer_of_at_least_one(self, request_):
+        # one parser for every target: a float is not cut, a bool is not
+        # taken as 1, and "12" is not the two targets [1, 2]
+        state = random_uniform_mps(4, 2, unit_cell=2, seed=79)
+        with pytest.raises(ValueError):
+            VompsConfig(target_chi=request_)
+        with pytest.raises(ValueError):
+            schmidt_truncate(state, request_)
+
+    @pytest.mark.parametrize("request_, bonds", [
+        (np.int64(3), [3, 3]), ([np.int32(3), 2], [3, 2]),
+        (np.array([2, 3]), [2, 3])], ids=["int64", "int32-list", "array"])
+    def test_numpy_integers_are_targets(self, request_, bonds):
+        state = random_uniform_mps(4, 2, unit_cell=2, seed=79)
+        cut, _ = schmidt_truncate(state, request_)
+        result, _ = vomps_truncate(state, VompsConfig(target_chi=request_))
+        assert cut.bond_dims == result.bond_dims == bonds + bonds[:1]
 
 
 class TestReportFlags:
@@ -1093,10 +1117,11 @@ class TestPowerMethod:
         assert all(r.matvecs > 0 for r in warm.iterations)
         assert (sum(r.matvecs for r in warm.iterations)
                 < sum(r.matvecs for r in cold.iterations))
-        warm.write_csv(tmp_path / "power.csv", ["seed: 0"])
+        write_trace(tmp_path / "power.csv", POWER_FORMAT, {"seed": 0},
+                    PowerRecord, warm.iterations)
         lines = (tmp_path / "power.csv").read_text().splitlines()
-        assert lines[0] == "# format: vomps-power/4"
-        assert lines[2] == ("iter,infidelity,step,abs_lambda,epsilon,"
+        assert lines[0] == "# format: vomps-power/5"
+        assert lines[2] == ("iteration,infidelity,step,abs_lambda,epsilon,"
                             "wall_ms,matvecs")
         assert [int(l.rsplit(",", 1)[1]) for l in lines[3:]] == [
             r.matvecs for r in warm.iterations]
