@@ -4,8 +4,7 @@ Tensors are plain ``numpy.ndarray`` objects stored row-major over the
 declared index order; every function in this package states the index
 order of its arguments explicitly.  Real inputs give float64 results, with
 sign fixes for phase fixes, complex ones complex128.  All operations here
-are pure: inputs are never mutated.  They need numpy alone; scipy is
-imported only by the SVD's fallback after a LAPACK failure.
+are pure: inputs are never mutated.  They need numpy alone.
 """
 
 from __future__ import annotations
@@ -95,19 +94,14 @@ def svd(m: np.ndarray):
     """Thin SVD, singular values descending.
 
     Returns (U, S, Vh) with m = U @ diag(S) @ Vh, U and Vh isometric.
-    LAPACK convergence failures are surfaced as DecompositionError after a
-    retry with the slower but more robust gesvd driver.
+    A LAPACK convergence failure raises DecompositionError, chained to
+    numpy's LinAlgError.
     """
     m = _float_array(m)
     try:
         return np.linalg.svd(m, full_matrices=False)
-    except np.linalg.LinAlgError:
-        try:
-            import scipy.linalg
-            return scipy.linalg.svd(m, full_matrices=False,
-                                    lapack_driver="gesvd")
-        except Exception as exc:  # pragma: no cover - LAPACK-dependent
-            raise DecompositionError(f"SVD failed for shape {m.shape}") from exc
+    except np.linalg.LinAlgError as exc:
+        raise DecompositionError(f"SVD failed for shape {m.shape}") from exc
 
 
 def polar(m: np.ndarray):

@@ -466,10 +466,11 @@ def vomps_truncate(m: UniformMPS, cfg: VompsConfig,
     (see :func:`~vomps.umps._bond_targets`).
 
     Returns ``(state, report)``.  The loop repeats :func:`_update` until
-    the fixed-point residual drops below ``cfg.eta``; each environment
-    solve starts from the previous iteration's solution.  If the residual
-    falls less than tenfold over `_STALL_WINDOW` iterations, the trials
-    come from :class:`_Ascent` instead, starting at the update regauged.
+    the fixed-point residual drops below ``cfg.eta`` over converged
+    environment solves; each solve starts from the previous iteration's
+    solution.  If the residual falls less than tenfold over
+    `_STALL_WINDOW` iterations, the trials come from :class:`_Ascent`
+    instead, starting at the update regauged.
     `guess` may carry bond-0 environment vectors ``(left, right)`` for the
     first solve, such as the ``report.env_guess`` of a truncation of a
     nearby problem.  The loop solves no environments after it stops:
@@ -530,7 +531,7 @@ def vomps_truncate(m: UniformMPS, cfg: VompsConfig,
         if collapse:
             report.orthogonal = True
             break
-        if eps < cfg.eta:
+        if eps < cfg.eta and env.converged:
             report.converged = True
             break
         if ascent is not None:

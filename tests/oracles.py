@@ -6,6 +6,7 @@ the documented index conventions.  The builders at the end construct test
 states and run reference algorithms on the package's own types.
 """
 
+import functools
 import math
 from dataclasses import replace
 
@@ -223,37 +224,16 @@ def matrix_modulus(m):
     return (vecs * np.sqrt(np.clip(vals, 0.0, None))) @ vecs.conj().T
 
 
-def brute_force_best_isometry(acp, cp, tries=12, seed=0, starts=()):
-    """Minimize |acp - W cp| over isometries W by direct optimization,
-    parameterizing W as the unitary polar factor of an unconstrained
-    matrix.  Small sizes only; `starts` adds warm starting points (e.g.
-    the candidate solution under test) beside the random restarts."""
-    import scipy.optimize
-
-    chi_l, d, chi_r = acp.shape
-    rows = chi_l * d
-    target = acp.reshape(rows, chi_r)
-
-    def unpack(x):
-        m = (x[:rows * chi_r] + 1j * x[rows * chi_r:]).reshape(rows, chi_r)
-        u, _, vh = np.linalg.svd(m, full_matrices=False)
-        return u @ vh
-
-    def cost(x):
-        w = unpack(x)
-        return np.linalg.norm(target - w @ cp) ** 2
-
-    rng = np.random.default_rng(seed)
-    x0s = [np.concatenate([np.asarray(w).real.ravel(),
-                           np.asarray(w).imag.ravel()]) for w in starts]
-    x0s += [rng.standard_normal(2 * rows * chi_r) for _ in range(tries)]
-    best = np.inf
-    for x0 in x0s:
-        res = scipy.optimize.minimize(cost, x0, method="BFGS",
-                                      options={"maxiter": 5000,
-                                               "gtol": 1e-14})
-        best = min(best, np.sqrt(max(res.fun, 0.0)))
-    return best
+def procrustes_optimum(acp, cp):
+    """min |acp - W cp| over isometries W, in closed form: the orthogonal
+    Procrustes optimum W = polar(acp cp^dag) (Schoenemann 1966) gives
+    sqrt(|acp|^2 + |cp|^2 - 2 |acp cp^dag|_*), with the trace norm taken
+    from :func:`matrix_modulus` (no SVD)."""
+    target = acp.reshape(-1, acp.shape[2])
+    trace_norm = np.trace(matrix_modulus(target @ cp.conj().T)).real
+    square = (np.linalg.norm(target) ** 2 + np.linalg.norm(cp) ** 2
+              - 2.0 * trace_norm)
+    return np.sqrt(max(square, 0.0))
 
 
 def trapezoid_onsager_free_energy(beta, n=256):
@@ -430,6 +410,7 @@ def schmidt_values(state, bond: int) -> np.ndarray:
     return svd(state.c[(bond - 1) % state.unit_cell])[1]
 
 
+@functools.cache
 def correlated_random_state(chi: int, d: int = 2, decay: float = 0.35,
                             seed: int = 0) -> UniformMPS:
     """Random injective state with a slowly decaying entanglement spectrum.
@@ -438,7 +419,8 @@ def correlated_random_state(chi: int, d: int = 2, decay: float = 0.35,
     exp(-decay * k) bond weights and re-canonicalizes.  The resulting
     spectrum follows the tilt only approximately, which is all the
     truncation benchmarks need; the transfer gap stays generic, unlike an
-    exactly engineered spectrum.
+    exactly engineered spectrum.  Cached: each argument is built once per
+    session, and every caller receives the same immutable state.
     """
     target = np.exp(-decay * np.arange(chi))
     target /= np.linalg.norm(target)

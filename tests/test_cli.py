@@ -3,11 +3,13 @@ import os
 import subprocess
 import sys
 import textwrap
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 import vomps.cli
+import vomps.umps
 from vomps.io import load_state, save_state
 from vomps.models import EvolutionRecord, neel_state
 from vomps.umps import random_uniform_mps
@@ -163,6 +165,21 @@ def test_truncate_exit_code_and_summary(tmp_path, state_file, max_iter, code,
     assert 1 <= summary["iterations"] <= int(max_iter)
     assert (out / "trace.csv").read_text().startswith(
         "# format: vomps-trace/5\n")
+
+
+def test_truncate_is_unconverged_over_unconverged_solves(
+        monkeypatch, tmp_path, state_file):
+    # every eigensolve returns its pair but reports it unconverged: the
+    # loop may not stop as converged on such environments
+    solve = vomps.umps.leading_eig
+    monkeypatch.setattr(vomps.umps, "leading_eig", lambda *args, **kwargs:
+                        replace(solve(*args, **kwargs), converged=False))
+    out = tmp_path / "out"
+    assert vomps.cli.main(["truncate", "--in", str(state_file), "--chi", "3",
+                           "--max-iter", "20", "--out-dir", str(out)]) == 2
+    summary = json.loads((out / "summary.json").read_text())
+    assert summary["converged"] is False
+    assert summary["iterations"] == 20
 
 
 @pytest.mark.parametrize("content", [None, '{"format": "umps-json/0"}'])

@@ -3,18 +3,23 @@ import math
 import numpy as np
 import pytest
 
+import vomps.models as models
 from vomps.models import (
     BETA_C,
+    apply_layer,
     ed_evolve,
     ising_mpo,
     onsager_free_energy,
     staggered_offset,
+    trotter_evolve,
     trotter_layer_mpo,
     xxz_gate,
 )
 from vomps.umps import UniformMPS, random_uniform_mps
 
 from oracles import (
+    correlated_random_state,
+    dense_environment_eigenvalue,
     dense_ising_row_transfer,
     dense_local_expectation,
     dense_mpo_operator,
@@ -132,3 +137,45 @@ class TestStaggeredOffset:
         plain = dense_local_expectation(state, np.diag([1.0, 0.0]))
         assert abs(staggered_offset(state, np.eye(4))
                    - (1.0 - plain.real)) < 1e-12
+
+
+def _dense_loss(new, state, layer):
+    return 1.0 - abs(dense_environment_eigenvalue(new, state, layer)) ** 2
+
+
+class TestTruncationLoss:
+    # a loop that stops at its first update holds the lambda of its start,
+    # so the loss of its result comes from one more environment solve; on
+    # a bond of dimension 1 every loop stops there
+
+    def test_chi1_evolution_losses_match_the_dense_eigenvalue(
+            self, monkeypatch):
+        calls = []
+
+        def recording(state, layer, *args, **kwargs):
+            new, report = apply_layer(state, layer, *args, **kwargs)
+            calls.append((new, state, layer, report))
+            return new, report
+
+        monkeypatch.setattr(models, "apply_layer", recording)
+        _, records = trotter_evolve(0.5, 0.05, 0.2, 1)
+        assert len(calls) == 5 and len(records) == 5
+        assert all(report.converged and len(report.iterations) == 1
+                   for *_, report in calls)
+        losses = [_dense_loss(*call[:3]) for call in calls]
+        # the last record also carries the closing half layer's loss
+        want = [0.0] + losses[:3] + [losses[3] + losses[4]]
+        got = [rec.infidelity for rec in records]
+        assert np.max(np.abs(np.subtract(got, want))) < 1e-12
+
+    @pytest.mark.parametrize("seed", range(2))
+    def test_first_update_stop_is_scored_on_its_result(self, seed):
+        state = correlated_random_state(4, seed=seed)
+        layer = trotter_layer_mpo(xxz_gate(0.5, 0.05), "odd")
+        new, report = apply_layer(state, layer, 1, None, eta=1e-10, seed=0)
+        assert report.converged and len(report.iterations) == 1
+        want = _dense_loss(new, state, layer)
+        # the start's lambda is off by more than the tolerance
+        assert abs(1.0 - abs(report.final_lambda) ** 2 - want) > 1e-6
+        assert abs(models._truncation_loss(new, state, layer, report)
+                   - want) < 1e-12

@@ -185,3 +185,22 @@ def test_numerical_modules_do_not_import_io():
         imports = [node.lineno for node in ast.walk(tree)
                    if _imports_io(node)]
         assert not imports, f"{name}.py imports io on lines {imports}"
+
+
+def test_package_imports_no_scipy():
+    # numpy is the package's only runtime dependency; scipy serves the
+    # tests' oracles alone
+    imported = {}
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                modules = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and not node.level:
+                modules = [node.module]
+            else:
+                continue
+            for module in modules:
+                imported.setdefault(module.split(".")[0], []).append(
+                    f"{path.name}:{node.lineno}")
+    assert "numpy" in imported, "the imports were not found"
+    assert "scipy" not in imported, f"scipy imported at {imported['scipy']}"

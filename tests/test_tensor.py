@@ -4,6 +4,7 @@ from hypothesis import given, settings, strategies as st
 
 import vomps.tensor
 from vomps.tensor import (
+    DecompositionError,
     EigResult,
     RankDeficiencyWarning,
     leading_eig,
@@ -120,6 +121,15 @@ class TestSVD:
         assert np.linalg.norm(u.conj().T @ u - np.eye(5)) < 1e-12
         assert np.linalg.norm(vh @ vh.conj().T - np.eye(5)) < 1e-12
         assert np.all(np.diff(s) <= 1e-14)
+
+    def test_lapack_failure_raises_decomposition_error(self, monkeypatch):
+        def failing(*args, **kwargs):
+            raise np.linalg.LinAlgError("SVD did not converge")
+
+        monkeypatch.setattr(np.linalg, "svd", failing)
+        with pytest.raises(DecompositionError) as info:
+            svd(np.eye(3))
+        assert isinstance(info.value.__cause__, np.linalg.LinAlgError)
 
 
 class TestPolar:

@@ -50,13 +50,13 @@ from vomps.models import (
 )
 
 from oracles import (
-    brute_force_best_isometry,
     correlated_random_state,
     dense_centers,
     dense_fidelity,
     identity_mpo,
     layer_targets,
     matrix_modulus,
+    procrustes_optimum,
     random_complex,
     reference_power_loop,
     schmidt_values,
@@ -186,7 +186,7 @@ class TestExtractGauges:
             assert np.max(np.abs(al[n].reshape(want_l.shape) - want_l)) < 1e-14
             assert np.max(np.abs(ar[n].reshape(want_r.shape) - want_r)) < 1e-14
 
-    def test_close_to_brute_force_optimum(self):
+    def test_close_to_procrustes_optimum(self):
         # Away from a fixed point the polar recipe is not the minimizer of
         # |AC - W C| over isometries W; its residual is | |AC| - |C| |,
         # which lies between the optimum and sqrt(2) times it
@@ -203,7 +203,7 @@ class TestExtractGauges:
         moduli_gap = np.linalg.norm(matrix_modulus(acp.reshape(4, 2))
                                     - matrix_modulus(cp_mat))
         assert abs(eps - moduli_gap) < 1e-12
-        best = brute_force_best_isometry(acp, cp_mat)
+        best = procrustes_optimum(acp, cp_mat)
         assert best - 1e-8 <= eps <= np.sqrt(2) * best + 1e-8
 
         # mirrored: |AC - C AR| = | |AC^dag| - |C^dag| |, against the
@@ -213,7 +213,7 @@ class TestExtractGauges:
             matrix_modulus(acp.reshape(2, 4).conj().T)
             - matrix_modulus(cp_mat.conj().T))
         assert abs(eps_r - moduli_gap_r) < 1e-12
-        best_r = brute_force_best_isometry(acp.transpose(2, 1, 0), cp_mat.T)
+        best_r = procrustes_optimum(acp.transpose(2, 1, 0), cp_mat.T)
         assert best_r - 1e-8 <= eps_r <= np.sqrt(2) * best_r + 1e-8
 
     def test_rank_deficient_bond_matrix_converges(self, monkeypatch):
