@@ -15,8 +15,6 @@ at least those bonds (it caps every target at the channel's bond)::
 
 from __future__ import annotations
 
-import warnings
-
 import numpy as np
 
 from .tensor import svd
@@ -29,26 +27,22 @@ from .umps import (
 )
 
 
-class DegenerateCutWarning(UserWarning):
-    """A truncation cut through a (numerically) degenerate Schmidt pair."""
-
-
 def schmidt_truncate(state: UniformMPS, new_chi):
     """Cut every bond to `new_chi` by discarding the smallest Schmidt values.
 
     SVDs each bond matrix, keeps the largest singular values (descending
-    order with index tie-break; a degenerate cut is warned about),
-    projects the neighboring gauge tensors with the truncated isometries,
-    and re-canonicalizes, starting the right gauge iteration from the kept
-    Schmidt values instead of the identity: the cut's right fixed point is
-    near their squares, so few sweeps remain, and a transfer spectrum
-    degenerate to rounding cannot pull the iteration to another fixed
-    point.  Returns ``(state, discarded_weight)`` where the
-    weight is the total of dropped squared singular values.  A target is an
-    upper bound, capped at the state's bond (see
-    :func:`~vomps.umps._bond_targets`), so targets at or above the current
-    bond dimensions reduce to the identity operation; a cut that leaves
-    some site without isometric tensors raises ValueError.
+    order with index tie-break: a cut through a degenerate pair keeps the
+    first of it), projects the neighboring gauge tensors with the
+    truncated isometries, and re-canonicalizes, starting the right gauge
+    iteration from the kept Schmidt values instead of the identity: the
+    cut's right fixed point is near their squares, so few sweeps remain,
+    and a transfer spectrum degenerate to rounding cannot pull the
+    iteration to another fixed point.  Returns ``(state,
+    discarded_weight)`` where the weight is the total of dropped squared
+    singular values.  A target is an upper bound, capped at the state's
+    bond (see :func:`~vomps.umps._bond_targets`), so targets at or above
+    the current bond dimensions reduce to the identity operation; a cut
+    that leaves some site without isometric tensors raises ValueError.
     """
     L = state.unit_cell
     targets = _bond_targets(new_chi, state.bond_dims[:L], state.phys_dims)
@@ -61,13 +55,7 @@ def schmidt_truncate(state: UniformMPS, new_chi):
         bond = (n + 1) % L
         u, s, _ = svd(state.c[n])
         k = targets[bond]
-        if k < len(s):
-            if s[k - 1] - s[k] < 1e-12 * s[0]:
-                warnings.warn(
-                    f"cut through degenerate Schmidt values on bond {bond} "
-                    f"({s[k - 1]:.3e} vs {s[k]:.3e}); keeping first {k} in "
-                    "descending order", DegenerateCutWarning)
-            discarded += float(np.sum(s[k:] ** 2))
+        discarded += float(np.sum(s[k:] ** 2))
         us[bond] = u[:, :k]
         s_kept[n] = s[:k]
 

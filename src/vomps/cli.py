@@ -8,7 +8,13 @@ already at or below it is not cut, so ``--chi`` above the input's bonds
 keeps them.  `truncate`, `evolve` and `fixedpoint`
 write a CSV trace (``trace.csv``, ``evolution.csv``, ``power.csv``;
 formats in :mod:`vomps.io`) headed by every argument of the run, their
-states as UMPS-JSON and a ``summary.json``.  `fixedpoint` runs the power loop
+states as UMPS-JSON and a ``summary.json``.  `truncate`'s summary carries
+the flags of its :class:`~vomps.truncation.TruncationReport`:
+``orthogonal`` (the fidelity collapsed), ``degenerate`` (a degenerate
+transfer spectrum) and ``singular_completion`` (a rank-deficient bond
+matrix), and ``unconverged_solves``, the count of its iterations whose
+environment solves missed their tolerance, which its ``trace.csv``
+marks in the ``solves_converged`` column.  `fixedpoint` runs the power loop
 of the ferromagnet's one-site cell A, in real arithmetic from all spins up
 plus real noise of scale 1e-2 that `--seed` draws.  The antiferromagnet is
 the flipped ferromagnet (see :mod:`vomps.models`), so ``--coupling afm``
@@ -34,7 +40,6 @@ import argparse
 import functools
 import os
 import sys
-import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -109,6 +114,11 @@ def cmd_truncate(args) -> int:
         "baseline_epsilon": eps_b,
         "baseline_discarded_weight": discarded,
         "abs_lambda": abs(report.final_lambda),
+        "orthogonal": report.orthogonal,
+        "degenerate": report.degenerate,
+        "singular_completion": report.singular_completion,
+        "unconverged_solves": sum(not r.solves_converged
+                                  for r in report.iterations),
     })
     print(f"truncate: chi {max(state.bond_dims)} -> {max(result.bond_dims)}"
           f"; fidelity vomps={fid_v:.12f} baseline={fid_b:.12f}; "
@@ -286,9 +296,7 @@ def main(argv=None) -> int:
         return 1 if exc.code not in (0, None) else 0
     # the rest of `args` is the run's provenance, its trace's header
     handler = vars(args).pop("func")
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        return handler(args)
+    return handler(args)
 
 
 if __name__ == "__main__":

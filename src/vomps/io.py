@@ -3,7 +3,7 @@
 States are UMPS-JSON v1 (:func:`save_state`, :func:`load_state`).  A CLI
 command writes its results as ``summary.json`` (:func:`write_summary`)
 and its run as a CSV trace of one row per record (:func:`write_trace`):
-``trace.csv`` (``vomps-trace/5``) of `truncate`'s
+``trace.csv`` (``vomps-trace/6``) of `truncate`'s
 :class:`~vomps.truncation.IterationRecord` list, ``power.csv``
 (``vomps-power/5``) of `fixedpoint`'s :class:`~vomps.truncation.PowerRecord`
 list and ``evolution.csv`` (``vomps-evolution/4``) of `evolve`'s
@@ -35,7 +35,7 @@ from .umps import UniformMPS
 
 STATE_FORMAT = "umps-json/1"
 # a trace tag's version changes with its columns, the fields of its record
-TRACE_FORMAT = "vomps-trace/5"
+TRACE_FORMAT = "vomps-trace/6"
 POWER_FORMAT = "vomps-power/5"
 EVOLUTION_FORMAT = "vomps-evolution/4"
 

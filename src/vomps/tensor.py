@@ -10,7 +10,6 @@ are pure: inputs are never mutated.  They need numpy alone.
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -18,10 +17,6 @@ import numpy as np
 
 class DecompositionError(RuntimeError):
     """A matrix factorization failed to converge."""
-
-
-class RankDeficiencyWarning(UserWarning):
-    """A decomposition hit a (numerically) rank-deficient input."""
 
 
 def _float_array(m) -> np.ndarray:
@@ -49,26 +44,22 @@ def qr_positive(m: np.ndarray):
     m = _float_array(m)
     if m.ndim != 2 or m.shape[0] < m.shape[1]:
         raise ValueError(f"qr_positive needs rows >= cols, got {m.shape}")
-    return _phased_qr(m, "QR")
+    return _phased_qr(m)
 
 
-def _phased_qr(m, kind: str):
+def _phased_qr(m):
     """numpy's QR of `m` with the phases of R's diagonal moved into Q."""
     q, r = np.linalg.qr(m)
-    phase = _diagonal_phase(r, m, kind)
+    phase = _diagonal_phase(r, m)
     return q * phase[np.newaxis, :], r * np.conj(phase)[:, np.newaxis]
 
 
-def _diagonal_phase(r, m, kind: str):
+def _diagonal_phase(r, m):
     """Phases of the diagonal of the triangular factor `r` of `m`; entries
-    below 1e-14 |m| are warned about and given phase 1."""
+    at most 1e-14 |m|, the null directions of a rank-deficient `m`, are
+    given phase 1."""
     d = np.diagonal(r).copy()
-    small = np.abs(d) <= 1e-14 * np.linalg.norm(m)
-    if np.any(small):
-        warnings.warn(
-            f"rank-deficient {kind} input: {int(small.sum())} diagonal(s) "
-            f"below 1e-14*|m|", RankDeficiencyWarning)
-        d[small] = 1.0
+    d[np.abs(d) <= 1e-14 * np.linalg.norm(m)] = 1.0
     return d / np.abs(d)
 
 
@@ -85,7 +76,7 @@ def rq_positive(m: np.ndarray):
         raise ValueError(f"rq_positive needs cols >= rows, got {m.shape}")
     if not np.all(np.isfinite(m)):
         raise ValueError("rq_positive: non-finite entries in the input")
-    q, r = _phased_qr(m[::-1].conj().T, "RQ")
+    q, r = _phased_qr(m[::-1].conj().T)
     return (np.ascontiguousarray(r.conj().T[::-1, ::-1]),
             np.ascontiguousarray(q.conj().T[::-1]))
 

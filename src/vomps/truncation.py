@@ -19,7 +19,6 @@ from __future__ import annotations
 
 import math
 import time
-import warnings
 from collections import deque
 from dataclasses import dataclass, field, replace
 from typing import Sequence
@@ -98,13 +97,13 @@ class CenterPair:
 @dataclass
 class IterationRecord:
     """One outer iteration: fixed-point residual, step residual, |lambda|,
-    wall time, the matvecs of its environment solves and their relative
-    tolerance.  Both residuals are ``|AC' - AL C'|`` of the updated
-    centers: `epsilon` with AL the update's own left gauge, `step` with AL
-    the left gauge of the iterate whose environments were solved, so that
-    `step` measures how far the update moved it (at a fixed point both
-    vanish).  Once the ascent has taken over, each trial of its line
-    search is one iteration."""
+    wall time, the matvecs of its environment solves, their relative
+    tolerance and whether they converged to it.  Both residuals are
+    ``|AC' - AL C'|`` of the updated centers: `epsilon` with AL the
+    update's own left gauge, `step` with AL the left gauge of the iterate
+    whose environments were solved, so that `step` measures how far the
+    update moved it (at a fixed point both vanish).  Once the ascent has
+    taken over, each trial of its line search is one iteration."""
 
     iteration: int
     epsilon: float
@@ -113,6 +112,7 @@ class IterationRecord:
     wall_ms: float
     matvecs: int
     tol_inner: float
+    solves_converged: bool
 
 
 @dataclass
@@ -521,7 +521,7 @@ def vomps_truncate(m: UniformMPS, cfg: VompsConfig,
         guess = (env.gl[0].reshape(-1), env.gr[-1].reshape(-1))
         report.iterations.append(IterationRecord(
             it, eps, step, abs(env.lam), 1e3 * (time.perf_counter() - t0),
-            env.matvecs, tol_inner))
+            env.matvecs, tol_inner, env.converged))
         t0 = time.perf_counter()
 
         if lam_first is None:
@@ -544,8 +544,6 @@ def vomps_truncate(m: UniformMPS, cfg: VompsConfig,
             a = _regauge(a)
 
     if report.orthogonal:
-        warnings.warn("fidelity collapsed: input states are (numerically) "
-                      "orthogonal at this bond dimension")
         report.final_lambda = env.lam if env is not None else 0.0
         return a, report
 
@@ -669,8 +667,9 @@ def power_method(mpo: MPO, init: UniformMPS, cfg: VompsConfig,
     one-layer value.  Each step's environment solves start from the
     previous step's solutions.  Steps hand on states canonical to their
     truncation's eta; the returned state is regauged exactly.  A step whose
-    truncation collapses as orthogonal is not recorded: the loop warns and
-    stops unconverged at the previous state.
+    truncation collapses as orthogonal is not recorded: the loop stops
+    unconverged at the previous state, so a collapse reads as
+    ``report.converged`` False with fewer records than ``stop.max_iter``.
 
     `init` should be ordered, as ``vomps fixedpoint``'s is: the loop has no
     defence against a random real start.  At beta = 1.01 beta_c, chi 8 and
@@ -689,8 +688,6 @@ def power_method(mpo: MPO, init: UniformMPS, cfg: VompsConfig,
         new_state, step = vomps_truncate(state, step_cfg, mpo=mpo,
                                          guess=env_guess)
         if step.orthogonal:
-            warnings.warn(f"power step {it} collapsed: the MPO maps the "
-                          "state to an orthogonal one at this bond dimension")
             break
         env_guess = step.env_guess
         residual = step.iterations[0].step
@@ -721,8 +718,4 @@ def power_method(mpo: MPO, init: UniformMPS, cfg: VompsConfig,
                 break
     report.final_lambda = complex(
         mpo_eigenvalue_per_site(state, _stacked_layers(mpo, mpo))) ** 0.5
-    if not report.converged:
-        warnings.warn(f"power method not converged after "
-                      f"{len(report.iterations)} steps (detected period "
-                      f"{report.period})")
     return state, report

@@ -24,7 +24,6 @@ from __future__ import annotations
 
 import math
 import operator
-import warnings
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -305,8 +304,9 @@ def _settle_gauge(sweep_once, gauges, fixed_point):
     ``fixed_point()``, an Arnoldi solve of its fixed-point equation to
     ``_REFRESH_TOL``, phase-fixed and kept at the current norm.  The first
     refresh thus comes as soon as the sweeps crawl.
-    Returns None when converged, else the last change after `_MAX_SWEEPS`
-    sweeps or more than `_IDLE_REFRESHES` refreshes without progress.
+    Raises CanonicalizationError, naming the last change, after
+    `_MAX_SWEEPS` sweeps or more than `_IDLE_REFRESHES` refreshes without
+    progress.
     """
     changes, span, step = [], _CRAWL_SPAN, 1
     refreshed, best, idle = False, math.inf, 0
@@ -316,7 +316,7 @@ def _settle_gauge(sweep_once, gauges, fixed_point):
         scale = np.linalg.norm(gauges[0])
         residual = np.linalg.norm(gauges[0] - old)
         if residual <= _GAUGE_TOL * scale:
-            return None
+            return
         changes.append(residual)
         if len(changes) <= span or (len(changes) - 1) % step:
             continue
@@ -325,11 +325,11 @@ def _settle_gauge(sweep_once, gauges, fixed_point):
                    < _CRAWL_GAIN * scale)
         floor = _STALL_TOL if refreshed else _REFRESH_TOL
         if stalled and residual <= floor * scale:
-            return None
+            return
         if stalled:
             idle += residual > best / 2
             if idle > _IDLE_REFRESHES:
-                return residual
+                break
             best = min(best, residual)
             g = fixed_point()
             phase = _phase_reference(g)
@@ -337,7 +337,9 @@ def _settle_gauge(sweep_once, gauges, fixed_point):
                              * scale / np.linalg.norm(g))
             changes, span, step = [residual], _REFRESH_EVERY, _REFRESH_EVERY
         refreshed = stalled
-    return residual
+    raise CanonicalizationError(
+        f"gauge iteration stalled (residual {residual:.2e}); the input may "
+        "be non-injective")
 
 
 def left_orthonormalize(a):
@@ -350,9 +352,9 @@ def left_orthonormalize(a):
     by an Arnoldi solve of its fixed-point equation, which keeps
     convergence fast for states with small transfer gaps.
     Returns ``(al, gauges)`` with ``gauges[k]`` the (unit-RMS normalized)
-    transform on bond ``k`` relating the input to ``al``.  Warns and
-    raises CanonicalizationError for (near-)non-injective inputs on which
-    the iteration stalls (see :func:`_settle_gauge`).
+    transform on bond ``k`` relating the input to ``al``.  Raises
+    CanonicalizationError for (near-)non-injective inputs on which the
+    iteration stalls (see :func:`_settle_gauge`).
     """
     a = [_float_array(t) for t in a]
     L = len(a)
@@ -377,12 +379,8 @@ def left_orthonormalize(a):
                           max_iter=600)
         return res.vector.reshape(gauges[0].shape)
 
-    residual = _settle_gauge(sweep_once, gauges, fixed_point)
-    if residual is None:
-        return al, gauges
-    warnings.warn("left orthonormalization did not converge "
-                  f"(residual {residual:.2e}); input may be non-injective")
-    raise CanonicalizationError(f"no convergence (tol {_GAUGE_TOL:.1e})")
+    _settle_gauge(sweep_once, gauges, fixed_point)
+    return al, gauges
 
 
 def _right_gauge_from_left(al, seed):
@@ -418,11 +416,8 @@ def _right_gauge_from_left(al, seed):
                           max_iter=600)
         return res.vector.reshape(rs[0].T.shape).T
 
-    residual = _settle_gauge(sweep_once, rs, fixed_point)
-    if residual is None:
-        return ar, rs
-    raise CanonicalizationError(
-        f"right gauge iteration stalled (residual {residual:.2e})")
+    _settle_gauge(sweep_once, rs, fixed_point)
+    return ar, rs
 
 
 def mixed_canonical(a) -> UniformMPS:

@@ -140,8 +140,11 @@ def test_trace_header_names_every_argument(tmp_path, state_file, argv,
 
 
 TRUNCATE_KEYS = {"abs_lambda", "baseline_discarded_weight",
-                 "baseline_epsilon", "converged", "final_epsilon",
-                 "fidelity_baseline", "fidelity_vomps", "iterations"}
+                 "baseline_epsilon", "converged", "degenerate",
+                 "final_epsilon", "fidelity_baseline", "fidelity_vomps",
+                 "iterations", "orthogonal", "singular_completion",
+                 "unconverged_solves"}
+REPORT_FLAGS = ("orthogonal", "degenerate", "singular_completion")
 
 
 @pytest.fixture
@@ -164,7 +167,31 @@ def test_truncate_exit_code_and_summary(tmp_path, state_file, max_iter, code,
     assert summary["converged"] is converged
     assert 1 <= summary["iterations"] <= int(max_iter)
     assert (out / "trace.csv").read_text().startswith(
-        "# format: vomps-trace/5\n")
+        "# format: vomps-trace/6\n")
+
+
+@pytest.mark.parametrize("raised", [()] + [(flag,) for flag in REPORT_FLAGS])
+def test_truncate_summary_has_its_report_flags(monkeypatch, tmp_path,
+                                               state_file, raised):
+    # the summary is the only record of a collapse, a degenerate transfer
+    # spectrum or a rank-deficient bond matrix: each key is the flag of
+    # the truncation's own report, here with one flag at a time raised
+    solve, reports = vomps.cli.vomps_truncate, []
+
+    def truncate(*args, **kwargs):
+        result, report = solve(*args, **kwargs)
+        reports.append(replace(report, **{flag: True for flag in raised}))
+        return result, reports[-1]
+
+    monkeypatch.setattr(vomps.cli, "vomps_truncate", truncate)
+    out = tmp_path / "out"
+    assert vomps.cli.main(["truncate", "--in", str(state_file), "--chi", "3",
+                           "--out-dir", str(out)]) == 0
+    summary = json.loads((out / "summary.json").read_text())
+    [report] = reports
+    assert {flag: summary[flag] for flag in REPORT_FLAGS} == {
+        flag: getattr(report, flag) for flag in REPORT_FLAGS}
+    assert summary["unconverged_solves"] == 0
 
 
 def test_truncate_is_unconverged_over_unconverged_solves(
@@ -180,6 +207,12 @@ def test_truncate_is_unconverged_over_unconverged_solves(
     summary = json.loads((out / "summary.json").read_text())
     assert summary["converged"] is False
     assert summary["iterations"] == 20
+    assert summary["unconverged_solves"] == 20
+    lines = (out / "trace.csv").read_text().splitlines()
+    header = next(line for line in lines if not line.startswith("#"))
+    column = header.split(",").index("solves_converged")
+    rows = lines[lines.index(header) + 1:]
+    assert [row.split(",")[column] for row in rows] == ["False"] * 20
 
 
 @pytest.mark.parametrize("content", [None, '{"format": "umps-json/0"}'])

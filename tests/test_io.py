@@ -155,7 +155,18 @@ def test_both_formats_share_the_schema_checks(tmp_path, kind):
             (lambda d: d["bond_dims"].append(3), r"\.bond_dims: length"),
             (lambda d: d["bond_dims"].__setitem__(-1, 5), "cyclic"),
             (lambda d: d["tensors"][name].pop(), rf"tensors\.{name}: length"),
-            (lambda d: d["tensors"][name][1].pop(), rf"{name}\[1\]: shape")):
+            (lambda d: d["tensors"][name][1].pop(), rf"{name}\[1\]: shape"),
+            (lambda d: d["tensors"][name].__setitem__(0, [[["a", "b"]]]),
+             rf"{name}\[0\]: not a numeric array"),
+            (lambda d: d.pop("physical_dims"),
+             "missing field 'physical_dims'"),
+            (lambda d: d.update(unit_cell=2.0), r"\.unit_cell: expected int"),
+            (lambda d: d.update(unit_cell=True), r"\.unit_cell: expected int"),
+            (lambda d: d.update(bond_dims=3), r"\.bond_dims: expected array"),
+            (lambda d: d.update(tensors=[]), r"\.tensors: expected object"),
+            (lambda d: d["tensors"].update(C={}), r"\.C: expected array"),
+            (lambda d: d["physical_dims"].append(2),
+             r"\.physical_dims: length")):
         doc = json.loads(json.dumps(good))
         edit(doc)
         path.write_text(json.dumps(doc))
@@ -221,4 +232,5 @@ def test_a_trace_without_records_has_its_columns(tmp_path):
                 ed_reference=None)
     assert path.read_text().splitlines() == [
         f"# format: {TRACE_FORMAT}",
-        "iteration,epsilon,step,abs_lambda,wall_ms,matvecs,tol_inner"]
+        "iteration,epsilon,step,abs_lambda,wall_ms,matvecs,tol_inner,"
+        "solves_converged"]

@@ -10,6 +10,7 @@ from vomps.models import (
     ed_evolve,
     ising_mpo,
     onsager_free_energy,
+    onsager_magnetization,
     staggered_offset,
     trotter_evolve,
     trotter_layer_mpo,
@@ -47,6 +48,17 @@ class TestOnsagerFreeEnergy:
     def test_rejects_nonpositive_beta(self):
         with pytest.raises(ValueError, match="positive"):
             onsager_free_energy(0.0)
+
+
+class TestOnsagerMagnetization:
+    @pytest.mark.parametrize("beta_rel", [0.5, 0.9, 1.0])
+    def test_vanishes_at_and_above_the_critical_temperature(self, beta_rel):
+        assert onsager_magnetization(beta_rel * BETA_C) == 0.0
+
+    def test_closed_form_below_the_critical_temperature(self):
+        # sinh(2 beta) = 2 gives m = (1 - 1/16)^(1/8)
+        beta = math.asinh(2.0) / 2.0
+        assert abs(onsager_magnetization(beta) - (15 / 16) ** 0.125) < 1e-15
 
 
 class TestEdEvolve:

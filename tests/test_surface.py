@@ -177,6 +177,33 @@ def test_only_io_opens_files():
         assert not opens, f"{path.name} opens files on lines {opens}"
 
 
+def _imported_modules() -> dict:
+    """Top-level module name -> ``"file:line"`` of each absolute import in
+    the package."""
+    imported = {}
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                modules = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and not node.level:
+                modules = [node.module]
+            else:
+                continue
+            for module in modules:
+                imported.setdefault(module.split(".")[0], []).append(
+                    f"{path.name}:{node.lineno}")
+    return imported
+
+
+def test_package_imports_no_warnings():
+    # a failure is a typed error or a report flag: the package has no
+    # warnings channel for callers to filter
+    imported = _imported_modules()
+    assert "numpy" in imported, "the imports were not found"
+    assert "warnings" not in imported, (
+        f"warnings imported at {imported['warnings']}")
+
+
 def test_numerical_modules_do_not_import_io():
     # the formats sit above the numerics: only cli and the package's
     # exports reach io
@@ -190,17 +217,6 @@ def test_numerical_modules_do_not_import_io():
 def test_package_imports_no_scipy():
     # numpy is the package's only runtime dependency; scipy serves the
     # tests' oracles alone
-    imported = {}
-    for path in sorted(SRC.glob("*.py")):
-        for node in ast.walk(ast.parse(path.read_text())):
-            if isinstance(node, ast.Import):
-                modules = [alias.name for alias in node.names]
-            elif isinstance(node, ast.ImportFrom) and not node.level:
-                modules = [node.module]
-            else:
-                continue
-            for module in modules:
-                imported.setdefault(module.split(".")[0], []).append(
-                    f"{path.name}:{node.lineno}")
+    imported = _imported_modules()
     assert "numpy" in imported, "the imports were not found"
     assert "scipy" not in imported, f"scipy imported at {imported['scipy']}"

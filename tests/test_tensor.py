@@ -6,7 +6,6 @@ import vomps.tensor
 from vomps.tensor import (
     DecompositionError,
     EigResult,
-    RankDeficiencyWarning,
     leading_eig,
     polar,
     qr_positive,
@@ -41,12 +40,6 @@ class TestQRPositive:
         assert np.all(np.abs(np.diagonal(r).imag) < 1e-14)
         assert np.all(np.diagonal(r).real > 0)
 
-    def test_rank_deficiency_warns(self):
-        m = np.zeros((3, 2), dtype=complex)
-        m[0, 0] = 1.0
-        with pytest.warns(RankDeficiencyWarning):
-            qr_positive(m)
-
     def test_rq_positive(self):
         rng = np.random.default_rng(11)
         m = random_complex(rng, 4, 8)
@@ -76,11 +69,11 @@ class TestRQPositive:
         assert np.linalg.norm(r - r_ref) <= 1e-13 * np.linalg.norm(r_ref)
         assert np.linalg.norm(q - q_ref) <= 1e-13 * np.linalg.norm(q_ref)
 
-    def test_rank_deficiency_warns(self):
+    def test_rank_deficient_input_still_factors(self):
+        # the null direction's diagonal entry gets phase 1
         m = np.zeros((2, 3), dtype=complex)
         m[1, 2] = 1.0
-        with pytest.warns(RankDeficiencyWarning, match="RQ"):
-            r, q = rq_positive(m)
+        r, q = rq_positive(m)
         np.testing.assert_allclose(r @ q, m, atol=1e-15)
         np.testing.assert_allclose(q @ q.conj().T, np.eye(2), atol=1e-14)
 
@@ -330,6 +323,17 @@ class TestLeadingEig:
                           tol=1e-30, max_iter=8)
         assert not res.converged
         assert res.residual > 0
+
+    @pytest.mark.parametrize("guess, tol, message", [
+        (np.ones(3), 0.0, "tol must be positive"),
+        (np.ones(3), -1e-12, "tol must be positive"),
+        (np.zeros(3), 1e-12, "guess must be a nonzero finite vector"),
+        (np.array([1.0, np.nan, 0.0]), 1e-12,
+         "guess must be a nonzero finite vector"),
+    ], ids=["zero-tol", "negative-tol", "zero-guess", "non-finite-guess"])
+    def test_rejects_bad_arguments(self, guess, tol, message):
+        with pytest.raises(ValueError, match=message):
+            leading_eig(dense_map(np.eye(3)), guess=guess, tol=tol)
 
     def test_dimension_one(self):
         res = leading_eig(dense_map(np.array([[0.5]])), guess=np.array([1.0]))

@@ -373,9 +373,8 @@ class TestVompsTruncate:
         # collapses, and the start comes back unchanged
         neel = neel_state()
         other = UniformMPS(al=neel.al[::-1], ar=neel.ar[::-1], c=neel.c[::-1])
-        with pytest.warns(UserWarning, match="fidelity collapsed"):
-            state, report = vomps_truncate(
-                neel, VompsConfig(target_chi=1, init=other))
+        state, report = vomps_truncate(
+            neel, VompsConfig(target_chi=1, init=other))
         assert report.orthogonal
         assert not report.converged
         assert len(report.iterations) == 0
@@ -390,9 +389,8 @@ class TestVompsTruncate:
                                     .reshape(1, 2, 1)])
 
         target, start = product([1.0, 1e-10]), product([1e-10, 1.0])
-        with pytest.warns(UserWarning, match="fidelity collapsed"):
-            _, report = vomps_truncate(
-                target, VompsConfig(target_chi=1, init=start))
+        _, report = vomps_truncate(
+            target, VompsConfig(target_chi=1, init=start))
         assert report.orthogonal
         assert not report.converged
         assert len(report.iterations) == 1
@@ -406,13 +404,14 @@ class TestVompsTruncate:
         write_trace(path, TRACE_FORMAT, {"seed": 3}, IterationRecord,
                     report.iterations)
         lines = path.read_text().splitlines()
-        assert lines[0] == "# format: vomps-trace/5"
-        assert TRACE_FORMAT == "vomps-trace/5"
+        assert lines[0] == "# format: vomps-trace/6"
+        assert TRACE_FORMAT == "vomps-trace/6"
         assert "# seed: 3" in lines
         header_idx = next(i for i, l in enumerate(lines)
                           if not l.startswith("#"))
         assert lines[header_idx] == ("iteration,epsilon,step,abs_lambda,"
-                                     "wall_ms,matvecs,tol_inner")
+                                     "wall_ms,matvecs,tol_inner,"
+                                     "solves_converged")
         rows = [l.split(",") for l in lines[header_idx + 1:]]
         assert len(rows) == len(report.iterations)
         assert float(rows[-1][1]) == report.iterations[-1].epsilon
@@ -427,6 +426,7 @@ class TestVompsTruncate:
             it.tol_inner for it in report.iterations]
         assert all(1e-11 <= it.tol_inner <= 1e-5
                    for it in report.iterations)
+        assert [r[7] for r in rows] == ["True"] * len(rows)
 
     def test_env_guess_warm_starts_a_repeat(self):
         m = random_uniform_mps(6, 2, seed=81)
@@ -753,6 +753,15 @@ class TestBondTargets:
         with pytest.raises(ValueError):
             schmidt_truncate(state, request_)
 
+    @pytest.mark.parametrize("request_", [[3], [3, 3, 3]], ids=repr)
+    def test_one_target_per_bond_of_the_cell(self, request_):
+        state = random_uniform_mps(4, 2, unit_cell=2, seed=79)
+        message = rf"need 2 per-bond targets, got {len(request_)}"
+        with pytest.raises(ValueError, match=message):
+            schmidt_truncate(state, request_)
+        with pytest.raises(ValueError, match=message):
+            vomps_truncate(state, VompsConfig(target_chi=request_))
+
     @pytest.mark.parametrize("request_, bonds", [
         (np.int64(3), [3, 3]), ([np.int32(3), 2], [3, 2]),
         (np.array([2, 3]), [2, 3])], ids=["int64", "int32-list", "array"])
@@ -852,10 +861,10 @@ class TestRegauge:
 
         monkeypatch.setattr(truncation, "_right_gauge_from_left", capturing)
         mpo = ising_mpo(1.01 * BETA_C)
-        with pytest.warns(UserWarning, match="not converged"):
-            power_method(mpo, _ordered_initial_state(8, 0),
-                         VompsConfig(target_chi=8, eta=1e-9),
-                         PowerStop(max_iter=30))
+        _, report = power_method(mpo, _ordered_initial_state(8, 0),
+                                 VompsConfig(target_chi=8, eta=1e-9),
+                                 PowerStop(max_iter=30))
+        assert not report.converged
         al, seed = seeded[-1]
 
         sweeps, refreshed_after = [], []
@@ -1214,10 +1223,9 @@ class TestPowerMethod:
         t = np.pi / 4
         turn = np.array([[np.cos(t), -np.sin(t)], [np.sin(t), np.cos(t)]])
         up = mixed_canonical([np.array([1.0, 0.0]).reshape(1, 2, 1)])
-        with pytest.warns(UserWarning, match="not converged"):
-            _, report = power_method(MPO(o=[turn.reshape(1, 2, 2, 1)]), up,
-                                     VompsConfig(target_chi=1),
-                                     PowerStop(max_iter=steps))
+        _, report = power_method(MPO(o=[turn.reshape(1, 2, 2, 1)]), up,
+                                 VompsConfig(target_chi=1),
+                                 PowerStop(max_iter=steps))
         assert not report.converged and report.period == period
         assert len(report.iterations) == steps
         for record in report.iterations:
@@ -1230,9 +1238,8 @@ class TestPowerMethod:
         # step and must not report one that converged
         flip = np.array([[0.0, 1.0], [1.0, 0.0]]).reshape(1, 2, 2, 1)
         up = mixed_canonical([np.array([1.0, 0.0]).reshape(1, 2, 1)])
-        with pytest.warns(UserWarning, match="power step 0 collapsed"):
-            state, report = power_method(MPO(o=[flip]), up,
-                                         VompsConfig(target_chi=1))
+        state, report = power_method(MPO(o=[flip]), up,
+                                     VompsConfig(target_chi=1))
         assert not report.converged and report.period == 0
         assert report.iterations == []
         assert abs(fidelity_per_site(state, up) - 1.0) < 1e-14

@@ -436,3 +436,23 @@ class TestStateBasics:
         up = np.zeros((1, 2, 2), dtype=complex)
         with pytest.raises(ValueError, match="bond"):
             UniformMPS(al=[up], ar=[up], c=[np.eye(2)])
+
+    @pytest.mark.parametrize("build, message", [
+        (lambda a: UniformMPS(al=[a * np.nan], ar=[a], c=[np.eye(2)]),
+         r"non-finite entries in al\[0\]"),
+        (lambda a: UniformMPS(al=[a, a], ar=[a], c=[np.eye(2)]),
+         "equal unit-cell length"),
+        (lambda a: UniformMPS(al=[a], ar=[a[:, :1]], c=[np.eye(2)]),
+         "al/ar shape mismatch at site 0"),
+        (lambda a: UniformMPS(al=[a], ar=[a], c=[np.eye(3)]),
+         r"c\[0\] shape \(3, 3\) does not match bond dim 2"),
+        (lambda a: MPO(o=[np.full((1, 2, 2, 1), np.inf)]),
+         r"non-finite entries in o\[0\]"),
+        (lambda a: MPO(o=[a]), "mpo tensor 0 must have 4 indices"),
+        (lambda a: MPO(o=[np.ones((1, 2, 2, 2))]),
+         "cyclic mpo bond mismatch at bond 0"),
+    ], ids=["non-finite", "cell-lengths", "al-ar-shapes", "c-shape",
+            "mpo-non-finite", "mpo-rank", "mpo-cyclic-bond"])
+    def test_constructors_reject_malformed_tensors(self, build, message):
+        with pytest.raises(ValueError, match=message):
+            build(np.ones((2, 2, 2)))
