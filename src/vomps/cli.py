@@ -5,11 +5,19 @@ transfer-matrix power method, and fidelity comparison.
 the baseline it reports and, with ``--init schmidt`` (the default), the
 start of the variational loop.  ``--chi`` is an upper bound: a bond
 already at or below it is not cut, so ``--chi`` above the input's bonds
-keeps them.  `truncate`, `evolve` and `fixedpoint`
-write a CSV trace (``trace.csv``, ``evolution.csv``, ``power.csv``;
-formats in :mod:`vomps.io`) headed by every argument of the run, their
-states as UMPS-JSON and a ``summary.json``.  `truncate`'s summary carries
-the flags of its :class:`~vomps.truncation.TruncationReport`:
+keeps them; ``--init random`` draws its start at the smaller of ``--chi``
+and the input's largest bond.  `truncate` solves each pair of states
+once.  First comes the baseline's residual and fidelity, one 1e-13
+solve of the pair (baseline, input); under ``--init schmidt`` its bond-0
+vectors start the loop's first solve, of that same pair (``--init
+random`` starts cold).  Last comes the result's 1e-13 fidelity, started
+from the left vector of the loop's last solve, of the neighbouring pair
+(last trial, input): the closing regauge keeps AL, so it still fits
+(cold when a collapsed loop left none).  `truncate`, `evolve` and
+`fixedpoint` write a CSV trace (``trace.csv``, ``evolution.csv``,
+``power.csv``; formats in :mod:`vomps.io`) headed by every argument of
+the run, their states as UMPS-JSON and a ``summary.json``.  `truncate`'s
+summary carries the flags of its :class:`~vomps.truncation.TruncationReport`:
 ``orthogonal`` (the fidelity collapsed), ``degenerate`` (a degenerate
 transfer spectrum) and ``singular_completion`` (a rank-deficient bond
 matrix), and ``unconverged_solves``, the count of its iterations whose
@@ -70,6 +78,7 @@ from .truncation import (
 )
 from .umps import (
     UniformMPS,
+    _fidelity_from,
     fidelity_per_site,
     mixed_canonical,
     random_uniform_mps,
@@ -87,19 +96,23 @@ def cmd_truncate(args) -> int:
         cfg = VompsConfig(target_chi=args.chi, eta=args.eta,
                           max_iter=args.max_iter, seed=args.seed)
         if args.init == "random":
+            # drawn at the bond kept: a larger draw is only cut back down
             cfg = replace(cfg, init=random_uniform_mps(
-                args.chi, state.phys_dims, state.unit_cell, seed=args.seed))
+                min(args.chi, max(state.bond_dims)), state.phys_dims,
+                state.unit_cell, seed=args.seed))
+        os.makedirs(args.out_dir, exist_ok=True)
     except (OSError, ValueError) as exc:
         return _input_error(exc)
-    os.makedirs(args.out_dir, exist_ok=True)
     baseline, discarded = schmidt_truncate(state, args.chi)
+    eps_b, fid_b, baseline_guess = epsilon_measure(baseline, state)
+    guess = None
     if args.init == "schmidt":
-        cfg = replace(cfg, init=baseline)
-    result, report = vomps_truncate(state, cfg)
+        cfg, guess = replace(cfg, init=baseline), baseline_guess
+    result, report = vomps_truncate(state, cfg, guess=guess)
     result = _regauge(result)
-
-    fid_v = fidelity_per_site(result, state)
-    eps_b, fid_b = epsilon_measure(baseline, state)
+    # the regauge keeps AL, so the last solve's left vector still fits
+    fid_v = _fidelity_from(result, state, None if report.env_guess is None
+                           else report.env_guess[0])
 
     vio.write_trace(os.path.join(args.out_dir, "trace.csv"), vio.TRACE_FORMAT,
                     vars(args), IterationRecord, report.iterations)
@@ -142,9 +155,9 @@ def cmd_evolve(args) -> int:
         state, records = trotter_evolve(delta=args.delta, dt=args.dt,
                                         t_max=args.t_max, chi_max=args.chi,
                                         eta=args.eta, seed=args.seed)
-    except ValueError as exc:
+        os.makedirs(args.out_dir, exist_ok=True)
+    except (OSError, ValueError) as exc:
         return _input_error(exc)
-    os.makedirs(args.out_dir, exist_ok=True)
     reference = (None if sites is None else
                  ed_evolve(sites, args.delta, [r.time for r in records]))
     vio.write_trace(os.path.join(args.out_dir, "evolution.csv"),
@@ -184,9 +197,9 @@ def cmd_fixedpoint(args) -> int:
         cfg = VompsConfig(target_chi=args.chi, eta=args.eta,
                           max_iter=args.max_iter, seed=args.seed)
         stop = PowerStop(tol=args.tol, max_iter=args.power_iter)
-    except ValueError as exc:
+        os.makedirs(args.out_dir, exist_ok=True)
+    except (OSError, ValueError) as exc:
         return _input_error(exc)
-    os.makedirs(args.out_dir, exist_ok=True)
     state, report = power_method(
         mpo, _ordered_initial_state(args.chi, args.seed), cfg, stop)
     vio.write_trace(os.path.join(args.out_dir, "power.csv"), vio.POWER_FORMAT,

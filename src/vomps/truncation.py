@@ -561,17 +561,20 @@ def vomps_truncate(m: UniformMPS, cfg: VompsConfig,
 
 
 def epsilon_measure(candidate: UniformMPS,
-                    m: UniformMPS) -> tuple[float, float]:
+                    m: UniformMPS) -> tuple[float, float, tuple]:
     """Fixed-point residual of an arbitrary candidate state against a
     target, evaluated by a single :func:`_update` (both extend the unit
     cells to their least common multiple).
 
-    Returns ``(epsilon, abs_lambda)``: the residual and the per-site |λ| of
-    the environment solve, the candidate's
-    :func:`~vomps.umps.fidelity_per_site` with `m`.
+    Returns ``(epsilon, abs_lambda, guess)``: the residual, the per-site
+    |λ| of the environment solve, the candidate's
+    :func:`~vomps.umps.fidelity_per_site` with `m`, and that solve's
+    bond-0 vectors ``(left, right)``, which warm-start a
+    :func:`vomps_truncate` of `m` from `candidate` as its `guess`.
     """
     env, _, _, eps, _ = _update(candidate, m, None, 1e-13, None)
-    return eps, float(abs(env.lam))
+    return (eps, float(abs(env.lam)),
+            (env.gl[0].reshape(-1), env.gr[-1].reshape(-1)))
 
 
 # ---------------------------------------------------------------------------

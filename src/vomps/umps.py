@@ -682,14 +682,23 @@ def environments(top: UniformMPS, bottom: UniformMPS, mpo: MPO | None = None,
 
 
 def _leading_per_site(top: UniformMPS, bottom: UniformMPS,
-                      mpo: MPO | None, tol: float):
-    """Leading eigenpair of the left unit-cell channel, started from the
-    default guess, and the channel's unit-cell length."""
+                      mpo: MPO | None, tol: float, guess):
+    """Leading eigenpair of the left unit-cell channel, started from
+    `guess` (a left bond-0 vector of the channel; None, or one that does
+    not fit, falls back to the default guess), and the channel's unit-cell
+    length."""
     top, bottom, ops = _cell_tensors(top, bottom, mpo)
     res = leading_eig(_cell_transfer(top.al, bottom.al, "left", ops),
-                      _fitting_guess(None, top.al, bottom.al, ops),
+                      _fitting_guess(guess, top.al, bottom.al, ops),
                       tol=tol, max_iter=20_000)
     return res, len(ops)
+
+
+def _fidelity_from(a: UniformMPS, b: UniformMPS, guess) -> float:
+    """:func:`fidelity_per_site` with its eigensolve started from `guess`,
+    as :func:`_leading_per_site` takes it."""
+    res, L = _leading_per_site(a, b, None, 1e-13, guess)
+    return float(abs(res.value) ** (1.0 / L))
 
 
 def fidelity_per_site(a: UniformMPS, b: UniformMPS) -> float:
@@ -699,12 +708,11 @@ def fidelity_per_site(a: UniformMPS, b: UniformMPS) -> float:
     in [0, 1] for canonical states and equals 1 exactly when the states
     agree up to gauge.  The eigensolve starts cold, from the default guess.
     """
-    res, L = _leading_per_site(a, b, None, 1e-13)
-    return float(abs(res.value) ** (1.0 / L))
+    return _fidelity_from(a, b, None)
 
 
 def mpo_eigenvalue_per_site(state: UniformMPS, mpo: MPO) -> complex:
     """Per-site leading eigenvalue of the MPO channel with the state in
     both layers (principal branch of the unit-cell root)."""
-    res, L = _leading_per_site(state, state, mpo, 1e-12)
+    res, L = _leading_per_site(state, state, mpo, 1e-12, None)
     return complex(res.value) ** (1.0 / L)

@@ -1,3 +1,4 @@
+import inspect
 import json
 import os
 import subprocess
@@ -10,9 +11,11 @@ import pytest
 
 import vomps.cli
 import vomps.umps
+from vomps.baseline import schmidt_truncate
 from vomps.io import load_state, save_state
 from vomps.models import EvolutionRecord, neel_state
-from vomps.umps import random_uniform_mps
+from vomps.truncation import epsilon_measure
+from vomps.umps import fidelity_per_site, random_uniform_mps
 
 from oracles import correlated_random_state, dense_fidelity
 
@@ -154,6 +157,15 @@ def state_file(tmp_path):
     return path
 
 
+def _trace_rows(path):
+    """The data rows of a CSV trace, each a dict of its header's columns."""
+    lines = path.read_text().splitlines()
+    header = next(line for line in lines if not line.startswith("#"))
+    names = header.split(",")
+    return [dict(zip(names, row.split(",")))
+            for row in lines[lines.index(header) + 1:]]
+
+
 @pytest.mark.parametrize("max_iter, code, converged", [
     ("500", 0, True), ("1", 2, False)])
 def test_truncate_exit_code_and_summary(tmp_path, state_file, max_iter, code,
@@ -208,11 +220,96 @@ def test_truncate_is_unconverged_over_unconverged_solves(
     assert summary["converged"] is False
     assert summary["iterations"] == 20
     assert summary["unconverged_solves"] == 20
-    lines = (out / "trace.csv").read_text().splitlines()
-    header = next(line for line in lines if not line.startswith("#"))
-    column = header.split(",").index("solves_converged")
-    rows = lines[lines.index(header) + 1:]
-    assert [row.split(",")[column] for row in rows] == ["False"] * 20
+    assert [row["solves_converged"] for row in
+            _trace_rows(out / "trace.csv")] == ["False"] * 20
+
+
+def test_truncate_loop_starts_from_the_baseline_solve(tmp_path, state_file):
+    # the baseline's 1e-13 environments seed the loop's first solve, which
+    # solves the same pair again: 4 matvecs instead of 38 from cold
+    out = tmp_path / "out"
+    assert vomps.cli.main(["truncate", "--in", str(state_file), "--chi", "3",
+                           "--out-dir", str(out)]) == 0
+    assert _trace_rows(out / "trace.csv")[0]["matvecs"] == "4"
+
+
+@pytest.mark.parametrize("init", ["schmidt", "random"])
+def test_truncate_hands_the_baseline_guess_to_its_own_start(
+        monkeypatch, tmp_path, state_file, init):
+    # the baseline's bond vectors seed only a loop that starts from it
+    solve, guesses = vomps.cli.vomps_truncate, []
+
+    def truncate(*args, **kwargs):
+        guesses.append(inspect.signature(solve).bind(*args, **kwargs)
+                       .arguments.get("guess"))
+        return solve(*args, **kwargs)
+
+    monkeypatch.setattr(vomps.cli, "vomps_truncate", truncate)
+    assert vomps.cli.main(["truncate", "--in", str(state_file), "--chi", "3",
+                           "--init", init,
+                           "--out-dir", str(tmp_path / "out")]) == 0
+    [guess] = guesses
+    if init == "random":
+        assert guess is None
+    else:
+        state = load_state(str(state_file))
+        _, _, expected = epsilon_measure(schmidt_truncate(state, 3)[0], state)
+        assert all(np.array_equal(g, e) for g, e in zip(guess, expected))
+
+
+@pytest.mark.parametrize("env_guess", ["kept", None])
+def test_truncate_fidelity_is_the_cold_fidelity_of_its_result(
+        monkeypatch, tmp_path, state_file, env_guess):
+    # the fidelity solve starts from the loop's last left vector, or cold
+    # when the report holds none (as after an orthogonal collapse)
+    solve = vomps.cli.vomps_truncate
+
+    def truncate(*args, **kwargs):
+        result, report = solve(*args, **kwargs)
+        return result, (report if env_guess == "kept"
+                        else replace(report, env_guess=None))
+
+    monkeypatch.setattr(vomps.cli, "vomps_truncate", truncate)
+    out = tmp_path / "out"
+    assert vomps.cli.main(["truncate", "--in", str(state_file), "--chi", "3",
+                           "--out-dir", str(out)]) == 0
+    summary = json.loads((out / "summary.json").read_text())
+    cold = fidelity_per_site(load_state(str(out / "vomps_state.json")),
+                             load_state(str(state_file)))
+    assert abs(summary["fidelity_vomps"] - cold) <= 1e-13
+
+
+@pytest.mark.parametrize("chi, drawn", [("12", 6), ("3", 3)])
+def test_truncate_draws_the_random_start_at_the_kept_bond(
+        monkeypatch, tmp_path, state_file, chi, drawn):
+    # a chi-12 draw on this chi-6 input was canonicalized only to be cut
+    # back to chi 6
+    draw, bonds = vomps.cli.random_uniform_mps, []
+
+    def recording(chi, *args, **kwargs):
+        bonds.append(chi)
+        return draw(chi, *args, **kwargs)
+
+    monkeypatch.setattr(vomps.cli, "random_uniform_mps", recording)
+    assert vomps.cli.main(["truncate", "--in", str(state_file), "--chi", chi,
+                           "--init", "random",
+                           "--out-dir", str(tmp_path / "out")]) == 0
+    assert bonds == [drawn]
+
+
+@pytest.mark.parametrize("argv", [
+    ["truncate", "--in", "STATE", "--chi", "3"],
+    ["evolve", "--chi", "4", "--t-max", "0.1"],
+    ["fixedpoint", "--chi", "4", "--beta-rel", "1.2"],
+], ids=["truncate", "evolve", "fixedpoint"])
+def test_an_out_dir_that_is_a_file_is_an_io_error(tmp_path, state_file,
+                                                   capsys, argv):
+    taken = tmp_path / "taken"
+    taken.write_text("")
+    argv = [str(state_file) if a == "STATE" else a for a in argv]
+    assert vomps.cli.main(argv + ["--out-dir", str(taken)]) == 1
+    assert capsys.readouterr().err.startswith("error: ")
+    assert taken.read_text() == ""
 
 
 @pytest.mark.parametrize("content", [None, '{"format": "umps-json/0"}'])

@@ -289,7 +289,7 @@ class TestVompsTruncate:
         f_v = fidelity_per_site(state, m)
         f_b = fidelity_per_site(baseline, m)
         assert f_v >= f_b - 1e-12
-        eps_b, lam_b = epsilon_measure(baseline, m)
+        eps_b, lam_b, _ = epsilon_measure(baseline, m)
         assert report.final_epsilon < eps_b
         # the measure's |lambda| is the baseline's fidelity
         assert abs(lam_b - f_b) < 1e-14
@@ -299,8 +299,10 @@ class TestVompsTruncate:
         # its two-site repetition, on the cells' common cell
         m = random_uniform_mps(4, 2, unit_cell=2, seed=73)
         candidate = random_uniform_mps(3, 2, seed=74)
-        eps, lam = epsilon_measure(candidate, m)
-        assert (eps, lam) == epsilon_measure(candidate.extended(2), m)
+        eps, lam, guess = epsilon_measure(candidate, m)
+        eps_2, lam_2, guess_2 = epsilon_measure(candidate.extended(2), m)
+        assert (eps, lam) == (eps_2, lam_2)
+        assert all(np.array_equal(g, g_2) for g, g_2 in zip(guess, guess_2))
         assert abs(lam - fidelity_per_site(candidate, m)) < 1e-12
 
     def test_tiny_schmidt_tail_truncation(self):
