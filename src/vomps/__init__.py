@@ -29,7 +29,6 @@ from .tensor import (
 )
 from .truncation import (
     CenterPair,
-    PowerStop,
     TruncationReport,
     VompsConfig,
     compute_centers,

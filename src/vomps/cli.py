@@ -1,5 +1,5 @@
 """Command-line front end: truncation, Trotter evolution, the Ising
-transfer-matrix power method, and fidelity comparison.
+transfer-matrix boundary fixed point, and fidelity comparison.
 
 `truncate` cuts the input once to its largest Schmidt values; that cut is
 the baseline it reports and, with ``--init schmidt`` (the default), the
@@ -8,39 +8,41 @@ already at or below it is not cut, so ``--chi`` above the input's bonds
 keeps them; ``--init random`` draws its start at the smaller of ``--chi``
 and the input's largest bond.  `truncate` solves each pair of states
 once.  First comes the baseline's residual and fidelity, one 1e-13
-solve of the pair (baseline, input); under ``--init schmidt`` its bond-0
-vectors start the loop's first solve, of that same pair (``--init
-random`` starts cold).  Last comes the result's 1e-13 fidelity, started
-from the left vector of the loop's last solve, of the neighbouring pair
-(last trial, input): the closing regauge keeps AL, so it still fits
-(cold when a collapsed loop left none).  `truncate`, `evolve` and
-`fixedpoint` write a CSV trace (``trace.csv``, ``evolution.csv``,
-``power.csv``; formats in :mod:`vomps.io`) headed by every argument of
-the run, their states as UMPS-JSON and a ``summary.json``.  `truncate`'s
-summary carries the flags of its :class:`~vomps.truncation.TruncationReport`:
-``orthogonal`` (the fidelity collapsed), ``degenerate`` (a degenerate
-transfer spectrum) and ``singular_completion`` (a rank-deficient bond
-matrix), and ``unconverged_solves``, the count of its iterations whose
-environment solves missed their tolerance, which its ``trace.csv``
-marks in the ``solves_converged`` column.  `fixedpoint` runs the power loop
-of the ferromagnet's one-site cell A, in real arithmetic from all spins up
-plus real noise of scale 1e-2 that `--seed` draws.  The antiferromagnet is
-the flipped ferromagnet (see :mod:`vomps.models`), so ``--coupling afm``
-runs the same loop, with the same results and ``period``, and stores the
-canonical two-site cell ``[A, A[:, ::-1, :]]``.  It reports its free
-energy and magnetization against Onsager's (``free_energy_error``,
-``magnetization_error``) and the count of its steps whose truncation
-ended unconverged (``unconverged_truncations``, which leaves the exit
-code alone).  Its ``power.csv`` has one row per power step, the fields of
-:class:`~vomps.truncation.PowerRecord`: the step's ``infidelity`` with
-the previous state (exactly solved only on the steps whose estimate
-``step**2 / 2`` falls below ``--tol``, else that estimate), the ``step``
-residual of its truncation's first update, and that truncation's
-``abs_lambda``, residual ``epsilon``, ``wall_ms`` and ``matvecs``.
+update of the baseline towards the input; under ``--init schmidt`` the
+loop starts from that update, its first solve from that update's bond-0
+vectors (``--init random`` starts cold).  Last comes the result's 1e-13
+fidelity, started from the left vector of the loop's last solve, of the
+neighbouring pair (last trial, input): the closing regauge keeps AL, so
+it still fits (cold when a collapsed loop left none).  `truncate`,
+`evolve` and `fixedpoint` write a CSV trace (``trace.csv``,
+``evolution.csv``, ``power.csv``; formats in :mod:`vomps.io`) headed by
+every argument of the run, their states as UMPS-JSON and a
+``summary.json``.  `truncate`'s summary carries the flags of its
+:class:`~vomps.truncation.TruncationReport`: ``orthogonal`` (the fidelity
+collapsed), ``degenerate`` (a degenerate transfer spectrum) and
+``singular_completion`` (a rank-deficient bond matrix), and
+``unconverged_solves``, the count of its iterations whose environment
+solves missed their tolerance, which its ``trace.csv`` marks in the
+``solves_converged`` column.  `evolve` checks its arguments and creates
+``--out-dir`` before it evolves.  `fixedpoint` solves the boundary fixed
+point of the ferromagnet's one-site cell A directly
+(:func:`~vomps.truncation.power_method`) to the residual ``--eta``, in
+real arithmetic from all spins up plus real noise of scale 1e-2 that
+`--seed` draws.  ``--coupling afm`` runs the same solve, since the
+antiferromagnet is the flipped ferromagnet (see :mod:`vomps.models`), and
+stores the canonical two-site cell ``[A, A[:, ::-1, :]]``.  Its summary
+holds the free energy and magnetization against Onsager's, ``period`` 1
+and ``unconverged_solves``, the count of iterations whose environment or
+center eigensolves missed their tolerance; ``power.csv`` has the solve's
+:class:`~vomps.truncation.IterationRecord` rows.  One power step, the
+paper's truncation of the MPO applied to the result, started from it,
+certifies the fixed point: it returns the state there, and the summary
+holds its ``power_step_infidelity`` and ``power_step_converged``.
 `fidelity` prints the per-site fidelity of two stored states.
 
-Exit codes: 0 success, 1 usage or I/O failure, 2 non-convergence (outputs
-are still written).  Set UMPS_THREADS to cap the BLAS thread pools (the
+Exit codes: 0 success, 1 usage or I/O failure, 2 non-convergence (for
+`fixedpoint` also of an eigensolve or of the power step); outputs are
+still written.  Set UMPS_THREADS to cap the BLAS thread pools (the
 package applies it before numpy is imported).
 """
 
@@ -65,11 +67,10 @@ from .models import (
     onsager_free_energy,
     onsager_magnetization,
     trotter_evolve,
+    trotter_steps,
 )
 from .truncation import (
     IterationRecord,
-    PowerRecord,
-    PowerStop,
     VompsConfig,
     _regauge,
     epsilon_measure,
@@ -104,10 +105,11 @@ def cmd_truncate(args) -> int:
     except (OSError, ValueError) as exc:
         return _input_error(exc)
     baseline, discarded = schmidt_truncate(state, args.chi)
-    eps_b, fid_b, baseline_guess = epsilon_measure(baseline, state)
+    eps_b, fid_b, baseline_guess, baseline_update = epsilon_measure(
+        baseline, state)
     guess = None
     if args.init == "schmidt":
-        cfg, guess = replace(cfg, init=baseline), baseline_guess
+        cfg, guess = replace(cfg, init=baseline_update), baseline_guess
     result, report = vomps_truncate(state, cfg, guess=guess)
     result = _regauge(result)
     # the regauge keeps AL, so the last solve's left vector still fits
@@ -151,13 +153,15 @@ def _ed_sites(oracle: str) -> int:
 def cmd_evolve(args) -> int:
     try:
         sites = _ed_sites(args.oracle) if args.oracle else None
-        # trotter_evolve rejects bad arguments before it truncates
-        state, records = trotter_evolve(delta=args.delta, dt=args.dt,
-                                        t_max=args.t_max, chi_max=args.chi,
-                                        eta=args.eta, seed=args.seed)
+        # the arguments trotter_evolve and its truncations would reject
+        trotter_steps(args.dt, args.t_max)
+        VompsConfig(target_chi=args.chi, eta=args.eta)
         os.makedirs(args.out_dir, exist_ok=True)
     except (OSError, ValueError) as exc:
         return _input_error(exc)
+    state, records = trotter_evolve(delta=args.delta, dt=args.dt,
+                                    t_max=args.t_max, chi_max=args.chi,
+                                    eta=args.eta, seed=args.seed)
     reference = (None if sites is None else
                  ed_evolve(sites, args.delta, [r.time for r in records]))
     vio.write_trace(os.path.join(args.out_dir, "evolution.csv"),
@@ -184,7 +188,8 @@ def cmd_evolve(args) -> int:
 
 
 def _ordered_initial_state(chi, seed):
-    """The power method's start at bond `chi` (see the module docstring)."""
+    """The fixed-point solve's start at bond `chi` (see the module
+    docstring)."""
     a = 1e-2 * np.random.default_rng(seed).standard_normal((chi, 2, chi))
     a[0, 0, 0] += 1.0
     return mixed_canonical([a])
@@ -196,14 +201,17 @@ def cmd_fixedpoint(args) -> int:
         mpo = ising_mpo(beta)
         cfg = VompsConfig(target_chi=args.chi, eta=args.eta,
                           max_iter=args.max_iter, seed=args.seed)
-        stop = PowerStop(tol=args.tol, max_iter=args.power_iter)
         os.makedirs(args.out_dir, exist_ok=True)
     except (OSError, ValueError) as exc:
         return _input_error(exc)
     state, report = power_method(
-        mpo, _ordered_initial_state(args.chi, args.seed), cfg, stop)
+        mpo, _ordered_initial_state(args.chi, args.seed), cfg)
     vio.write_trace(os.path.join(args.out_dir, "power.csv"), vio.POWER_FORMAT,
-                    vars(args), PowerRecord, report.iterations)
+                    vars(args), IterationRecord, report.iterations)
+    unconverged = sum(not r.solves_converged for r in report.iterations)
+    step, step_report = vomps_truncate(state, replace(cfg, init=state),
+                                       mpo=mpo)
+    step_infidelity = 1.0 - fidelity_per_site(step, state)
     m = ising_magnetization(state, beta)
     if args.coupling == "afm":
         # every other spin flipped: F_odd maps the ferromagnet's fixed
@@ -221,8 +229,10 @@ def cmd_fixedpoint(args) -> int:
         "coupling": args.coupling,
         "converged": report.converged,
         "iterations": len(report.iterations),
-        "period": report.period,
-        "unconverged_truncations": report.unconverged_truncations,
+        "period": 1,  # the fixed point of a one-site cell
+        "unconverged_solves": unconverged,
+        "power_step_infidelity": step_infidelity,
+        "power_step_converged": step_report.converged,
         "free_energy": f,
         "free_energy_onsager": f_ref,
         "free_energy_error": abs(f - f_ref),
@@ -230,10 +240,11 @@ def cmd_fixedpoint(args) -> int:
         "magnetization_onsager": m_ref,
         "magnetization_error": abs(abs(m) - m_ref),
     })
-    print(f"fixedpoint {args.coupling}: period={report.period} "
+    print(f"fixedpoint {args.coupling}: {len(report.iterations)} iterations "
           f"|f - f_onsager|={abs(f - f_ref):.2e} "
           f"|m - m_onsager|={abs(abs(m) - m_ref):.2e}")
-    return 0 if report.converged else 2
+    converged = report.converged and step_report.converged
+    return 0 if converged and not unconverged else 2
 
 
 def cmd_fidelity(args) -> int:
@@ -279,17 +290,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_evolve)
 
     p = sub.add_parser("fixedpoint",
-                       help="Ising transfer-matrix power method")
+                       help="Ising transfer-matrix boundary fixed point")
     p.add_argument("--beta-rel", type=float, default=1.01,
                    help="inverse temperature in units of beta_c")
     p.add_argument("--coupling", choices=("fm", "afm"), default="fm")
     p.add_argument("--chi", type=int, default=16)
-    p.add_argument("--tol", type=float, default=1e-10)
     p.add_argument("--eta", type=float, default=1e-9,
-                   help="truncation threshold of the first power step and "
-                        "floor of the later steps' thresholds")
-    p.add_argument("--max-iter", type=int, default=100)
-    p.add_argument("--power-iter", type=int, default=200)
+                   help="threshold of the fixed-point residual")
+    p.add_argument("--max-iter", type=int, default=200)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out-dir", required=True)
     p.set_defaults(func=cmd_fixedpoint)

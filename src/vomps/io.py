@@ -5,8 +5,8 @@ command writes its results as ``summary.json`` (:func:`write_summary`)
 and its run as a CSV trace of one row per record (:func:`write_trace`):
 ``trace.csv`` (``vomps-trace/6``) of `truncate`'s
 :class:`~vomps.truncation.IterationRecord` list, ``power.csv``
-(``vomps-power/5``) of `fixedpoint`'s :class:`~vomps.truncation.PowerRecord`
-list and ``evolution.csv`` (``vomps-evolution/4``) of `evolve`'s
+(``vomps-power/6``) of the same records of `fixedpoint`'s solve, and
+``evolution.csv`` (``vomps-evolution/4``) of `evolve`'s
 :class:`~vomps.models.EvolutionRecord` list, with ``ed_reference`` last
 when ``--oracle`` is given.
 
@@ -36,7 +36,7 @@ from .umps import UniformMPS
 STATE_FORMAT = "umps-json/1"
 # a trace tag's version changes with its columns, the fields of its record
 TRACE_FORMAT = "vomps-trace/6"
-POWER_FORMAT = "vomps-power/5"
+POWER_FORMAT = "vomps-power/6"
 EVOLUTION_FORMAT = "vomps-evolution/4"
 
 

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .tensor import svd
-from .truncation import VompsConfig, _raw_centers, _regauge, vomps_truncate
+from .truncation import VompsConfig, _center_maps, _regauge, vomps_truncate
 from .umps import MPO, UniformMPS, _stacked_layers, environments
 
 PAULI_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
@@ -134,6 +134,21 @@ def _truncation_loss(new, state, layer, report) -> float:
     return 1.0 - abs(lam) ** 2
 
 
+def trotter_steps(dt: float, t_max: float) -> int:
+    """The number of Trotter steps `dt` to `t_max`; ValueError unless `dt`
+    is positive and `t_max` a non-negative whole number of steps, to 1e-9
+    relative."""
+    if dt <= 0:
+        raise ValueError("dt must be positive")
+    if t_max < 0:
+        raise ValueError("t_max must be non-negative")
+    steps = round(t_max / dt)
+    if abs(t_max / dt - steps) > 1e-9 * t_max / dt:
+        raise ValueError(f"t_max {t_max} is not a whole number of steps "
+                         f"dt {dt}")
+    return steps
+
+
 def trotter_evolve(delta: float, dt: float, t_max: float, chi_max: int,
                    eta: float = 1e-10, seed: int = 0):
     """Evolve the Neel state under the XXZ Hamiltonian with second-order
@@ -148,20 +163,14 @@ def trotter_evolve(delta: float, dt: float, t_max: float, chi_max: int,
     closing truncation of E_h phi_N gives the returned state, regauged
     exactly once.
 
-    `t_max` must be a whole number of steps `dt`, to 1e-9 relative.
+    `t_max` must be a whole number of steps `dt` (see
+    :func:`trotter_steps`).
     Returns that state and one :class:`EvolutionRecord` per step
     (including the t=0 row); a record's `converged` is true when its
     step's truncation converged, and the last record's epsilon, loss and
     `converged` cover the closing truncation too.
     """
-    if dt <= 0:
-        raise ValueError("dt must be positive")
-    if t_max < 0:
-        raise ValueError("t_max must be non-negative")
-    steps = round(t_max / dt)
-    if abs(t_max / dt - steps) > 1e-9 * t_max / dt:
-        raise ValueError(f"t_max {t_max} is not a whole number of steps "
-                         f"dt {dt}")
+    steps = trotter_steps(dt, t_max)
     half_gate = xxz_gate(delta, dt / 2)
     full_gate = xxz_gate(delta, dt)
     half_even = trotter_layer_mpo(half_gate, "even")
@@ -251,7 +260,7 @@ def ising_magnetization(state: UniformMPS, beta: float) -> float:
     mpo = ising_mpo(beta)
     env = environments(state, state, mpo, tol=1e-12)
     ac = state.ac(0)
-    imp, reg = (np.vdot(ac, next(_raw_centers(env, state, o)))
+    imp, reg = (np.vdot(ac, _center_maps(env, o)[0][0](ac))
                 for o in (ising_magnetization_mpo(beta), mpo))
     return float(np.real(imp / reg))
 

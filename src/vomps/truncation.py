@@ -19,14 +19,13 @@ from __future__ import annotations
 
 import math
 import time
-from collections import deque
-from dataclasses import dataclass, field, replace
-from typing import Sequence
+from dataclasses import dataclass, field
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
 from .baseline import schmidt_truncate
-from .tensor import polar, svd
+from .tensor import leading_eig, polar, svd
 from .umps import (
     MPO,
     MixedEnvironment,
@@ -36,26 +35,26 @@ from .umps import (
     _dot_last,
     _normalize_targets,
     _right_gauge_from_left,
-    _stacked_layers,
     environments,
-    fidelity_per_site,
     mpo_eigenvalue_per_site,
 )
 
 
 @dataclass(frozen=True)
 class VompsConfig:
-    """Knobs of the variational truncation loop.
+    """Knobs of the variational truncation loop and of the fixed-point
+    solve :func:`power_method`.
 
     `target_chi` is a single bond dimension or one per bond of the working
     unit cell, an upper bound: each bond is capped at the bond the channel
     can hold (the source's bond times the MPO's), so a target above it
-    asks for no truncation there.  `eta` is the convergence threshold on
-    the fixed-point residual (in :func:`power_method`, the first step's
-    threshold and the floor of the later steps'); `init` is the starting
-    state, None for the input state itself.  A start whose bonds differ
-    from the targets is fitted to them by :func:`fit_state_to_bonds` with
-    `seed`.
+    asks for no truncation there (the fixed-point solve takes the targets
+    as they are).  `eta` is the convergence threshold on the fixed-point
+    residual and `max_iter` the iteration budget, of either loop; `init`
+    is the truncation's starting state, None for the input state itself
+    (:func:`power_method` takes its start as an argument).  A start whose
+    bonds differ from the targets is fitted to them by
+    :func:`fit_state_to_bonds` with `seed`.
     """
 
     target_chi: int | Sequence[int]
@@ -97,8 +96,9 @@ class CenterPair:
 @dataclass
 class IterationRecord:
     """One outer iteration: fixed-point residual, step residual, |lambda|,
-    wall time, the matvecs of its environment solves, their relative
-    tolerance and whether they converged to it.  Both residuals are
+    wall time, the matvecs of its eigensolves (the environments, and in
+    :func:`power_method` the centers too), their relative tolerance and
+    whether they converged to it.  Both residuals are
     ``|AC' - AL C'|`` of the updated centers: `epsilon` with AL the
     update's own left gauge, `step` with AL the left gauge of the iterate
     whose environments were solved, so that `step` measures how far the
@@ -117,7 +117,9 @@ class IterationRecord:
 
 @dataclass
 class TruncationReport:
-    """Per-iteration trace of the truncation loop.
+    """Per-iteration trace of the truncation loop (or of the fixed-point
+    solve, whose `final_lambda` is that of its result, see
+    :func:`power_method`).
 
     `final_lambda` is the per-site eigenvalue of the last iteration's
     environment solve, that is of the state before the loop's final
@@ -142,7 +144,7 @@ class TruncationReport:
 
     @property
     def matvecs(self) -> int:
-        """Matvecs of every environment solve of the truncation."""
+        """Matvecs of every eigensolve of the iterations."""
         return sum(r.matvecs for r in self.iterations)
 
 
@@ -159,16 +161,14 @@ def compute_centers(env: MixedEnvironment, source: UniformMPS,
     per-site eigenvalue, in the one contraction that
     :func:`~vomps.models.ising_magnetization` also reads; ``cp[n]``
     contracts gl[n+1] -- source bond matrix -- gr[n], with MPO bonds
-    passed straight through.  Both are returned unit-normalized.
+    passed straight through (the maps of :func:`_center_maps`, applied
+    once).  Both are returned unit-normalized.
     """
     L = len(env.gl)
     source = source.extended(L // source.unit_cell)
     acp, cp = [], []
-    for n, raw_ac in enumerate(_raw_centers(env, source, mpo)):
-        gl, gr = env.gl[(n + 1) % L], env.gr[n]  # both on bond n+1
-        raw_c = np.dot(_dot_last(gl, source.c[n]).reshape(len(gl), -1),
-                       gr.transpose(1, 2, 0).reshape(-1, len(gr)))
-
+    for n, (h_ac, h_c) in enumerate(_center_maps(env, mpo)):
+        raw_ac, raw_c = h_ac(source.ac(n)), h_c(source.c[n])
         scale = max(np.linalg.norm(env.gl[n]) * np.linalg.norm(env.gr[n]), 1.0)
         if (np.linalg.norm(raw_ac) < 1e-14 * scale
                 or np.linalg.norm(raw_c) < 1e-14 * scale):
@@ -179,28 +179,64 @@ def compute_centers(env: MixedEnvironment, source: UniformMPS,
     return CenterPair(acp=acp, cp=cp)
 
 
-def _raw_centers(env: MixedEnvironment, source: UniformMPS,
-                 mpo: MPO | None):
-    """Per site, gl[n] -- source center tensor through the MPO tensor --
-    gr[n] divided by the per-site eigenvalue, not normalized (`source`
-    already spans the environments' cell).  A plain channel (`mpo` None,
-    mpo bonds 1) skips the operator product."""
+def _center_maps(env: MixedEnvironment, mpo: MPO | None) -> list:
+    """Per site n of the environments' cell, the map of a center tensor
+    (left, phys, right) to gl[n] -- it through the MPO tensor -- gr[n]
+    divided by the per-site eigenvalue, and the map of a bond matrix to
+    gl[n+1] -- it -- gr[n].  A plain channel (`mpo` None, mpo bonds 1)
+    skips the operator product."""
     L = len(env.gl)
-    ops = mpo.extended(L // mpo.unit_cell).o if mpo is not None else None
-    for n in range(L):
-        ac = source.ac(n)
-        (a, m, _), (_, p, r), b = env.gl[n].shape, ac.shape, len(env.gr[n])
-        t = _dot_last(env.gl[n], ac.reshape(-1, p * r))  # (a, m, pr)
-        if ops is not None:
-            _, q, _, k = ops[n].shape
+    ops = (mpo.extended(L // mpo.unit_cell).o if mpo is not None
+           else (None,) * L)
+    return [(_ac_map(env.gl[n], ops[n], env.gr[n], env.lam),
+             _c_map(env.gl[(n + 1) % L], env.gr[n])) for n in range(L)]
+
+
+def _ac_map(gl, op, gr, lam):
+    (a, m, _), b = gl.shape, len(gr)
+    grm = gr.transpose(2, 1, 0).reshape(-1, b)
+    if op is not None:
+        _, q, _, k = op.shape
+        opm = op.transpose(0, 2, 1, 3).reshape(-1, q * k)
+
+    def apply(ac):
+        p, r = ac.shape[1:]
+        t = _dot_last(gl, ac.reshape(-1, p * r))  # (a, m, pr)
+        if op is not None:
             t = np.dot(t.reshape(a, m, p, r).transpose(0, 3, 1, 2)
-                       .reshape(a * r, m * p),
-                       ops[n].transpose(0, 2, 1, 3).reshape(m * p, q * k))
+                       .reshape(a * r, m * p), opm)
             # (a, q, r, k): the operator's output leg is the physical one
             t, p = t.reshape(a, r, q, k).transpose(0, 2, 1, 3), q
-        t = np.dot(t.reshape(a * p, -1),
-                   env.gr[n].transpose(2, 1, 0).reshape(-1, b))
-        yield t.reshape(a, p, b) / env.lam
+        t = np.dot(t.reshape(a * p, -1), grm)
+        return t.reshape(a, p, b) / lam
+
+    return apply
+
+
+def _c_map(gl, gr):
+    grm = gr.transpose(1, 2, 0).reshape(-1, len(gr))
+    return lambda c: np.dot(_dot_last(gl, c).reshape(len(gl), -1), grm)
+
+
+def _leading_centers(env: MixedEnvironment, a: UniformMPS, mpo: MPO,
+                     tol: float):
+    """The leading eigenvectors of the maps of :func:`_center_maps`, each
+    solved to `tol` from the center tensor or bond matrix of `a` (over the
+    environments' cell) and given its phase.  Returns ``(pair, matvecs,
+    converged)`` over all the solves."""
+    L = len(env.gl)
+    a = a.extended(L // a.unit_cell)
+    found, matvecs, converged = ([], []), 0, True
+    for n, maps in enumerate(_center_maps(env, mpo)):
+        for h, x, out in zip(maps, (a.ac(n), a.c[n]), found):
+            res = leading_eig(lambda v: h(v.reshape(x.shape)).reshape(-1),
+                              x.reshape(-1), tol=tol, max_iter=10_000)
+            v = res.vector.reshape(x.shape)
+            z = np.vdot(v, x)
+            out.append(v * (z / abs(z)) if z else v)
+            matvecs += res.iterations
+            converged &= bool(res.converged)
+    return CenterPair(*found), matvecs, converged
 
 
 def extract_gauges(cp: CenterPair):
@@ -252,20 +288,60 @@ def error_epsilon(cp: CenterPair, al) -> float:
     return eps
 
 
-def _update(a: UniformMPS, source: UniformMPS, mpo: MPO | None,
-            tol: float, guess):
+class _Update(NamedTuple):
+    """One :func:`_update`: its environments, the updated state, whether a
+    singular bond matrix forced :func:`extract_gauges` to complete a
+    factor, the residuals ``|AC' - AL C'|`` for the update's AL
+    (`epsilon`) and the trial's (`step`), and the matvecs of all its
+    eigensolves and whether each converged to its tolerance."""
+
+    env: MixedEnvironment
+    state: UniformMPS
+    completed: bool
+    epsilon: float
+    step: float
+    matvecs: int
+    converged: bool
+
+    @property
+    def guess(self) -> tuple:
+        """The environments' bond-0 vectors ``(left, right)``."""
+        return self.env.gl[0].reshape(-1), self.env.gr[-1].reshape(-1)
+
+    def record(self, report: TruncationReport, it: int, tol: float,
+               t0: float):
+        """Append this update as iteration `it` to `report`, which it
+        flags as the update was flagged; `tol` is its solves' tolerance and
+        its wall time runs from `t0`."""
+        report.singular_completion |= self.completed
+        report.degenerate |= self.env.degenerate
+        report.iterations.append(IterationRecord(
+            it, self.epsilon, self.step, abs(self.env.lam),
+            1e3 * (time.perf_counter() - t0), self.matvecs, tol,
+            self.converged))
+
+
+def _update(a: UniformMPS, source: UniformMPS | None, mpo: MPO | None,
+            tol: float, guess) -> _Update:
     """One tangent-space update of the trial `a` towards `source` (through
     `mpo`): environments solved to `tol` from `guess`, the centers AC' and
-    C', and the gauges AL' and AR' they give.  Returns ``(env, updated
-    state, completed, epsilon, step)``, with `completed` as in
-    :func:`extract_gauges` and the residuals ``|AC' - AL C'|`` for the
-    update's AL (`epsilon`) and the trial's (`step`)."""
-    env = environments(a, source, mpo, tol=tol, guess=guess)
-    cp = compute_centers(env, source, mpo)
+    C', and the gauges AL' and AR' they give.  With `source` None it is
+    the update of the fixed-point solve of `mpo`: the environments of `a`
+    with itself, and as AC' and C' the leading eigenvectors of the maps
+    that :func:`compute_centers` applies once (:func:`_leading_centers`),
+    solved to `tol` from the centers of `a`."""
+    env = environments(a, a if source is None else source, mpo, tol=tol,
+                       guess=guess)
+    matvecs, converged = env.matvecs, env.converged
+    if source is None:
+        cp, more, solved = _leading_centers(env, a, mpo, tol)
+        matvecs, converged = matvecs + more, converged and solved
+    else:
+        cp = compute_centers(env, source, mpo)
     al, ar, completed = extract_gauges(cp)
     step = error_epsilon(cp, a.extended(len(al) // a.unit_cell).al)
-    return (env, UniformMPS(al=al, ar=ar, c=cp.cp), completed,
-            error_epsilon(cp, al), step)
+    return _Update(env, UniformMPS(al=al, ar=ar, c=cp.cp), completed,
+                   error_epsilon(cp, al), step, matvecs, converged)
 
 
 # ---------------------------------------------------------------------------
@@ -382,7 +458,8 @@ def _fidelity_gradient(env: MixedEnvironment, source: UniformMPS,
     the loop's residual read as a gradient (Hauru, Van Damme, Haegeman,
     arXiv:2007.03638)."""
     L = a.unit_cell
-    raw = _raw_centers(env, source, mpo)
+    raw = [h_ac(source.ac(n)) for n, (h_ac, _) in
+           enumerate(_center_maps(env, mpo))]
     return _tangent(a.al, [-_dot_last(t, c.conj().T) / L
                            for t, c in zip(raw, a.c)])
 
@@ -493,7 +570,7 @@ def vomps_truncate(m: UniformMPS, cfg: VompsConfig,
 
     a = _initial_state(m_ext, cfg, targets, phys_dims, work_cell)
     report = TruncationReport()
-    eps = eps_prev = 1e-2
+    eps = math.inf
     lam_first = None
     env = None
     ascent = None
@@ -502,27 +579,16 @@ def vomps_truncate(m: UniformMPS, cfg: VompsConfig,
     # includes the ascent's retraction to its trial
     t0 = time.perf_counter()
     for it in range(cfg.max_iter):
-        # near a fixed point the residual falls faster than linearly (about
-        # quadratically), so solve for the one the last ratio predicts
-        eps_next = eps * min(1.0, eps / eps_prev)
-        # and keep the inner eigensolves (relative to the eigenvalue) about
-        # two digits ahead of it, but no tighter than eta / 10
-        tol_inner = max(min(1e-5, eps_next / 100.0), cfg.eta / 10, 1e-14)
+        tol_inner = _inner_tol(eps, cfg.eta)
         try:
-            env, update, completed, residual, step = _update(
-                a, m_ext, mpo, tol_inner, guess)
+            u = _update(a, m_ext, mpo, tol_inner, guess)
         except OrthogonalStatesError:
             report.orthogonal = True
             break
-        report.singular_completion |= completed
-        report.degenerate |= env.degenerate
-        eps_prev, eps = eps, residual
-        trial, a = a, update
-        guess = (env.gl[0].reshape(-1), env.gr[-1].reshape(-1))
-        report.iterations.append(IterationRecord(
-            it, eps, step, abs(env.lam), 1e3 * (time.perf_counter() - t0),
-            env.matvecs, tol_inner, env.converged))
+        u.record(report, it, tol_inner, t0)
         t0 = time.perf_counter()
+        env, eps, guess = u.env, u.epsilon, u.guess
+        trial, a = a, u.state
 
         if lam_first is None:
             lam_first = max(abs(env.lam), 1e-300)
@@ -531,7 +597,7 @@ def vomps_truncate(m: UniformMPS, cfg: VompsConfig,
         if collapse:
             report.orthogonal = True
             break
-        if eps < cfg.eta and env.converged:
+        if eps < cfg.eta and u.converged:
             report.converged = True
             break
         if ascent is not None:
@@ -556,169 +622,81 @@ def vomps_truncate(m: UniformMPS, cfg: VompsConfig,
     # bra leg of the bond-0 right environment through the same unitary
     u0 = polar(a.c[-1].conj().T @ result.c[-1])
     gr = np.dot(u0.T, env.gr[-1].reshape(u0.shape[0], -1))
-    report.env_guess = (env.gl[0].reshape(-1), gr.reshape(-1))
+    report.env_guess = (guess[0], gr.reshape(-1))
     return result, report
 
 
-def epsilon_measure(candidate: UniformMPS,
-                    m: UniformMPS) -> tuple[float, float, tuple]:
+def epsilon_measure(candidate: UniformMPS, m: UniformMPS) -> tuple:
     """Fixed-point residual of an arbitrary candidate state against a
     target, evaluated by a single :func:`_update` (both extend the unit
     cells to their least common multiple).
 
-    Returns ``(epsilon, abs_lambda, guess)``: the residual, the per-site
-    |λ| of the environment solve, the candidate's
-    :func:`~vomps.umps.fidelity_per_site` with `m`, and that solve's
-    bond-0 vectors ``(left, right)``, which warm-start a
-    :func:`vomps_truncate` of `m` from `candidate` as its `guess`.
+    Returns ``(epsilon, abs_lambda, guess, update)``: the residual, the
+    per-site |λ| of the environment solve, the candidate's
+    :func:`~vomps.umps.fidelity_per_site` with `m`, that solve's bond-0
+    vectors ``(left, right)`` and the updated state.  A
+    :func:`vomps_truncate` of `m` can start from that update, with those
+    vectors as its `guess`: its own first update from `candidate` would
+    solve the same pair again.
     """
-    env, _, _, eps, _ = _update(candidate, m, None, 1e-13, None)
-    return (eps, float(abs(env.lam)),
-            (env.gl[0].reshape(-1), env.gr[-1].reshape(-1)))
+    u = _update(candidate, m, None, 1e-13, None)
+    return u.epsilon, float(abs(u.env.lam)), u.guess, u.state
+
+
+def _inner_tol(eps: float, eta: float) -> float:
+    """Relative tolerance of an iteration's eigensolves after an iteration
+    of residual `eps` (inf before the first): a digit ahead of it, but at
+    most 1e-5 and no tighter than ``eta / 10``."""
+    return max(min(1e-5, eps / 10), eta / 10, 1e-14)
 
 
 # ---------------------------------------------------------------------------
-# power method
+# the fixed point of a transfer MPO
 
 
-# the longest oscillation period the power method looks for
-_PERIOD_MAX = 4
-# a power step after the first truncates to this fraction of the distance
-# the previous step moved the state, sqrt(step infidelity)
-_STEP_FRACTION = 1e-2
+def power_method(mpo: MPO, init: UniformMPS, cfg: VompsConfig):
+    """The fixed point of the transfer MPO `mpo` at the bonds
+    ``cfg.target_chi``, solved directly from `init` fitted to those bonds
+    (the name is that of the truncated power iteration it replaced).
 
+    Each iteration is one :func:`_update` with no source (VUMPS:
+    Zauner-Stauber et al., arXiv:1701.07035; Fishman et al.,
+    arXiv:1711.05881): the MPO environments of the state with itself, AC'
+    and C' as the leading eigenvectors of the maps that
+    :func:`compute_centers` applies once, started from the state's own,
+    and the gauges they give.  Its eigensolves run at the tolerance
+    :func:`vomps_truncate` uses, its environment solves start from the
+    previous iteration's.  The solve stops when the residual falls below
+    ``cfg.eta`` over converged solves, after ``cfg.max_iter`` iterations,
+    or when the environments collapse (``report.orthogonal``).
 
-@dataclass(frozen=True)
-class PowerStop:
-    """Stopping rule for the MPO power method: converged when a step
-    moves the state by an infidelity below `tol`."""
-
-    tol: float = 1e-10
-    max_iter: int = 200
-
-    def __post_init__(self):
-        if self.tol <= 0:
-            raise ValueError("tol must be positive")
-        if self.max_iter < 1:
-            raise ValueError("max_iter must be >= 1")
-
-
-@dataclass
-class PowerRecord:
-    """One power step: its infidelity with the previous step, the step
-    residual of its truncation's first update, and the |lambda|, residual
-    and environment-solve matvecs of its truncation.  `infidelity` is the
-    exact ``1 - fidelity_per_site(new, previous)`` on the steps where
-    :func:`power_method` solved it, else the estimate ``step**2 / 2``."""
-
-    iteration: int
-    infidelity: float
-    step: float
-    abs_lambda: float
-    epsilon: float
-    wall_ms: float
-    matvecs: int
-
-
-@dataclass
-class PowerReport:
-    """The power steps, whether an exactly solved step infidelity fell
-    below the stop's `tol`, how many of the steps' truncations ended
-    unconverged, the period of the last iterates (1 for a converged loop,
-    searched for an unconverged one) and the MPO's per-site eigenvalue."""
-
-    iterations: list = field(default_factory=list)
-    converged: bool = False
-    unconverged_truncations: int = 0
-    period: int = 1
-    final_lambda: complex = 0.0
-
-
-def power_method(mpo: MPO, init: UniformMPS, cfg: VompsConfig,
-                 stop: PowerStop = PowerStop()):
-    """Repeated MPO application with variational truncation.
-
-    Each step truncates `mpo` applied to the state and measures how far
-    that moved it, one minus the per-site fidelity between the new state
-    and the previous one (the record's ``infidelity``: the fixed point of a
-    one-site cell is its own translation).  The truncation starts from the
-    previous state, so the step residual of its first update, ``|AC' - AL
-    C'|`` with the previous state's AL (the record's ``step``), is the
-    tangent-space size of the move, and ``step**2 / 2`` estimates the
-    infidelity to second order.  That estimate sizes the next step's
-    threshold.  Only a step whose estimate lies below ``stop.tol`` solves
-    the exact fidelity, which replaces the estimate in its record, and
-    the loop stops when that exact value is below ``stop.tol``.
-
-    The first step is truncated to ``cfg.eta``, started from `init`: there
-    is no previous step to size it against, and an `init` that is already
-    the fixed point then stops after one step.  Step k >= 1 is truncated to
-    ``max(cfg.eta, _STEP_FRACTION * sqrt(infidelity of step k-1))``, a
-    residual matched to how far the steps still move the state, and starts
-    from the previous state.  At a fixed point of the power map one
-    truncation update returns the fixed point itself, so the loop
-    converges to the same state as one that truncates every step to
-    ``cfg.eta``.  ``report.unconverged_truncations`` counts the steps
-    whose truncation missed its threshold.
-
-    A converged loop has shown period 1 through its last exact solve.  An
-    unconverged one searches ``report.period``, the smallest p up to
-    ``_PERIOD_MAX`` for which the last iterate matches the one p steps
-    earlier (0 if none).  ``report.final_lambda`` is the per-site
-    eigenvalue of the MPO: the square root of that of two stacked layers
-    with the state in both, a sharper variational estimate than the
-    one-layer value.  Each step's environment solves start from the
-    previous step's solutions.  Steps hand on states canonical to their
-    truncation's eta; the returned state is regauged exactly.  A step whose
-    truncation collapses as orthogonal is not recorded: the loop stops
-    unconverged at the previous state, so a collapse reads as
-    ``report.converged`` False with fewer records than ``stop.max_iter``.
-
-    `init` should be ordered, as ``vomps fixedpoint``'s is: the loop has no
-    defence against a random real start.  At beta = 1.01 beta_c, chi 8 and
-    eta 1e-9 a step's regauge raises CanonicalizationError from the draws
-    ``default_rng(s).standard_normal((8, 2, 8))``, up slice doubled, s = 2, 3.
+    Returns ``(state, report)``: the last iterate, regauged exactly once,
+    and a :class:`TruncationReport` with one :class:`IterationRecord` per
+    iteration; ``report.final_lambda`` is the MPO's per-site eigenvalue in
+    the returned state (:func:`~vomps.umps.mpo_eigenvalue_per_site`).
+    `init` should be ordered, as ``vomps fixedpoint``'s is: a random real
+    start approaches the non-injective superposition of the two ordered
+    states.
     """
     if mpo.phys_dims_out != mpo.phys_dims_in:
         raise ValueError("power method needs a square MPO")
-    state = init
-    step_cfg = replace(cfg, init=state)
-    report = PowerReport()
-    recent = deque([state], maxlen=_PERIOD_MAX + 1)
-    env_guess = None
-    for it in range(stop.max_iter):
-        t0 = time.perf_counter()
-        new_state, step = vomps_truncate(state, step_cfg, mpo=mpo,
-                                         guess=env_guess)
-        if step.orthogonal:
+    a = fit_state_to_bonds(init, cfg.target_chi, seed=cfg.seed)
+    report = TruncationReport()
+    eps, guess = math.inf, None
+    t0 = time.perf_counter()
+    for it in range(cfg.max_iter):
+        tol_inner = _inner_tol(eps, cfg.eta)
+        try:
+            u = _update(a, None, mpo, tol_inner, guess)
+        except OrthogonalStatesError:
+            report.orthogonal = True
             break
-        env_guess = step.env_guess
-        residual = step.iterations[0].step
-        infidelity = residual ** 2 / 2
-        exact = infidelity < stop.tol
-        if exact:
-            infidelity = max(1.0 - fidelity_per_site(new_state, state), 0.0)
-        wall_ms = 1e3 * (time.perf_counter() - t0)
-        report.iterations.append(PowerRecord(
-            it, infidelity, residual, abs(step.final_lambda),
-            step.final_epsilon, wall_ms, step.matvecs))
-        report.unconverged_truncations += not step.converged
-        recent.append(new_state)
-        state = new_state
-        if exact and infidelity < stop.tol:
+        u.record(report, it, tol_inner, t0)
+        t0 = time.perf_counter()
+        a, eps, guess = u.state, u.epsilon, u.guess
+        if eps < cfg.eta and u.converged:
             report.converged = True
             break
-        step_cfg = replace(cfg, init=state, eta=max(
-            cfg.eta, _STEP_FRACTION * math.sqrt(infidelity)))
-
-    state = _regauge(state)
-    if not report.converged:
-        report.period = 0
-        for p in range(1, len(recent)):
-            if 1.0 - fidelity_per_site(recent[-1], recent[-1 - p]) < \
-                    10 * max(stop.tol, 1e-12):
-                report.period = p
-                break
-    report.final_lambda = complex(
-        mpo_eigenvalue_per_site(state, _stacked_layers(mpo, mpo))) ** 0.5
+    state = _regauge(a)
+    report.final_lambda = mpo_eigenvalue_per_site(state, mpo)
     return state, report

@@ -8,23 +8,18 @@ states and run reference algorithms on the package's own types.
 
 import functools
 import math
-from dataclasses import replace
 
 import numpy as np
 
 from vomps.models import ising_magnetization_mpo, ising_mpo
 from vomps.tensor import svd
-from vomps.truncation import vomps_truncate
 from vomps.umps import (
     MPO,
     UniformMPS,
     _cell_tensors,
     _cell_transfer,
-    _stacked_layers,
     environments,
-    fidelity_per_site,
     mixed_canonical,
-    mpo_eigenvalue_per_site,
     random_uniform_mps,
 )
 
@@ -432,23 +427,6 @@ def correlated_random_state(chi: int, d: int = 2, decay: float = 0.35,
         correction = np.clip(target / current, 1e-4, 1e4) ** 0.5
         state = mixed_canonical([state.al[0] @ np.diag(correction)])
     return state
-
-
-def reference_power_loop(mpo, init, cfg, stop):
-    """The power method with every step truncated to ``cfg.eta``, with cold
-    environment solves, and stopped on the infidelity between consecutive
-    steps as :func:`vomps.truncation.power_method` stops.  Returns the
-    state, the per-site eigenvalue of the MPO and whether it stopped within
-    ``stop.max_iter`` steps."""
-    state, converged = init, False
-    for _ in range(stop.max_iter):
-        new, _ = vomps_truncate(state, replace(cfg, init=state), mpo=mpo)
-        converged = 1.0 - fidelity_per_site(new, state) < stop.tol
-        state = new
-        if converged:
-            break
-    lam = complex(mpo_eigenvalue_per_site(state, _stacked_layers(mpo, mpo)))
-    return state, lam ** 0.5, converged
 
 
 def layer_targets(state, layer, chi_max):

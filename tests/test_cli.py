@@ -10,6 +10,8 @@ import numpy as np
 import pytest
 
 import vomps.cli
+import vomps.models
+import vomps.truncation
 import vomps.umps
 from vomps.baseline import schmidt_truncate
 from vomps.io import load_state, save_state
@@ -122,8 +124,7 @@ def test_evolution_trace_has_its_own_format(tmp_path):
       "--chi", "4", "--eta", "1e-09", "--seed", "1", "--oracle", "ed:6"],
      "evolution.csv"),
     (["fixedpoint", "--beta-rel", "1.2", "--coupling", "afm", "--chi", "4",
-      "--tol", "1e-09", "--eta", "1e-08", "--max-iter", "50",
-      "--power-iter", "300", "--seed", "1"], "power.csv"),
+      "--eta", "1e-08", "--max-iter", "50", "--seed", "1"], "power.csv"),
 ], ids=["truncate", "evolve", "fixedpoint"])
 def test_trace_header_names_every_argument(tmp_path, state_file, argv,
                                            trace):
@@ -225,12 +226,21 @@ def test_truncate_is_unconverged_over_unconverged_solves(
 
 
 def test_truncate_loop_starts_from_the_baseline_solve(tmp_path, state_file):
-    # the baseline's 1e-13 environments seed the loop's first solve, which
-    # solves the same pair again: 4 matvecs instead of 38 from cold
+    # the loop starts from the baseline's 1e-13 update, its first solve
+    # from the vectors of the solve that gave it: one iteration fewer
+    # than from the baseline itself, whose first update solves that pair
+    # again (cold, 38 matvecs)
     out = tmp_path / "out"
     assert vomps.cli.main(["truncate", "--in", str(state_file), "--chi", "3",
                            "--out-dir", str(out)]) == 0
-    assert _trace_rows(out / "trace.csv")[0]["matvecs"] == "4"
+    rows = _trace_rows(out / "trace.csv")
+    state = load_state(str(state_file))
+    baseline = schmidt_truncate(state, 3)[0]
+    _, from_baseline = vomps.cli.vomps_truncate(state, vomps.cli.VompsConfig(
+        target_chi=3, init=baseline))
+    assert len(rows) == len(from_baseline.iterations) - 1
+    assert from_baseline.iterations[0].matvecs == 38
+    assert int(rows[0]["matvecs"]) <= 26
 
 
 @pytest.mark.parametrize("init", ["schmidt", "random"])
@@ -240,21 +250,27 @@ def test_truncate_hands_the_baseline_guess_to_its_own_start(
     solve, guesses = vomps.cli.vomps_truncate, []
 
     def truncate(*args, **kwargs):
-        guesses.append(inspect.signature(solve).bind(*args, **kwargs)
-                       .arguments.get("guess"))
+        bound = inspect.signature(solve).bind(*args, **kwargs).arguments
+        guesses.append((bound.get("guess"), bound["cfg"].init))
         return solve(*args, **kwargs)
 
     monkeypatch.setattr(vomps.cli, "vomps_truncate", truncate)
     assert vomps.cli.main(["truncate", "--in", str(state_file), "--chi", "3",
                            "--init", init,
                            "--out-dir", str(tmp_path / "out")]) == 0
-    [guess] = guesses
+    [(guess, start)] = guesses
     if init == "random":
         assert guess is None
     else:
+        # the baseline's update starts the loop, from the bond vectors of
+        # the solve that gave it
         state = load_state(str(state_file))
-        _, _, expected = epsilon_measure(schmidt_truncate(state, 3)[0], state)
+        *_, expected, update = epsilon_measure(schmidt_truncate(state, 3)[0],
+                                               state)
         assert all(np.array_equal(g, e) for g, e in zip(guess, expected))
+        for name in ("al", "ar", "c"):
+            assert all(map(np.array_equal, getattr(start, name),
+                           getattr(update, name)))
 
 
 @pytest.mark.parametrize("env_guess", ["kept", None])
@@ -302,14 +318,23 @@ def test_truncate_draws_the_random_start_at_the_kept_bond(
     ["evolve", "--chi", "4", "--t-max", "0.1"],
     ["fixedpoint", "--chi", "4", "--beta-rel", "1.2"],
 ], ids=["truncate", "evolve", "fixedpoint"])
-def test_an_out_dir_that_is_a_file_is_an_io_error(tmp_path, state_file,
-                                                   capsys, argv):
+def test_an_out_dir_that_is_a_file_is_an_io_error(monkeypatch, tmp_path,
+                                                   state_file, capsys, argv):
+    # reported before any computation: evolve applies no layer
+    apply_layer, applied = vomps.models.apply_layer, []
+
+    def recording(*args, **kwargs):
+        applied.append(1)
+        return apply_layer(*args, **kwargs)
+
+    monkeypatch.setattr(vomps.models, "apply_layer", recording)
     taken = tmp_path / "taken"
     taken.write_text("")
     argv = [str(state_file) if a == "STATE" else a for a in argv]
     assert vomps.cli.main(argv + ["--out-dir", str(taken)]) == 1
     assert capsys.readouterr().err.startswith("error: ")
     assert taken.read_text() == ""
+    assert applied == []
 
 
 @pytest.mark.parametrize("content", [None, '{"format": "umps-json/0"}'])
@@ -424,13 +449,13 @@ SHORT_EVOLVE = ["evolve", "--chi", "4", "--t-max", "0.1"]
     ["evolve", "--chi", "4", "--t-max", "0.1", "--dt", "0.03"],
     ["fixedpoint", "--chi", "0"],
     ["fixedpoint", "--beta-rel", "0"],
-    ["fixedpoint", "--chi", "4", "--beta-rel", "1.2", "--power-iter", "0"],
-    ["fixedpoint", "--tol", "-1", "--power-iter", "3"],
+    ["fixedpoint", "--chi", "4", "--beta-rel", "1.2", "--max-iter", "0"],
+    ["fixedpoint", "--eta", "-1", "--max-iter", "3"],
 ], ids=["evolve-oracle-ed:abc", "evolve-oracle-ed:7", "evolve-oracle-foo",
         "evolve-chi-0", "evolve-dt-0", "evolve-t-max-negative",
         "evolve-t-max-not-whole-steps",
         "fixedpoint-chi-0", "fixedpoint-beta-rel-0",
-        "fixedpoint-power-iter-0", "fixedpoint-tol-negative"])
+        "fixedpoint-max-iter-0", "fixedpoint-eta-negative"])
 def test_malformed_arguments_are_reported(monkeypatch, tmp_path, capsys,
                                           argv):
     evolve = vomps.cli.trotter_evolve
@@ -451,7 +476,7 @@ def test_malformed_arguments_are_reported(monkeypatch, tmp_path, capsys,
 
 def test_antiferromagnetic_fixedpoint_checks_itself(tmp_path):
     # the antiferromagnet is the ferromagnet with every other spin flipped:
-    # it runs the same loop and stores the fixed point as the flipped cell
+    # it runs the same solve and stores the fixed point as the flipped cell
     summaries = {}
     for coupling in ("fm", "afm"):
         out = tmp_path / coupling
@@ -465,11 +490,12 @@ def test_antiferromagnetic_fixedpoint_checks_itself(tmp_path):
     assert summary["free_energy_error"] < 1e-8
     assert summary["free_energy"] == fm["free_energy"]
     assert abs(summary["magnetization"]) == abs(fm["magnetization"])
+    assert summary["iterations"] == fm["iterations"]
     lines = (tmp_path / "afm" / "power.csv").read_text().splitlines()
-    assert lines[0] == "# format: vomps-power/5"
+    assert lines[0] == "# format: vomps-power/6"
     header = next(line for line in lines if not line.startswith("#"))
-    assert header == ("iteration,infidelity,step,abs_lambda,epsilon,"
-                      "wall_ms,matvecs")
+    assert header == ("iteration,epsilon,step,abs_lambda,wall_ms,matvecs,"
+                      "tol_inner,solves_converged")
     assert len(lines) - lines.index(header) - 1 == summary["iterations"]
 
     one, two = (load_state(str(tmp_path / c / "state.json"))
@@ -484,33 +510,85 @@ def test_antiferromagnetic_fixedpoint_checks_itself(tmp_path):
     assert all(np.array_equal(c, one.c[0]) for c in two.c)
 
 
-def test_fixedpoint_counts_unconverged_truncations(tmp_path):
+def test_fixedpoint_counts_unconverged_solves(monkeypatch, tmp_path):
+    out = tmp_path / "out"
+    argv = ["fixedpoint", "--chi", "4", "--beta-rel", "1.2",
+            "--out-dir", str(out)]
+    assert vomps.cli.main(argv) == 0
+    summary = json.loads((out / "summary.json").read_text())
+    assert summary["unconverged_solves"] == 0
+    # every eigensolve returns its pair but reports it unconverged
+    solve = vomps.umps.leading_eig
+
+    def unconverged(*args, **kwargs):
+        return replace(solve(*args, **kwargs), converged=False)
+
+    monkeypatch.setattr(vomps.umps, "leading_eig", unconverged)
+    monkeypatch.setattr(vomps.truncation, "leading_eig", unconverged)
+    assert vomps.cli.main(argv + ["--max-iter", "9"]) == 2
+    summary = json.loads((out / "summary.json").read_text())
+    assert summary["converged"] is False
+    assert summary["iterations"] == summary["unconverged_solves"] == 9
+    assert [row["solves_converged"] for row in
+            _trace_rows(out / "power.csv")] == ["False"] * 9
+
+
+def test_fixedpoint_exits_2_when_its_budget_runs_out(tmp_path):
+    out = tmp_path / "out"
+    assert vomps.cli.main(["fixedpoint", "--chi", "8", "--max-iter", "5",
+                           "--out-dir", str(out)]) == 2
+    summary = json.loads((out / "summary.json").read_text())
+    assert summary["converged"] is False and summary["iterations"] == 5
+    assert summary["unconverged_solves"] == 0
+    # the power step from the unconverged state moves it (measured
+    # 1.5e-8; at the fixed point it moves it by rounding alone)
+    assert summary["power_step_converged"] is True
+    assert summary["power_step_infidelity"] > 1e-9
+
+
+def test_fixedpoint_exits_2_when_its_power_step_is_unconverged(monkeypatch,
+                                                               tmp_path):
+    # the solve converges, but the power step that certifies it does not
+    truncate, steps = vomps.cli.vomps_truncate, []
+
+    def unconverged(*args, **kwargs):
+        step, report = truncate(*args, **kwargs)
+        steps.append(report)
+        return step, replace(report, converged=False)
+
+    monkeypatch.setattr(vomps.cli, "vomps_truncate", unconverged)
     out = tmp_path / "out"
     assert vomps.cli.main(["fixedpoint", "--chi", "4", "--beta-rel", "1.2",
-                           "--out-dir", str(out)]) == 0
+                           "--out-dir", str(out)]) == 2
     summary = json.loads((out / "summary.json").read_text())
-    assert summary["unconverged_truncations"] == 0
+    assert len(steps) == 1 and steps[0].converged
+    assert summary["converged"] is True and summary["unconverged_solves"] == 0
+    assert summary["power_step_converged"] is False
 
 
 @pytest.mark.parametrize("seed", [116, 278])
 def test_fixedpoint_first_step_converges(tmp_path, seed):
     # from the earlier complex random start, these seeds' first (cold)
-    # truncation crawled and ended unconverged
+    # truncation of the power loop crawled and ended unconverged; the
+    # solve converges from their ordered starts
     out = tmp_path / "out"
     assert vomps.cli.main(["fixedpoint", "--chi", "8", "--seed", str(seed),
                            "--out-dir", str(out)]) == 0
     summary = json.loads((out / "summary.json").read_text())
-    assert summary["unconverged_truncations"] == 0
-    assert summary["iterations"] == 90 and summary["period"] == 1
+    assert summary["unconverged_solves"] == 0
+    assert summary["iterations"] < 50 and summary["period"] == 1
+    # one power step from the solution returns it (measured within 3e-14)
+    assert summary["power_step_converged"] is True
+    assert abs(summary["power_step_infidelity"]) < 1e-12
 
 
-def test_fixedpoint_stop_step_is_kept(tmp_path):
-    # the benchmark's chi-8 run at seed 0 stops after 90 steps; sizing the
-    # steps by their residual moves neither that step nor the result
+@pytest.mark.parametrize("chi", ["8", "16"])
+def test_fixedpoint_converges_near_criticality(tmp_path, chi):
+    # at 1.005 beta_c the power loop did not converge in 200 steps at chi
+    # 8 or 16 and exited 2; the solve takes 36 and 42 iterations
     out = tmp_path / "out"
-    assert vomps.cli.main(["fixedpoint", "--chi", "8", "--seed", "0",
+    assert vomps.cli.main(["fixedpoint", "--chi", chi, "--beta-rel", "1.005",
                            "--out-dir", str(out)]) == 0
     summary = json.loads((out / "summary.json").read_text())
-    assert summary["iterations"] == 90 and summary["period"] == 1
-    assert abs(summary["magnetization_error"]
-               - 7.140689249436338e-4) <= 1e-12
+    assert summary["converged"] is True and summary["iterations"] < 60
+    assert summary["free_energy_error"] < 1e-6

@@ -14,7 +14,6 @@ from vomps.cli import _ordered_initial_state
 from vomps.models import BETA_C, ising_magnetization, ising_mpo
 from vomps.truncation import (
     CenterPair,
-    PowerStop,
     VompsConfig,
     _fidelity_gradient,
     _tangent,
@@ -155,12 +154,11 @@ def test_stacked_layers(dtype):
 
 @pytest.mark.parametrize("beta_rel", [1.01, 1.05])
 def test_ising_magnetization(beta_rel):
-    # the power method's real fixed point at chi 8, as `vomps fixedpoint`
-    # computes it
+    # the real fixed point at chi 8, as `vomps fixedpoint` computes it
     beta = beta_rel * BETA_C
     state, report = power_method(
         ising_mpo(beta), _ordered_initial_state(8, 0),
-        VompsConfig(target_chi=8, eta=1e-9), PowerStop(tol=1e-10))
+        VompsConfig(target_chi=8, eta=1e-9))
     assert report.converged
     assert all(t.dtype == np.float64 for t in state.al + state.c)
     m = ising_magnetization(state, beta)

@@ -23,8 +23,6 @@ from vomps.models import (
 )
 from vomps.truncation import (
     IterationRecord,
-    PowerRecord,
-    PowerStop,
     VompsConfig,
     power_method,
     vomps_truncate,
@@ -183,9 +181,8 @@ def _truncation_trace():
 def _power_trace():
     _, report = power_method(ising_mpo(1.2 * BETA_C),
                              _ordered_initial_state(4, 0),
-                             VompsConfig(target_chi=4, eta=1e-9),
-                             PowerStop(tol=1e-9))
-    return POWER_FORMAT, PowerRecord, report.iterations, {}
+                             VompsConfig(target_chi=4, eta=1e-9))
+    return POWER_FORMAT, IterationRecord, report.iterations, {}
 
 
 def _evolution_trace():
