@@ -26,13 +26,14 @@ solves missed their tolerance, which its ``trace.csv`` marks in the
 ``solves_converged`` column.  `evolve` checks its arguments and creates
 ``--out-dir`` before it evolves.  `fixedpoint` solves the boundary fixed
 point of the ferromagnet's one-site cell A directly
-(:func:`~vomps.truncation.power_method`) to the residual ``--eta``, in
-real arithmetic from all spins up plus real noise of scale 1e-2 that
-`--seed` draws.  ``--coupling afm`` runs the same solve, since the
-antiferromagnet is the flipped ferromagnet (see :mod:`vomps.models`), and
-stores the canonical two-site cell ``[A, A[:, ::-1, :]]``.  Its summary
-holds the free energy and magnetization against Onsager's, ``period`` 1
-and ``unconverged_solves``, the count of iterations whose environment or
+(:func:`~vomps.truncation.power_method`, one environment eigensolve an
+iteration in its mirror-symmetric gauge) to the residual ``--eta``, real,
+from all spins up plus real noise of scale 1e-2 that `--seed` draws.
+``--coupling afm`` runs the same solve, since the antiferromagnet is the
+flipped ferromagnet (see :mod:`vomps.models`), and stores the canonical
+two-site cell ``[A, A[:, ::-1, :]]``.  Its summary holds the free energy
+and magnetization against Onsager's, ``period`` 1 and
+``unconverged_solves``, the count of iterations whose environment or
 center eigensolves missed their tolerance; ``power.csv`` has the solve's
 :class:`~vomps.truncation.IterationRecord` rows.  One power step, the
 paper's truncation of the MPO applied to the result, started from it,
@@ -111,7 +112,7 @@ def cmd_truncate(args) -> int:
     if args.init == "schmidt":
         cfg, guess = replace(cfg, init=baseline_update), baseline_guess
     result, report = vomps_truncate(state, cfg, guess=guess)
-    result = _regauge(result)
+    result = result if report.regauged else _regauge(result)
     # the regauge keeps AL, so the last solve's left vector still fits
     fid_v = _fidelity_from(result, state, None if report.env_guess is None
                            else report.env_guess[0])

@@ -233,9 +233,9 @@ def ising_mpo(beta: float) -> MPO:
     inverse temperature `beta` (D = 2).
 
     Physical legs live in the spin basis.  The site tensor sums over the
-    site spin with half-weights on every leg, so the MPO is symmetric and
-    real.  The antiferromagnet needs no MPO of its own (see the module
-    docstring).
+    site spin with half-weights on every leg, so the MPO is real and its
+    own left-right mirror, as :func:`~vomps.truncation.power_method` needs.
+    The antiferromagnet needs no MPO of its own (see the module docstring).
     """
     return _ising_site_mpo(beta, np.ones(2))
 

@@ -12,7 +12,8 @@ and otherwise leaves a residual within sqrt(2) of the best isometry (see
 :func:`extract_gauges`).  The fixed points of this iteration are exactly
 the variationally optimal truncations.  Where the iteration crawls or
 cycles instead, a Riemannian L-BFGS ascent of the fidelity over the left
-isometries takes over (:class:`_Ascent`).
+isometries takes over (:class:`_Ascent`).  Without a source the update is
+:func:`power_method`'s, in the gauge AR = AL^T: one environment solve.
 """
 
 from __future__ import annotations
@@ -33,9 +34,11 @@ from .umps import (
     UniformMPS,
     _bond_targets,
     _dot_last,
+    _environments,
     _normalize_targets,
     _right_gauge_from_left,
     environments,
+    left_orthonormalize,
     mpo_eigenvalue_per_site,
 )
 
@@ -96,9 +99,9 @@ class CenterPair:
 @dataclass
 class IterationRecord:
     """One outer iteration: fixed-point residual, step residual, |lambda|,
-    wall time, the matvecs of its eigensolves (the environments, and in
-    :func:`power_method` the centers too), their relative tolerance and
-    whether they converged to it.  Both residuals are
+    wall time, the matvecs of its eigensolves (both environments; in
+    :func:`power_method` one for both and the centers), their relative
+    tolerance and whether they converged to it.  Both residuals are
     ``|AC' - AL C'|`` of the updated centers: `epsilon` with AL the
     update's own left gauge, `step` with AL the left gauge of the iterate
     whose environments were solved, so that `step` measures how far the
@@ -137,6 +140,7 @@ class TruncationReport:
     degenerate: bool = False
     singular_completion: bool = False
     env_guess: tuple | None = None
+    regauged: bool = False
 
     @property
     def final_epsilon(self) -> float:
@@ -220,22 +224,19 @@ def _c_map(gl, gr):
 
 def _leading_centers(env: MixedEnvironment, a: UniformMPS, mpo: MPO,
                      tol: float):
-    """The leading eigenvectors of the maps of :func:`_center_maps`, each
-    solved to `tol` from the center tensor or bond matrix of `a` (over the
-    environments' cell) and given its phase.  Returns ``(pair, matvecs,
-    converged)`` over all the solves."""
-    L = len(env.gl)
-    a = a.extended(L // a.unit_cell)
-    found, matvecs, converged = ([], []), 0, True
-    for n, maps in enumerate(_center_maps(env, mpo)):
-        for h, x, out in zip(maps, (a.ac(n), a.c[n]), found):
-            res = leading_eig(lambda v: h(v.reshape(x.shape)).reshape(-1),
-                              x.reshape(-1), tol=tol, max_iter=10_000)
-            v = res.vector.reshape(x.shape)
-            z = np.vdot(v, x)
-            out.append(v * (z / abs(z)) if z else v)
-            matvecs += res.iterations
-            converged &= bool(res.converged)
+    """The leading eigenvectors of the one-site maps of :func:`_center_maps`,
+    solved to `tol` from the centers of `a`, symmetrized (``.T`` mirrors
+    AC) and phased.  Returns ``(pair, matvecs, converged)``."""
+    found, matvecs, converged = [], 0, True
+    for h, x in zip(_center_maps(env, mpo)[0], (a.ac(0), a.c[0])):
+        res = leading_eig(lambda v: h(v.reshape(x.shape)).reshape(-1),
+                          x.reshape(-1), tol=tol, max_iter=10_000)
+        v = res.vector.reshape(x.shape)
+        v = (v + v.T) / np.linalg.norm(v + v.T)
+        z = np.vdot(v, x)
+        found.append([v * (z / abs(z)) if z else v])
+        matvecs += res.iterations
+        converged &= bool(res.converged)
     return CenterPair(*found), matvecs, converged
 
 
@@ -326,18 +327,17 @@ def _update(a: UniformMPS, source: UniformMPS | None, mpo: MPO | None,
     """One tangent-space update of the trial `a` towards `source` (through
     `mpo`): environments solved to `tol` from `guess`, the centers AC' and
     C', and the gauges AL' and AR' they give.  With `source` None it is
-    the update of the fixed-point solve of `mpo`: the environments of `a`
-    with itself, and as AC' and C' the leading eigenvectors of the maps
-    that :func:`compute_centers` applies once (:func:`_leading_centers`),
-    solved to `tol` from the centers of `a`."""
-    env = environments(a, a if source is None else source, mpo, tol=tol,
-                       guess=guess)
-    matvecs, converged = env.matvecs, env.converged
+    the fixed-point solve's: both environments of `a` with itself from one
+    solve, and as AC' and C' the symmetrized leading eigenvectors of the
+    maps :func:`compute_centers` applies once (:func:`_leading_centers`),
+    solved to `tol` from the centers of `a`, which give AR' = AL'^T."""
     if source is None:
+        env = _environments(a, a, mpo, tol, guess, True)
         cp, more, solved = _leading_centers(env, a, mpo, tol)
-        matvecs, converged = matvecs + more, converged and solved
     else:
-        cp = compute_centers(env, source, mpo)
+        env = environments(a, source, mpo, tol=tol, guess=guess)
+        cp, more, solved = compute_centers(env, source, mpo), 0, True
+    matvecs, converged = env.matvecs + more, env.converged and solved
     al, ar, completed = extract_gauges(cp)
     step = error_epsilon(cp, a.extended(len(al) // a.unit_cell).al)
     return _Update(env, UniformMPS(al=al, ar=ar, c=cp.cp), completed,
@@ -555,9 +555,9 @@ def vomps_truncate(m: UniformMPS, cfg: VompsConfig,
     recorded solve (see :class:`TruncationReport`).  A converged result is
     the loop's last iterate if that passes :meth:`UniformMPS.check` at
     ``cfg.eta`` (the residual bounds ``AL' C'`` only), else, like an
-    unconverged one, it is regauged exactly, keeping AL'.  Non-convergence
-    returns the last iterate, flagged in the report; a collapsing fidelity
-    flags orthogonality instead of looping forever.
+    unconverged one, it is regauged exactly, keeping AL'
+    (``report.regauged``).  Non-convergence returns the last iterate,
+    flagged in the report; a collapsing fidelity flags orthogonality.
     """
     work_cell = math.lcm(m.unit_cell, mpo.unit_cell if mpo else 1)
     m_ext = m.extended(work_cell // m.unit_cell)
@@ -617,7 +617,7 @@ def vomps_truncate(m: UniformMPS, cfg: VompsConfig,
     if report.converged and a.check(math.inf) <= cfg.eta:
         report.env_guess = guess
         return a, report
-    result = _regauge(a)
+    result, report.regauged = _regauge(a), True
     # _regauge keeps AL but turns each bond matrix C' into C' u: carry the
     # bra leg of the bond-0 right environment through the same unitary
     u0 = polar(a.c[-1].conj().T @ result.c[-1])
@@ -654,21 +654,40 @@ def _inner_tol(eps: float, eta: float) -> float:
 # the fixed point of a transfer MPO
 
 
+def _mirror_start(a: UniformMPS) -> UniformMPS:
+    """The one-site `a` made its own mirror, in the mirror-symmetric gauge:
+    A is the mirrored mean of ``s^-1/2 AC s^-1/2`` in the Schmidt frame
+    (that of AC would square the Schmidt weights); with ``l A l^-1`` its
+    left canonical form and ``l = w sqrt(rho)``, AL = w^dag l A l^-1 w,
+    C = sqrt(rho) sqrt(rho)^* and AR = AL^T are exactly canonical."""
+    u, s, vh = svd(a.c[0])
+    r = np.divide(1.0, np.sqrt(s), out=np.zeros_like(s), where=s > 0)
+    x = np.einsum("i,ai,asb,jb,j->isj", r, u.conj(), a.ac(0), vh.conj(), r)
+    (al,), (l,) = left_orthonormalize([(x + x.T) / 2])
+    w = polar(l)
+    al, root = np.einsum("ai,asb,bj->isj", w.conj(), al, w), w.conj().T @ l
+    c = root @ root.conj()
+    return UniformMPS(al=[al], ar=[al.T], c=[c / np.linalg.norm(c)])
+
+
 def power_method(mpo: MPO, init: UniformMPS, cfg: VompsConfig):
     """The fixed point of the transfer MPO `mpo` at the bonds
     ``cfg.target_chi``, solved directly from `init` fitted to those bonds
     (the name is that of the truncated power iteration it replaced).
+    `mpo` must be square, one site and its own left-right mirror (``o ==
+    o.transpose(3, 1, 2, 0)`` to 1e-14 relative), `init` one site.
 
     Each iteration is one :func:`_update` with no source (VUMPS:
     Zauner-Stauber et al., arXiv:1701.07035; Fishman et al.,
-    arXiv:1711.05881): the MPO environments of the state with itself, AC'
-    and C' as the leading eigenvectors of the maps that
-    :func:`compute_centers` applies once, started from the state's own,
-    and the gauges they give.  Its eigensolves run at the tolerance
-    :func:`vomps_truncate` uses, its environment solves start from the
-    previous iteration's.  The solve stops when the residual falls below
-    ``cfg.eta`` over converged solves, after ``cfg.max_iter`` iterations,
-    or when the environments collapse (``report.orthogonal``).
+    arXiv:1711.05881) in the mirror-symmetric gauge AR = AL^T, from
+    :func:`_mirror_start`: one eigensolve for both MPO environments of the
+    state with itself, AC' and C' as the symmetrized leading eigenvectors
+    of the maps that :func:`compute_centers` applies once, started from
+    the state's own, and the gauges they give.  Its eigensolves run at the
+    tolerance :func:`vomps_truncate` uses, its environment solves start
+    from the previous iteration's.  The solve stops when the residual
+    falls below ``cfg.eta`` over converged solves, after ``cfg.max_iter``
+    iterations, or when the environments collapse (``report.orthogonal``).
 
     Returns ``(state, report)``: the last iterate, regauged exactly once,
     and a :class:`TruncationReport` with one :class:`IterationRecord` per
@@ -678,9 +697,13 @@ def power_method(mpo: MPO, init: UniformMPS, cfg: VompsConfig):
     start approaches the non-injective superposition of the two ordered
     states.
     """
-    if mpo.phys_dims_out != mpo.phys_dims_in:
-        raise ValueError("power method needs a square MPO")
-    a = fit_state_to_bonds(init, cfg.target_chi, seed=cfg.seed)
+    o = mpo.o[0]
+    if (mpo.phys_dims_out != mpo.phys_dims_in or mpo.unit_cell != 1
+            or init.unit_cell != 1 or np.linalg.norm(
+                o - o.transpose(3, 1, 2, 0)) > 1e-14 * np.linalg.norm(o)):
+        raise ValueError("power method needs a square one-site MPO equal to "
+                         "its left-right mirror, and a one-site start")
+    a = _mirror_start(fit_state_to_bonds(init, cfg.target_chi, cfg.seed))
     report = TruncationReport()
     eps, guess = math.inf, None
     t0 = time.perf_counter()

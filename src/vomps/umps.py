@@ -250,7 +250,7 @@ def _bond_targets(requested, ranks, phys_dims):
 
 
 def random_uniform_mps(chi: int, d: int | Sequence[int], unit_cell: int = 1,
-                       seed: int | np.random.Generator = 0) -> UniformMPS:
+                       *, seed: int | np.random.Generator) -> UniformMPS:
     """Random injective uniform MPS in mixed canonical form; `d` is one
     physical dimension or one per site."""
     rng = np.random.default_rng(seed)
@@ -624,6 +624,11 @@ def environments(top: UniformMPS, bottom: UniformMPS, mpo: MPO | None = None,
     that found the conjugate of the left eigenvalue (nearer it by more than
     ``tol`` relative), whose eigenvector does not pair with the left one.
     """
+    return _environments(top, bottom, mpo, tol, guess, False)
+
+
+def _environments(top, bottom, mpo, tol, guess, mirrored):
+    # mirrored (one site, AR = AL^T, o == o.transpose(3, 1, 2, 0)): GR = GL
     top, bottom, ops = _cell_tensors(top, bottom, mpo)
     shape = _bond_shape(top.al, bottom.al, ops)
     L = len(ops)
@@ -632,9 +637,10 @@ def environments(top: UniformMPS, bottom: UniformMPS, mpo: MPO | None = None,
     left = leading_eig(_cell_transfer(top.al, bottom.al, "left", ops),
                        _fitting_guess(gl_guess, top.al, bottom.al, ops),
                        tol=tol, max_iter=10_000)
-    right = leading_eig(_cell_transfer(top.ar, bottom.ar, "right", ops),
-                        _fitting_guess(gr_guess, top.al, bottom.al, ops),
-                        tol=tol, max_iter=10_000)
+    right = left if mirrored else leading_eig(
+        _cell_transfer(top.ar, bottom.ar, "right", ops),
+        _fitting_guess(gr_guess, top.al, bottom.al, ops), tol=tol,
+        max_iter=10_000)
 
     lam_cell = left.value
     mispaired = (abs(right.value - lam_cell)
@@ -674,7 +680,7 @@ def environments(top: UniformMPS, bottom: UniformMPS, mpo: MPO | None = None,
         gl=gl, gr=gr, lam=lam,
         degenerate=left.degenerate or right.degenerate or mispaired,
         converged=left.converged and right.converged,
-        matvecs=left.iterations + right.iterations)
+        matvecs=left.iterations + (0 if mirrored else right.iterations))
 
 
 # ---------------------------------------------------------------------------

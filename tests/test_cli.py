@@ -183,6 +183,25 @@ def test_truncate_exit_code_and_summary(tmp_path, state_file, max_iter, code,
         "# format: vomps-trace/6\n")
 
 
+@pytest.mark.parametrize("budget, code", [(["--max-iter", "1"], 2), ([], 0)],
+                         ids=["max-iter-1", "default"])
+def test_truncate_regauges_its_result_once(monkeypatch, tmp_path, state_file,
+                                           budget, code):
+    # vomps_truncate already returns an unconverged result regauged
+    # (report.regauged); the command regauges only a result that is not
+    right_gauge, runs = vomps.truncation._right_gauge_from_left, []
+
+    def counting(*args, **kwargs):
+        runs.append(1)
+        return right_gauge(*args, **kwargs)
+
+    monkeypatch.setattr(vomps.truncation, "_right_gauge_from_left", counting)
+    argv = ["truncate", "--in", str(state_file), "--chi", "3", "--out-dir",
+            str(tmp_path / "out")] + budget
+    assert vomps.cli.main(argv) == code
+    assert len(runs) == 1
+
+
 @pytest.mark.parametrize("raised", [()] + [(flag,) for flag in REPORT_FLAGS])
 def test_truncate_summary_has_its_report_flags(monkeypatch, tmp_path,
                                                state_file, raised):
