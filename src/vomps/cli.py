@@ -25,9 +25,9 @@ collapsed), ``degenerate`` (a degenerate transfer spectrum) and
 solves missed their tolerance, which its ``trace.csv`` marks in the
 ``solves_converged`` column.  `evolve` checks its arguments and creates
 ``--out-dir`` before it evolves.  `fixedpoint` solves the boundary fixed
-point of the ferromagnet's one-site cell A directly
-(:func:`~vomps.truncation.power_method`, one environment eigensolve an
-iteration in its mirror-symmetric gauge) to the residual ``--eta``, real,
+point of the ferromagnet's one-site cell A in its mirror-symmetric gauge,
+one environment eigensolve an iteration
+(:func:`~vomps.truncation.power_method`), to the residual ``--eta``, real,
 from all spins up plus real noise of scale 1e-2 that `--seed` draws.
 ``--coupling afm`` runs the same solve, since the antiferromagnet is the
 flipped ferromagnet (see :mod:`vomps.models`), and stores the canonical

@@ -12,8 +12,8 @@ and otherwise leaves a residual within sqrt(2) of the best isometry (see
 :func:`extract_gauges`).  The fixed points of this iteration are exactly
 the variationally optimal truncations.  Where the iteration crawls or
 cycles instead, a Riemannian L-BFGS ascent of the fidelity over the left
-isometries takes over (:class:`_Ascent`).  Without a source the update is
-:func:`power_method`'s, in the gauge AR = AL^T: one environment solve.
+isometries takes over (:class:`_Ascent`).  :func:`power_method` updates
+with no source, in the gauge AR = AL^T: one environment solve.
 """
 
 from __future__ import annotations
@@ -34,7 +34,6 @@ from .umps import (
     UniformMPS,
     _bond_targets,
     _dot_last,
-    _environments,
     _normalize_targets,
     _right_gauge_from_left,
     environments,
@@ -55,8 +54,8 @@ class VompsConfig:
     as they are).  `eta` is the convergence threshold on the fixed-point
     residual and `max_iter` the iteration budget, of either loop; `init`
     is the truncation's starting state, None for the input state itself
-    (:func:`power_method` takes its start as an argument).  A start whose
-    bonds differ from the targets is fitted to them by
+    (:func:`power_method` takes its start as an argument, and cuts it).  A
+    start whose bonds differ from the targets is fitted to them by
     :func:`fit_state_to_bonds` with `seed`.
     """
 
@@ -327,18 +326,20 @@ def _update(a: UniformMPS, source: UniformMPS | None, mpo: MPO | None,
     """One tangent-space update of the trial `a` towards `source` (through
     `mpo`): environments solved to `tol` from `guess`, the centers AC' and
     C', and the gauges AL' and AR' they give.  With `source` None it is
-    the fixed-point solve's: both environments of `a` with itself from one
-    solve, and as AC' and C' the symmetrized leading eigenvectors of the
-    maps :func:`compute_centers` applies once (:func:`_leading_centers`),
-    solved to `tol` from the centers of `a`, which give AR' = AL'^T."""
+    the fixed-point solve's: the environments of `a` with itself, of which
+    :func:`environments` solves one for `a` in the gauge AR = AL^T, and as
+    AC' and C' the symmetrized leading eigenvectors of the maps
+    :func:`compute_centers` applies once (:func:`_leading_centers`),
+    solved to `tol` from the centers of `a`; AR' is AL'^T exactly."""
+    env = environments(a, a if source is None else source, mpo, tol=tol,
+                       guess=guess)
     if source is None:
-        env = _environments(a, a, mpo, tol, guess, True)
         cp, more, solved = _leading_centers(env, a, mpo, tol)
     else:
-        env = environments(a, source, mpo, tol=tol, guess=guess)
         cp, more, solved = compute_centers(env, source, mpo), 0, True
     matvecs, converged = env.matvecs + more, env.converged and solved
     al, ar, completed = extract_gauges(cp)
+    ar = [al[0].T] if source is None else ar
     step = error_epsilon(cp, a.extended(len(al) // a.unit_cell).al)
     return _Update(env, UniformMPS(al=al, ar=ar, c=cp.cp), completed,
                    error_epsilon(cp, al), step, matvecs, converged)
@@ -656,30 +657,30 @@ def _inner_tol(eps: float, eta: float) -> float:
 
 def _mirror_start(a: UniformMPS) -> UniformMPS:
     """The one-site `a` made its own mirror, in the mirror-symmetric gauge:
-    A is the mirrored mean of ``s^-1/2 AC s^-1/2`` in the Schmidt frame
-    (that of AC would square the Schmidt weights); with ``l A l^-1`` its
-    left canonical form and ``l = w sqrt(rho)``, AL = w^dag l A l^-1 w,
-    C = sqrt(rho) sqrt(rho)^* and AR = AL^T are exactly canonical."""
+    ``X = s^-1/2 AC s^-1/2`` in the Schmidt frame has ``X^T = Q^dag X Q``
+    if `a` is its own mirror, Q the phases (signs if real) of the leading
+    eigenvector of ``sum_s X_s^dag X_s^T``.  A = (X + Q X^T Q^dag)/2 is
+    then X; with AL = l A l^-1 left canonical, C = l Q l^T, AR = AL^T."""
     u, s, vh = svd(a.c[0])
-    r = np.divide(1.0, np.sqrt(s), out=np.zeros_like(s), where=s > 0)
-    x = np.einsum("i,ai,asb,jb,j->isj", r, u.conj(), a.ac(0), vh.conj(), r)
-    (al,), (l,) = left_orthonormalize([(x + x.T) / 2])
-    w = polar(l)
-    al, root = np.einsum("ai,asb,bj->isj", w.conj(), al, w), w.conj().T @ l
-    c = root @ root.conj()
+    x = np.einsum("i,ai,asb,jb,j->isj", s ** -0.5, u.conj(), a.ac(0),
+                  vh.conj(), s ** -0.5)
+    v = np.linalg.eigh(np.einsum("isj,jsi->ij", x.conj(), x))[1][:, -1]
+    q = (v / v[np.argmax(abs(v))] / abs(v)).conj()
+    (al,), (l,) = left_orthonormalize([(x + q[:, None, None] * x.T
+                                        * q.conj()) / 2])
+    c = (l * q) @ l.T
     return UniformMPS(al=[al], ar=[al.T], c=[c / np.linalg.norm(c)])
 
 
 def power_method(mpo: MPO, init: UniformMPS, cfg: VompsConfig):
-    """The fixed point of the transfer MPO `mpo` at the bonds
-    ``cfg.target_chi``, solved directly from `init` fitted to those bonds
-    (the name is that of the truncated power iteration it replaced).
-    `mpo` must be square, one site and its own left-right mirror (``o ==
-    o.transpose(3, 1, 2, 0)`` to 1e-14 relative), `init` one site.
+    """The fixed point of the square transfer MPO `mpo`, which must be its
+    own mirror (:attr:`~vomps.umps.MPO.is_own_mirror`), at the bonds
+    ``cfg.target_chi``, solved directly from the one-site `init` cut to
+    those bonds (the name is that of the power iteration it replaced).
 
     Each iteration is one :func:`_update` with no source (VUMPS:
     Zauner-Stauber et al., arXiv:1701.07035; Fishman et al.,
-    arXiv:1711.05881) in the mirror-symmetric gauge AR = AL^T, from
+    arXiv:1711.05881) in the mirror-symmetric gauge AR = AL^T from
     :func:`_mirror_start`: one eigensolve for both MPO environments of the
     state with itself, AC' and C' as the symmetrized leading eigenvectors
     of the maps that :func:`compute_centers` applies once, started from
@@ -697,13 +698,12 @@ def power_method(mpo: MPO, init: UniformMPS, cfg: VompsConfig):
     start approaches the non-injective superposition of the two ordered
     states.
     """
-    o = mpo.o[0]
-    if (mpo.phys_dims_out != mpo.phys_dims_in or mpo.unit_cell != 1
-            or init.unit_cell != 1 or np.linalg.norm(
-                o - o.transpose(3, 1, 2, 0)) > 1e-14 * np.linalg.norm(o)):
-        raise ValueError("power method needs a square one-site MPO equal to "
-                         "its left-right mirror, and a one-site start")
-    a = _mirror_start(fit_state_to_bonds(init, cfg.target_chi, cfg.seed))
+    if (mpo.phys_dims_out != mpo.phys_dims_in or not mpo.is_own_mirror
+            or init.unit_cell != 1
+            or init.bond_dims[0] < _normalize_targets(cfg.target_chi, 1)[0]):
+        raise ValueError("power method needs a square self-mirror one-site "
+                         "MPO and a one-site start at least target_chi wide")
+    a = _mirror_start(fit_state_to_bonds(init, cfg.target_chi))
     report = TruncationReport()
     eps, guess = math.inf, None
     t0 = time.perf_counter()

@@ -178,6 +178,13 @@ class MPO:
     def phys_dims_in(self):
         return [t.shape[2] for t in self.o]
 
+    @property
+    def is_own_mirror(self) -> bool:
+        """One site equal to ``o.transpose(3, 1, 2, 0)`` to 1e-14 relative."""
+        o = self.o[0]
+        return self.unit_cell == 1 and bool(np.linalg.norm(
+            o - o.transpose(3, 1, 2, 0)) <= 1e-14 * np.linalg.norm(o))
+
     def extended(self, reps: int) -> "MPO":
         return self if reps == 1 else MPO(o=self.o * reps)
 
@@ -623,12 +630,11 @@ def environments(top: UniformMPS, bottom: UniformMPS, mpo: MPO | None = None,
     eigenvalue collapses to zero.  `degenerate` also flags a right solve
     that found the conjugate of the left eigenvalue (nearer it by more than
     ``tol`` relative), whose eigenvector does not pair with the left one.
+    Only the left is solved for a one-site state with itself, AR = AL^T
+    exactly, through an MPO that is its own mirror: the right equals it.
     """
-    return _environments(top, bottom, mpo, tol, guess, False)
-
-
-def _environments(top, bottom, mpo, tol, guess, mirrored):
-    # mirrored (one site, AR = AL^T, o == o.transpose(3, 1, 2, 0)): GR = GL
+    mirrored = (top is bottom and top.unit_cell == 1 and np.array_equal(
+        top.ar[0], top.al[0].T) and mpo is not None and mpo.is_own_mirror)
     top, bottom, ops = _cell_tensors(top, bottom, mpo)
     shape = _bond_shape(top.al, bottom.al, ops)
     L = len(ops)

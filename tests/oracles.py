@@ -399,24 +399,6 @@ def state_with_spectrum(spectrum, seed: int = 0) -> UniformMPS:
     return UniformMPS(al=[al], ar=[ar], c=[np.diag(s).astype(complex)])
 
 
-def mirror_gauge_state(x) -> UniformMPS:
-    """The one-site state of a tensor `x` equal to its mirror
-    ``x.transpose(2, 1, 0)``, in its mirror-symmetric gauge: with rho the
-    leading left fixed point of x's transfer (dense), AC = sqrt(rho) x
-    conj(sqrt(rho)) and C = sqrt(rho) conj(sqrt(rho)) are symmetric, and
-    AL = AC C^-1 (made isometric) and AR = AL^T."""
-    chi = x.shape[0]
-    lam, v = dense_leading_eig(dense_site_matrix(x, x))
-    rho = v.reshape(chi, chi) / v.reshape(chi, chi).trace()
-    w, u = np.linalg.eigh((rho + rho.conj().T) / 2)
-    root = (u * np.sqrt(w)) @ u.conj().T
-    c = root @ root.conj()
-    al = np.einsum("ij,jpk,kl->ipl", root, x, np.linalg.inv(root))
-    al = al / np.sqrt(lam.real)
-    c = c / np.linalg.norm(c)
-    return UniformMPS(al=[al], ar=[al.transpose(2, 1, 0)], c=[c])
-
-
 def reflection_residual(state) -> float:
     """Distance of a one-site state from its left-right mirror: the least
     ``|AR - D AL^T D|`` over diagonal sign matrices D, in the Schmidt frame
